@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from gridmtd.diverse_mdcs import (
+    ConfigurationSet,
     InfeasibleError,
     dump_configuration,
     find_kmax,
@@ -37,107 +37,76 @@ EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
-class RunConfig:
-    input: Path
-    format: str  # matpower | graph
-    hops: int = 2
-    sites: str = "line-ends"
-    hvts: list[str] | None = None
-    symmetry_break: bool = False
-    ksearch: str = "linear"
-    trials: int = 100
-    seed: int | None = None
-    integer_utilities: bool = False
-    cost_on_miss: bool = True
-    parallel_trials: bool = False
-    out: Path = Path(".")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        path = Path(args.input)
-        fmt = args.format
-        if fmt == "auto":
-            fmt = "matpower" if path.suffix == ".m" else "graph"
-        hvts = None
-        if getattr(args, "hvts", None):
-            hvts = [tok for tok in args.hvts.split(",") if tok]
-        return cls(
-            input=path,
-            format=fmt,
-            hops=args.hops,
-            sites=args.sites,
-            hvts=hvts,
-            symmetry_break=getattr(args, "symmetry_break", False),
-            ksearch=getattr(args, "ksearch", "linear"),
-            trials=getattr(args, "trials", 100),
-            seed=getattr(args, "seed", None),
-            integer_utilities=getattr(args, "integer_utilities", False),
-            cost_on_miss=getattr(args, "cost_on_miss", "true") == "true",
-            parallel_trials=getattr(args, "parallel_trials", False),
-            out=Path(getattr(args, "out", ".")),
-        )
+def _load(args: argparse.Namespace) -> BipartiteGraph:
+    """The monitoring graph named by --input, read as --format says; auto
+    takes a .m suffix for MATPOWER."""
+    path = Path(args.input)
+    if not path.exists():
+        raise FileNotFoundError(f"input file not found: {path}")
+    fmt = args.format
+    if fmt == "auto":
+        fmt = "matpower" if path.suffix == ".m" else "graph"
+    if fmt == "matpower":
+        hvts = [tok for tok in args.hvts.split(",") if tok] if args.hvts else None
+        grid = parse_matpower(path.read_text())
+        return build_bipartite(grid, hvts, args.hops, args.sites)
+    return load_graph(path)
 
 
-def _load(cfg: RunConfig) -> BipartiteGraph:
-    if not cfg.input.exists():
-        raise FileNotFoundError(f"input file not found: {cfg.input}")
-    if cfg.format == "matpower":
-        grid = parse_matpower(cfg.input.read_text())
-        return build_bipartite(grid, cfg.hvts, cfg.hops, cfg.sites)
-    return load_graph(cfg.input)
+def _families(g: BipartiteGraph) -> tuple[ConfigurationSet, ConfigurationSet]:
+    """The optimal (find_kmax) and greedy (greedy_k) families of g; their
+    solve times go to stderr."""
+    t0 = time.perf_counter()
+    optimal = find_kmax(g)
+    t1 = time.perf_counter()
+    greedy = greedy_k(g)
+    t2 = time.perf_counter()
+    print(
+        f"optimal_seconds={t1 - t0:.3f} greedy_seconds={t2 - t1:.3f}",
+        file=sys.stderr,
+    )
+    return optimal, greedy
 
 
-def cmd_build_graph(cfg: RunConfig) -> int:
-    g = _load(cfg)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    dest = cfg.out / (cfg.input.stem + ".graph")
+def cmd_build_graph(args: argparse.Namespace) -> int:
+    g = _load(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    dest = out / (Path(args.input).stem + ".graph")
     dest.write_text(graph_to_text(g))
     print(f"|T|={g.n_t} |S|={g.n_s} edges={g.n_edges}")
     return EXIT_OK
 
 
-def cmd_kmax(cfg: RunConfig) -> int:
-    g = _load(cfg)
-    t0 = time.perf_counter()
-    optimal = find_kmax(g, cfg.ksearch, cfg.symmetry_break)
-    t1 = time.perf_counter()
-    greedy = greedy_k(g)
-    t2 = time.perf_counter()
+def cmd_kmax(args: argparse.Namespace) -> int:
+    g = _load(args)
+    optimal, greedy = _families(g)
     print("optimal")
     print(dump_configuration(g, optimal), end="")
     print("greedy")
     print(dump_configuration(g, greedy), end="")
-    print(
-        f"optimal_seconds={t1 - t0:.3f} greedy_seconds={t2 - t1:.3f}",
-        file=sys.stderr,
-    )
     return EXIT_OK
 
 
-def cmd_experiment(cfg: RunConfig) -> int:
-    if cfg.seed is None:
+def cmd_experiment(args: argparse.Namespace) -> int:
+    if args.seed is None:
         raise ValueError("--seed is required in experiment mode")
-    if cfg.trials < 1:
+    if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    g = _load(cfg)
-    t0 = time.perf_counter()
-    optimal = find_kmax(g, cfg.ksearch, cfg.symmetry_break)
-    t1 = time.perf_counter()
-    greedy = greedy_k(g)
-    t2 = time.perf_counter()
+    g = _load(args)
+    optimal, greedy = _families(g)
     report = run_trials(
         g,
         greedy,
         optimal,
-        cfg.trials,
-        cfg.seed,
-        cost_on_miss=cfg.cost_on_miss,
-        integer_utilities=cfg.integer_utilities,
-        parallel=cfg.parallel_trials,
+        args.trials,
+        args.seed,
+        cost_on_miss=args.cost_on_miss == "true",
+        integer_utilities=args.integer_utilities,
     )
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    dest = cfg.out / "trials.csv"
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    dest = out / "trials.csv"
     with open(dest, "w", newline="\n") as fh:
         fh.write(report.to_csv())
 
@@ -149,10 +118,6 @@ def cmd_experiment(cfg: RunConfig) -> int:
     for name, mu, sd in zip(report.columns, means, stds):
         print(f"{name} {mu:.4f} {sd:.4f}")
     print(f"csv={dest}")
-    print(
-        f"optimal_seconds={t1 - t0:.3f} greedy_seconds={t2 - t1:.3f}",
-        file=sys.stderr,
-    )
     return EXIT_OK
 
 
@@ -191,18 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kmax = sub.add_parser("kmax", help="largest disjoint MDCS family, plus greedy")
     common(p_kmax)
-    p_kmax.add_argument("--symmetry-break", action="store_true")
-    p_kmax.add_argument("--ksearch", choices=("linear", "binary"), default="linear")
 
     p_exp = sub.add_parser("experiment", help="randomized URS/SSE reward trials")
     common(p_exp)
-    p_exp.add_argument("--symmetry-break", action="store_true")
-    p_exp.add_argument("--ksearch", choices=("linear", "binary"), default="linear")
     p_exp.add_argument("--trials", type=int, default=100)
     p_exp.add_argument("--seed", type=int, default=None)
     p_exp.add_argument("--integer-utilities", action="store_true")
     p_exp.add_argument("--cost-on-miss", choices=("true", "false"), default="true")
-    p_exp.add_argument("--parallel-trials", action="store_true")
     return parser
 
 
@@ -216,9 +176,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig.from_args(args)
     try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](args)
     except (ParseError, GraphFormatError, FileNotFoundError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

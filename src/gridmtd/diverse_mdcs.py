@@ -9,7 +9,7 @@ validate the solvers on small graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from gridmtd.graph_core import BipartiteGraph, CodeSet, is_dcs, is_dcs_indices
@@ -126,17 +126,15 @@ def is_feasible(g: BipartiteGraph) -> bool:
 def build_k_dcs_program(
     g: BipartiteGraph,
     K: int,
-    symmetry_break: bool = False,
     forbidden: frozenset[int] = frozenset(),
 ) -> BinaryProgram:
     """Binary program over x[k*n+s]: K equal-size, pairwise-disjoint DCSs of
     minimum common size.
 
-    Disjointness is the linear form x_sk + x_sk' <= 1 per site and block pair,
-    which on binary points matches requiring blocks to share no site. The
-    optional symmetry break orders blocks by their smallest selected site,
-    which for disjoint blocks is exactly bit-vector lexicographic order; it
-    never changes the optimal size, only prunes permuted duplicates.
+    Disjointness is one capacity row per site, sum_k x_ks <= 1, which on
+    binary points matches requiring blocks to share no site and implies every
+    pairwise row x_sk + x_sk' <= 1, also on the relaxation. For K=2 it is the
+    pairwise row itself.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -168,22 +166,7 @@ def build_k_dcs_program(
                 entries[var(0, s)] = -1.0
             row(entries, "=", 0.0)
         for s in range(n):
-            for ka, kb in combinations(range(K), 2):
-                row({var(ka, s): 1.0, var(kb, s): 1.0}, "<=", 1.0)
-        # per-site capacity: implied by the pairwise rows on binary points but
-        # far tighter on the relaxation, which keeps branch-and-bound honest
-        # (for K=2 it coincides with the pairwise row, so skip it there)
-        if K > 2:
-            for s in range(n):
-                row({var(k, s): 1.0 for k in range(K)}, "<=", 1.0)
-
-    if symmetry_break and K > 1:
-        for k in range(K - 1):
-            for s in range(n):
-                entries = {var(k + 1, s): 1.0}
-                for sp in range(s):
-                    entries[var(k, sp)] = -1.0
-                row(entries, "<=", 0.0)
+            row({var(k, s): 1.0 for k in range(K)}, "<=", 1.0)
 
     for s in sorted(forbidden):
         for k in range(K):
@@ -217,14 +200,12 @@ def solve_mdcs(g: BipartiteGraph) -> CodeSet:
     return _extract_sets(g, 1, sol.assignment)[0]
 
 
-def solve_k_dcs(
-    g: BipartiteGraph, K: int, symmetry_break: bool = False
-) -> ConfigurationSet:
+def solve_k_dcs(g: BipartiteGraph, K: int) -> ConfigurationSet:
     """K pairwise-disjoint equal-size DCSs minimizing the common size."""
     if K < 1:
         raise ValueError("K must be >= 1")
     check_feasible(g)
-    sol = solve_bilp(build_k_dcs_program(g, K, symmetry_break))
+    sol = solve_bilp(build_k_dcs_program(g, K))
     if sol.status != "optimal":
         raise InfeasibleError(f"no {K} pairwise-disjoint discriminating code sets exist")
     cfg = ConfigurationSet(_extract_sets(g, K, sol.assignment))
@@ -232,44 +213,53 @@ def solve_k_dcs(
     return cfg
 
 
-def find_kmax(
-    g: BipartiteGraph, mode: str = "linear", symmetry_break: bool = False
-) -> ConfigurationSet:
+def find_kmax(g: BipartiteGraph) -> ConfigurationSet:
     """Largest K whose K disjoint DCSs still have minimum-DCS size.
 
-    The linear mode scans K = 1, 2, ... and stops at the first K that is
-    infeasible or whose common size exceeds the minimum; the binary mode
-    exploits that feasibility-at-minimum-size is monotone in K.
+    Scans K = 2, 3, ... with the common size fixed at the minimum m, so each
+    step is a feasibility question, and stops at the first K with no such
+    family. A family of a larger size never counts, so no solve has to prove
+    one optimal; K * m <= n_s bounds the scan. The programs are built on g
+    in a canonical numbering, so renumbering g leaves them as they are.
     """
-    if mode not in ("linear", "binary"):
-        raise ValueError(f"unknown K-search mode {mode!r}")
-    best = solve_k_dcs(g, 1, symmetry_break)
+    g = _canonical(g)
+    best = solve_k_dcs(g, 1)
     m = best.l
-    if mode == "linear":
-        K = 2
-        while K <= g.n_s:
-            try:
-                cfg = solve_k_dcs(g, K, symmetry_break)
-            except InfeasibleError:
-                break
-            if cfg.l > m:
-                break
-            best = cfg
-            K += 1
-        return best
-    lo, hi = 1, max(1, g.n_s // m)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        try:
-            cfg = solve_k_dcs(g, mid, symmetry_break)
-        except InfeasibleError:
-            cfg = None
-        if cfg is not None and cfg.l == m:
-            best = cfg
-            lo = mid
-        else:
-            hi = mid - 1
+    for K in range(2, g.n_s // m + 1):
+        p = build_k_dcs_program(g, K)
+        # the objective is block 0's size
+        size = Constraint(p.objective, "=", float(m))
+        sol = solve_bilp(replace(p, constraints=p.constraints + (size,)))
+        if sol.status != "optimal":
+            break
+        best = ConfigurationSet(_extract_sets(g, K, sol.assignment))
+        best.validate(g)
     return best
+
+
+def _canonical(g: BipartiteGraph) -> BipartiteGraph:
+    """g renumbered by colour refinement, so that find_kmax's programs, and
+    with them its family and its run time, do not depend on how the input
+    numbers transformers and sites. Only nodes refinement cannot tell apart
+    keep their input order; for sites, once transformers are told apart,
+    those are twins, whose columns are equal."""
+
+    def ranks(keys: list[tuple]) -> list[int]:
+        distinct = sorted(set(keys))
+        return [distinct.index(k) for k in keys]
+
+    heard = [[t for t in range(g.n_t) if s in g.adj[t]] for s in range(g.n_s)]
+    tc, sc, count = [0] * g.n_t, [0] * g.n_s, 0
+    while len(set(tc)) + len(set(sc)) > count:
+        count = len(set(tc)) + len(set(sc))
+        tc = ranks([(tc[t], tuple(sorted(sc[s] for s in g.adj[t]))) for t in range(g.n_t)])
+        sc = ranks([(sc[s], tuple(sorted(tc[t] for t in heard[s]))) for s in range(g.n_s)])
+    ts = sorted(range(g.n_t), key=lambda t: (tc[t], t))
+    ss = sorted(range(g.n_s), key=lambda s: (sc[s], s))
+    new = {s: i for i, s in enumerate(ss)}
+    adj = tuple(frozenset(new[s] for s in g.adj[t]) for t in ts)
+    t_ids, s_ids = tuple(g.t_ids[t] for t in ts), tuple(g.s_ids[s] for s in ss)
+    return replace(g, t_ids=t_ids, s_ids=s_ids, adj=adj)
 
 
 def greedy_k(g: BipartiteGraph, k_target: int | None = None) -> ConfigurationSet:

@@ -11,7 +11,6 @@ action.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -302,7 +301,6 @@ def run_trials(
     seed: int,
     cost_on_miss: bool = True,
     integer_utilities: bool = False,
-    parallel: bool = False,
 ) -> TrialReport:
     """Each trial draws a fresh utility profile and reports the defender value
     of URS and SSE play on the greedy (K) and optimal (K_max) configurations.
@@ -324,9 +322,5 @@ def run_trials(
             solve_sse(game_kmax).defender_value,
         )
 
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(one, range(n_trials)))
-    else:
-        rows = [one(i) for i in range(n_trials)]
+    rows = [one(i) for i in range(n_trials)]
     return TrialReport(np.array(rows, dtype=float), seed)

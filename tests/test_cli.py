@@ -88,20 +88,6 @@ def test_kmax_stdout_deterministic(capsys):
     assert "kmax 3 l 2" in out1  # greedy dump
 
 
-def test_kmax_binary_mode(capsys):
-    code, out, _ = run(
-        capsys,
-        "kmax",
-        "--input",
-        str(FIXTURES / "tiny.graph"),
-        "--ksearch",
-        "binary",
-        "--symmetry-break",
-    )
-    assert code == 0
-    assert "kmax 2 l 2" in out
-
-
 # ---------------------------------------------------------------------------
 # experiment
 
@@ -185,23 +171,6 @@ def test_experiment_flag_variants(tmp_path, capsys):
     )
     assert code == 0
     assert (tmp_path / "trials.csv").exists()
-
-
-def test_experiment_parallel_trials_same_csv(tmp_path, capsys):
-    base = [
-        "experiment",
-        "--input",
-        str(FIXTURES / "tiny.graph"),
-        "--trials",
-        "6",
-        "--seed",
-        "2",
-    ]
-    run(capsys, *base, "--out", str(tmp_path / "a"))
-    run(capsys, *base, "--parallel-trials", "--out", str(tmp_path / "b"))
-    assert (tmp_path / "a" / "trials.csv").read_text() == (
-        tmp_path / "b" / "trials.csv"
-    ).read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -99,29 +99,10 @@ def test_kmax_singleton_neighborhood_forces_one():
     assert brute_force_kmax(g).K == 1
 
 
-def test_kmax_binary_search_agrees(tiny_graph, greedy_gap_graph):
-    for g in (tiny_graph, greedy_gap_graph):
-        lin = find_kmax(g, mode="linear")
-        binry = find_kmax(g, mode="binary")
-        assert lin.K == binry.K and lin.l == binry.l
-    for g in feasible_corpus(seed=404, count=15, s_lo=4, s_hi=9):
-        lin = find_kmax(g, mode="linear")
-        binry = find_kmax(g, mode="binary")
-        assert lin.K == binry.K and lin.l == binry.l
-
-
 def test_oversized_k_is_fast_infeasible(tiny_graph):
     # the capacity rows make the relaxation itself infeasible, no search needed
     with pytest.raises(InfeasibleError):
         solve_k_dcs(tiny_graph, 10)
-
-
-def test_symmetry_break_same_optimum(tiny_graph, greedy_gap_graph):
-    for g in (tiny_graph, greedy_gap_graph):
-        plain = find_kmax(g)
-        broken = find_kmax(g, symmetry_break=True)
-        assert plain.K == broken.K and plain.l == broken.l
-        broken.validate(g)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +200,34 @@ def test_monotone_feasibility_below_kmax():
             assert cfg.l == m
 
 
+def test_find_kmax_ignores_numbering():
+    """A renumbered graph gets the same family, block for block. The graphs
+    are twin-free and have no symmetry (no transformer permutation maps the
+    sites' neighborhoods onto themselves), as twins or symmetric nodes may
+    trade places in the family."""
+    rng = np.random.default_rng(5)
+    checked = 0
+    for g in feasible_corpus(seed=404, count=80, s_lo=5, s_hi=10):
+        heard = {frozenset(t for t, nb in enumerate(g.adj) if s in nb) for s in range(g.n_s)}
+        symmetric = any(
+            {frozenset(perm[t] for t in h) for h in heard} == heard
+            for perm in itertools.permutations(range(g.n_t))
+            if perm != tuple(range(g.n_t))
+        )
+        if len(heard) < g.n_s or symmetric:
+            continue
+        ts, ss = rng.permutation(g.n_t), rng.permutation(g.n_s)
+        new = {int(s): i for i, s in enumerate(ss)}
+        renumbered = BipartiteGraph(
+            tuple(g.t_ids[t] for t in ts),
+            tuple(g.s_ids[s] for s in ss),
+            tuple(frozenset(new[s] for s in g.adj[t]) for t in ts),
+        )
+        assert find_kmax(renumbered) == find_kmax(g)
+        checked += 1
+    assert checked >= 10
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_emitted_configurations_satisfy_invariants(seed):
@@ -260,6 +269,27 @@ def test_linearized_disjointness_matches_quadratic(tiny_graph):
             for i, j in itertools.combinations(range(K), 2)
         )
         assert linear_ok == quad_ok
+
+
+def test_disjointness_is_one_capacity_row_per_site(tiny_graph, case14_text):
+    # K cover-and-discriminate blocks, K-1 equal-size rows, then for K >= 2
+    # exactly one sum_k x_ks <= 1 row per site and no pairwise rows
+    from gridmtd import build_bipartite, parse_matpower
+
+    grid = parse_matpower(case14_text)
+    case14 = build_bipartite(grid, ["4-7", "4-9", "5-6", "7-8", "7-9"], hop_limit=2)
+    for g in (tiny_graph, case14):
+        n = g.n_s
+        per_block = g.n_t + g.n_t * (g.n_t - 1) // 2
+        for K in (1, 2, 3, 4):
+            prog = build_k_dcs_program(g, K)
+            le = [c for c in prog.constraints if c.relation == "<="]
+            assert len(prog.constraints) == K * per_block + (K - 1) + len(le)
+            assert len(le) == (n if K > 1 else 0)
+            for s, c in enumerate(le):
+                support = {j for j, a in enumerate(c.coeffs) if a != 0.0}
+                assert support == {k * n + s for k in range(K)}
+                assert all(c.coeffs[j] == 1.0 for j in support) and c.rhs == 1.0
 
 
 def test_dump_format(tiny_graph):

@@ -296,14 +296,6 @@ def test_run_trials_rejects_zero_trials(tiny_graph):
         run_trials(tiny_graph, cfg, cfg, 0, seed=1)
 
 
-def test_run_trials_parallel_matches_serial(tiny_graph):
-    greedy = greedy_k(tiny_graph)
-    optimal = find_kmax(tiny_graph)
-    serial = run_trials(tiny_graph, greedy, optimal, 8, seed=5)
-    threaded = run_trials(tiny_graph, greedy, optimal, 8, seed=5, parallel=True)
-    assert serial.to_csv() == threaded.to_csv()
-
-
 def test_run_trials_integer_utilities(tiny_graph):
     cfg = find_kmax(tiny_graph)
     u = random_profile(tiny_graph, trial_rng(11, 0), integer_utilities=True)
