@@ -94,6 +94,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     g = _load(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     optimal, greedy = _families(g)
     report = run_trials(
         g,
@@ -104,8 +106,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         cost_on_miss=args.cost_on_miss == "true",
         integer_utilities=args.integer_utilities,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dest = out / "trials.csv"
     with open(dest, "w", newline="\n") as fh:
         fh.write(report.to_csv())

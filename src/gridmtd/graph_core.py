@@ -284,26 +284,6 @@ def _reach_line_ends(
     return set(seen)
 
 
-def _reach_buses(
-    inc: dict[int, list[tuple[int, int]]], start: Branch, hop_limit: int
-) -> set[int]:
-    """Buses reachable from a transformer branch; its endpoints are hop 1."""
-    heads = (start.from_bus,) if start.from_bus == start.to_bus else (start.from_bus, start.to_bus)
-    dist = {h: 1 for h in heads}
-    frontier = list(heads)
-    depth = 1
-    while frontier and depth < hop_limit:
-        nxt = []
-        for bus in frontier:
-            for _, other in inc[bus]:
-                if other not in dist:
-                    dist[other] = depth + 1
-                    nxt.append(other)
-        frontier = nxt
-        depth += 1
-    return set(dist)
-
-
 def _resolve_hvts(
     grid: PowerGrid, hvt_ids: Sequence[str] | None
 ) -> list[int]:
@@ -354,6 +334,8 @@ def build_bipartite(
     hvt_idx = _resolve_hvts(grid, hvt_ids)
     inc = _incidence(grid)
     branch_ids = grid.branch_ids
+    # the buses rule keeps only the head bus of each reached line-end
+    reaches = [_reach_line_ends(inc, grid.branches[hi], hi, hop_limit) for hi in hvt_idx]
 
     if site_rule == "line-ends":
         site_names: list[str] = []
@@ -364,17 +346,11 @@ def build_bipartite(
                 if key not in site_index:
                     site_index[key] = len(site_names)
                     site_names.append(f"{bus}@{branch_ids[bi]}")
-        adj = []
-        for hi in hvt_idx:
-            reach = _reach_line_ends(inc, grid.branches[hi], hi, hop_limit)
-            adj.append(frozenset(site_index[state] for state in reach))
+        adj = [frozenset(site_index[state] for state in reach) for reach in reaches]
     elif site_rule == "buses":
         site_names = [str(b) for b in grid.buses]
         bus_index = {b: i for i, b in enumerate(grid.buses)}
-        adj = []
-        for hi in hvt_idx:
-            reach = _reach_buses(inc, grid.branches[hi], hop_limit)
-            adj.append(frozenset(bus_index[b] for b in reach))
+        adj = [frozenset(bus_index[b] for b, _ in reach) for reach in reaches]
     else:
         raise ValueError(f"unknown site_rule {site_rule!r}")
 

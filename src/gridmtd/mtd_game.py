@@ -10,9 +10,8 @@ action.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -86,16 +85,32 @@ class SseSolution:
     attacker_value: float
 
 
-def _sensor_set(active: CodeSet | Iterable[str]) -> frozenset[str]:
-    if isinstance(active, CodeSet):
-        return active.sensors
-    return frozenset(active)
+def _identified(
+    g: BipartiteGraph, sets: Sequence[frozenset[int]], attacked: Sequence[int]
+) -> np.ndarray:
+    """(K, A, |T|) booleans: transformer t keeps a non-empty code that no other
+    transformer shares once site attacked[j] is removed from sets[k].
+
+    Works on the columns of the sites in play only; two codes are equal when
+    their sizes and their overlap all agree."""
+    cols = np.array(sorted(set(attacked).union(*sets)), dtype=int)
+    heard = np.array([[s in nb for s in cols] for nb in g.adj], dtype=float)
+    member = np.array([[s in st for s in cols] for st in sets], dtype=bool)
+    residual = member[:, None, :] & (cols[None, :] != np.array(attacked)[:, None])
+    codes = heard * residual[:, :, None, :]  # (K, A, T, C)
+    overlap = codes @ heard.T  # (K, A, T, T)
+    size = np.diagonal(overlap, axis1=2, axis2=3)
+    same = (overlap == size[..., :, None]) & (size[..., :, None] == size[..., None, :])
+    return (size > 0) & (same.sum(axis=3) == 1)
 
 
-def _identified(g: BipartiteGraph, residual_idx: frozenset[int]) -> list[bool]:
-    codes = [nb & residual_idx for nb in g.adj]
-    counts = Counter(codes)
-    return [bool(code) and counts[code] == 1 for code in codes]
+def _sum_by_transformer(flags: np.ndarray, util: np.ndarray) -> np.ndarray:
+    """Utility of the flagged transformers, added left to right in transformer
+    order so each entry equals the scalar sum over the same transformers."""
+    total = np.zeros(flags.shape[:-1])
+    for t, value in enumerate(util):
+        total += np.where(flags[..., t], value, 0.0)
+    return total
 
 
 def _utility(u: UtilityProfile, t_id: str) -> float:
@@ -112,6 +127,20 @@ def _cost(u: UtilityProfile, s_id: str) -> float:
         raise ValueError(f"utility profile is missing attack cost for {s_id!r}") from None
 
 
+def _pair_payoffs(
+    g: BipartiteGraph, active: CodeSet | Iterable[str], attacked: str, u: UtilityProfile
+) -> tuple[frozenset[str], float, float]:
+    """(active sensors, utility still identified, utility lost) once the
+    attacked site is removed from the active set."""
+    sensors = active.sensors if isinstance(active, CodeSet) else frozenset(active)
+    if attacked not in g.s_index:
+        raise ValueError(f"unknown sensor site {attacked!r}")
+    flags = _identified(g, [g.site_indices(sensors)], [g.s_index[attacked]])[0, 0]
+    util = np.array([_utility(u, tid) for tid in g.t_ids])
+    kept = _sum_by_transformer(flags, util)
+    return sensors, float(kept), float(_sum_by_transformer(~flags, util))
+
+
 def defender_payoff(
     g: BipartiteGraph,
     active: CodeSet | Iterable[str],
@@ -121,12 +150,7 @@ def defender_payoff(
     """Total utility of transformers still uniquely identified after the
     attacked site is removed from the active set. A transformer whose residual
     code is empty, or collides with any other residual code, earns nothing."""
-    sensors = _sensor_set(active)
-    if attacked not in g.s_index:
-        raise ValueError(f"unknown sensor site {attacked!r}")
-    residual = g.site_indices(sensors - {attacked})
-    flags = _identified(g, residual)
-    return sum(_utility(u, g.t_ids[ti]) for ti, ok in enumerate(flags) if ok)
+    return _pair_payoffs(g, active, attacked, u)[1]
 
 
 def attacker_payoff(
@@ -139,12 +163,7 @@ def attacker_payoff(
     """Total utility of transformers no longer uniquely identified, minus the
     attack cost. With cost_on_miss=False an attack outside the active set is
     free; by default the cost is spent either way."""
-    sensors = _sensor_set(active)
-    if attacked not in g.s_index:
-        raise ValueError(f"unknown sensor site {attacked!r}")
-    residual = g.site_indices(sensors - {attacked})
-    flags = _identified(g, residual)
-    gained = sum(_utility(u, g.t_ids[ti]) for ti, ok in enumerate(flags) if not ok)
+    sensors, _, gained = _pair_payoffs(g, active, attacked, u)
     if not cost_on_miss and attacked not in sensors:
         return gained
     return gained - _cost(u, attacked)
@@ -161,22 +180,18 @@ def build_game(
     Attacker actions are the sites used by any set of the configuration, in
     graph order; disjointness makes that exactly K*l actions.
     """
-    for tid in g.t_ids:
-        _utility(u, tid)
+    util = np.array([_utility(u, tid) for tid in g.t_ids])
     site_idx = sorted(g.site_indices(config.all_sites()))
     attacker_actions = tuple(g.s_ids[s] for s in site_idx)
-    for sid in attacker_actions:
-        _cost(u, sid)
-    K = config.K
-    if len(attacker_actions) != K * config.l:
+    cost = np.array([_cost(u, sid) for sid in attacker_actions])
+    if len(attacker_actions) != config.K * config.l:
         raise ValueError("configuration sets overlap; attacker action count broken")
 
-    dm = np.zeros((K, len(attacker_actions)))
-    am = np.zeros((K, len(attacker_actions)))
-    for i, cs in enumerate(config.sets):
-        for j, sid in enumerate(attacker_actions):
-            dm[i, j] = defender_payoff(g, cs, sid, u)
-            am[i, j] = attacker_payoff(g, cs, sid, u, cost_on_miss)
+    sets = [g.site_indices(cs.sensors) for cs in config.sets]
+    flags = _identified(g, sets, site_idx)
+    hit = np.array([[s in st for s in site_idx] for st in sets])
+    dm = _sum_by_transformer(flags, util)
+    am = _sum_by_transformer(~flags, util) - (cost if cost_on_miss else hit * cost)
     return GameMatrix(config.sets, attacker_actions, dm, am)
 
 

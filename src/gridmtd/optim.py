@@ -65,7 +65,11 @@ def _check_constraints(constraints, n: int) -> None:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective . x subject to the constraints and variable bounds."""
+    """maximize objective . x subject to the constraints and variable bounds.
+
+    Each bound is (lo, hi) with lo finite and hi finite or +inf; the default
+    is (0, +inf) for every variable.
+    """
 
     objective: tuple[float, ...]
     constraints: tuple[Constraint, ...] = ()
@@ -81,7 +85,9 @@ class LinearProgram:
         if len(bounds) != n:
             raise ValueError("bounds length does not match variable count")
         for lo, hi in bounds:
-            if math.isnan(lo) or math.isnan(hi):
+            if not math.isfinite(lo):
+                raise ValueError(f"variable lower bound must be finite, got {lo}")
+            if math.isnan(hi):
                 raise ValueError("variable bounds must not be NaN")
             if lo > hi:
                 raise ValueError(f"variable bound [{lo}, {hi}] is empty")
@@ -185,11 +191,9 @@ def _run_simplex(T: np.ndarray, basis: list[int], allowed: np.ndarray) -> str:
 def _solve_standard(
     A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray
 ) -> tuple[str, np.ndarray | None]:
-    """maximize obj . y subject to A y <= / >= b (per is_ge) and y >= 0."""
+    """maximize obj . y subject to A y <= / >= b (per is_ge) and y >= 0.
+    Rows with b < 0 are negated in place in A, is_ge and b."""
     m, n_y = A.shape
-    A = A.copy()
-    b = b.copy()
-    is_ge = is_ge.copy()
     neg = b < 0
     if neg.any():
         A[neg] *= -1.0
@@ -268,94 +272,49 @@ def _rows_with_equalities_expanded(
     constraints: tuple[Constraint, ...], n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A, is_ge, b) with every equality row turned into a <= / >= pair."""
-    rows: list[np.ndarray] = []
-    ge: list[bool] = []
-    rhs: list[float] = []
-    for c in constraints:
-        coeffs = np.asarray(c.coeffs, dtype=float)
-        if c.relation == "=":
-            rows.append(coeffs)
-            ge.append(False)
-            rhs.append(c.rhs)
-            rows.append(coeffs)
-            ge.append(True)
-            rhs.append(c.rhs)
-        else:
-            rows.append(coeffs)
-            ge.append(c.relation == ">=")
-            rhs.append(c.rhs)
-    if rows:
-        return np.array(rows), np.array(ge, dtype=bool), np.array(rhs, dtype=float)
-    return np.zeros((0, n)), np.zeros(0, dtype=bool), np.zeros(0)
+    rows = [
+        (c.coeffs, rel == ">=", c.rhs)
+        for c in constraints
+        for rel in (("<=", ">=") if c.relation == "=" else (c.relation,))
+    ]
+    coeffs, ge, rhs = zip(*rows) if rows else ((), (), ())
+    return (
+        np.array(coeffs, dtype=float).reshape(-1, n),
+        np.array(ge, dtype=bool),
+        np.array(rhs, dtype=float),
+    )
+
+
+def _solve_box(
+    A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray,
+    lo: np.ndarray, hi: np.ndarray,
+) -> tuple[str, np.ndarray | None]:
+    """maximize obj . x subject to A x <= / >= b (per is_ge) and lo <= x <= hi,
+    lo finite: x = lo + y with y >= 0, plus a row y <= hi - lo per finite hi."""
+    capped = np.nonzero(hi < math.inf)[0]
+    caps = np.zeros((capped.size, len(lo)))
+    caps[np.arange(capped.size), capped] = 1.0
+    status, y = _solve_standard(
+        np.vstack([A, caps]),
+        np.concatenate([is_ge, np.zeros(capped.size, dtype=bool)]),
+        np.concatenate([b - A @ lo, hi[capped] - lo[capped]]),
+        obj,
+    )
+    if status != "optimal":
+        return status, None
+    return status, lo + y
 
 
 def solve_lp(p: LinearProgram) -> Solution:
     """Maximize the objective; status is optimal, infeasible or unbounded."""
     n = len(p.objective)
-    A0, is_ge0, b0 = _rows_with_equalities_expanded(p.constraints, n)
-
-    # substitute bounds so every working variable is nonnegative:
-    # finite lower bound shifts, upper-only mirrors, free splits in two
-    modes = []
-    cols = []
-    offsets = np.zeros(n)
-    n_y = 0
-    for i, (lo, hi) in enumerate(p.bounds):
-        if lo > -math.inf:
-            modes.append("shift")
-            offsets[i] = lo
-            cols.append(n_y)
-            n_y += 1
-        elif hi < math.inf:
-            modes.append("mirror")
-            offsets[i] = hi
-            cols.append(n_y)
-            n_y += 1
-        else:
-            modes.append("split")
-            cols.append(n_y)
-            n_y += 2
-
-    def map_columns(M: np.ndarray) -> np.ndarray:
-        out = np.zeros((M.shape[0], n_y))
-        for i in range(n):
-            sign = -1.0 if modes[i] == "mirror" else 1.0
-            out[:, cols[i]] = sign * M[:, i]
-            if modes[i] == "split":
-                out[:, cols[i] + 1] = -M[:, i]
-        return out
-
-    A_y = map_columns(A0)
-    b_y = b0 - A0 @ offsets
-
-    ub_rows = []
-    ub_rhs = []
-    for i, (lo, hi) in enumerate(p.bounds):
-        if modes[i] == "shift" and hi < math.inf:
-            row = np.zeros(n_y)
-            row[cols[i]] = 1.0
-            ub_rows.append(row)
-            ub_rhs.append(hi - lo)
-    if ub_rows:
-        A_y = np.vstack([A_y, ub_rows])
-        b_y = np.concatenate([b_y, ub_rhs])
-        is_ge0 = np.concatenate([is_ge0, np.zeros(len(ub_rows), dtype=bool)])
-
-    obj_y = map_columns(np.asarray(p.objective, dtype=float).reshape(1, -1))[0]
-
-    status, y = _solve_standard(A_y, is_ge0, b_y, obj_y)
+    A, is_ge, b = _rows_with_equalities_expanded(p.constraints, n)
+    lo, hi = np.array(p.bounds).T
+    obj = np.asarray(p.objective, dtype=float)
+    status, x = _solve_box(A, is_ge, b, obj, lo, hi)
     if status != "optimal":
         return Solution(status)
-    x = np.empty(n)
-    for i in range(n):
-        if modes[i] == "shift":
-            x[i] = offsets[i] + y[cols[i]]
-        elif modes[i] == "mirror":
-            x[i] = offsets[i] - y[cols[i]]
-        else:
-            x[i] = y[cols[i]] - y[cols[i] + 1]
-    value = float(np.dot(np.asarray(p.objective, dtype=float), x))
-    return Solution("optimal", x, value)
+    return Solution("optimal", x, float(np.dot(obj, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +335,8 @@ def solve_bilp(p: BinaryProgram) -> Solution:
     internal = obj if p.sense == "max" else -obj
     integral_obj = bool(np.all(internal == np.round(internal)))
 
-    # relaxation template: constraint rows once, unit upper-bound rows per
-    # variable; only right-hand sides change as branching fixes variables
-    A0, is_ge0, b0 = _rows_with_equalities_expanded(p.constraints, n)
-    A_full = np.vstack([A0, np.eye(n)])
-    is_ge_full = np.concatenate([is_ge0, np.zeros(n, dtype=bool)])
+    # each node relaxes to the box lo <= x <= hi; fixing a variable pins both
+    A, is_ge, b = _rows_with_equalities_expanded(p.constraints, n)
 
     incumbent: np.ndarray | None = None
     incumbent_val = -math.inf
@@ -392,13 +348,11 @@ def solve_bilp(p: BinaryProgram) -> Solution:
         hi = np.ones(n)
         for j, v in fixed.items():
             lo[j] = hi[j] = float(v)
-        b_node = np.concatenate([b0 - A0 @ lo, hi - lo])
-        status, y = _solve_standard(A_full, is_ge_full, b_node, internal)
+        status, x = _solve_box(A, is_ge, b, internal, lo, hi)
         if status == "infeasible":
             continue
         if status != "optimal":
             raise SolverError("binary relaxation reported unbounded")
-        x = lo + y
         bound = float(np.dot(internal, x))
         if integral_obj:
             bound = math.floor(bound + FEAS_TOL)
@@ -456,8 +410,7 @@ def to_lp_text(p: LinearProgram | BinaryProgram, name: str = "prog") -> str:
     else:
         out.append("Bounds")
         for j, (lo, hi) in enumerate(p.bounds):
-            lo_s = "-inf" if lo == -math.inf else f"{lo:g}"
             hi_s = "+inf" if hi == math.inf else f"{hi:g}"
-            out.append(f" {lo_s} <= x{j} <= {hi_s}")
+            out.append(f" {lo:g} <= x{j} <= {hi_s}")
     out.append("End")
     return "\n".join(out) + "\n"

@@ -173,6 +173,23 @@ def test_experiment_flag_variants(tmp_path, capsys):
     assert (tmp_path / "trials.csv").exists()
 
 
+def test_experiment_unwritable_out_fails_before_solving(capsys):
+    code, out, err = run(
+        capsys,
+        "experiment",
+        "--input",
+        str(FIXTURES / "tiny.graph"),
+        "--seed",
+        "1",
+        "--out",
+        "/dev/null/x",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "optimal_seconds=" not in err
+
+
 # ---------------------------------------------------------------------------
 # entry point
 

@@ -146,6 +146,34 @@ def test_build_bus_sites(case14_text):
     assert g.site_names(g.adj[ti]) == frozenset({"7", "8", "4", "9"})
 
 
+# case14 bus-rule neighbourhoods at hops 1-3, per transformer in HVTS_14 order
+BUS_REACH_14 = {
+    1: ["4 7", "4 9", "5 6", "7 8", "7 9"],
+    2: [
+        "2 3 4 5 7 8 9",
+        "2 3 4 5 7 9 10 14",
+        "1 2 4 5 6 11 12 13",
+        "4 7 8 9",
+        "4 7 8 9 10 14",
+    ],
+    3: [
+        "1 2 3 4 5 6 7 8 9 10 14",
+        "1 2 3 4 5 6 7 8 9 10 11 13 14",
+        "1 2 3 4 5 6 7 9 10 11 12 13 14",
+        "2 3 4 5 7 8 9 10 14",
+        "2 3 4 5 7 8 9 10 11 13 14",
+    ],
+}
+
+
+@pytest.mark.parametrize("hops", sorted(BUS_REACH_14))
+def test_bus_sites_pinned_neighbourhoods(case14_text, hops):
+    g = build_bipartite(parse_matpower(case14_text), HVTS_14, hops, site_rule="buses")
+    assert g.t_ids == tuple(HVTS_14)
+    got = [g.site_names(nb) for nb in g.adj]
+    assert got == [frozenset(row.split()) for row in BUS_REACH_14[hops]]
+
+
 def test_default_hvts_from_tap_ratio(case14_text):
     grid = parse_matpower(case14_text)
     g = build_bipartite(grid, None, hop_limit=2)

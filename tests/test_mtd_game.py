@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from gridmtd import (
     defender_payoff,
     find_kmax,
     greedy_k,
+    is_dcs,
     is_feasible,
     random_bipartite,
     random_profile,
@@ -113,13 +117,54 @@ def test_utility_profile_range_check():
         UtilityProfile({}, {"s1": -0.5})
 
 
-def test_payoff_matrix_matches_direct_calls(tiny_graph, tiny_config, tiny_profile):
-    game = build_game(tiny_graph, tiny_config, tiny_profile)
-    for i, cs in enumerate(tiny_config.sets):
-        for j, sid in enumerate(game.attacker_actions):
-            d, a = game.payoffs(i, j)
-            assert d == defender_payoff(tiny_graph, cs, sid, tiny_profile)
-            assert a == attacker_payoff(tiny_graph, cs, sid, tiny_profile)
+def reference_payoffs(g, active, attacked, u, cost_on_miss=True):
+    """Per-pair definition of (defender, attacker) payoff: residual codes
+    counted with a Counter, utilities added left to right in transformer order."""
+    sensors = active.sensors if isinstance(active, CodeSet) else frozenset(active)
+    residual = g.site_indices(sensors - {attacked})
+    codes = [nb & residual for nb in g.adj]
+    counts = Counter(codes)
+    kept = lost = 0.0
+    for tid, code in zip(g.t_ids, codes):
+        if code and counts[code] == 1:
+            kept += u.transformer_utility[tid]
+        else:
+            lost += u.transformer_utility[tid]
+    if cost_on_miss or attacked in sensors:
+        lost -= u.attack_cost[attacked]
+    return kept, lost
+
+
+def test_payoff_matrix_matches_direct_calls():
+    for i, g in enumerate(feasible_corpus(seed=53, count=40, s_lo=4, s_hi=10)):
+        u = random_profile(g, np.random.default_rng(i), integer_utilities=i % 2 == 1)
+        for cfg, cost_on_miss in itertools.product((find_kmax(g), greedy_k(g)), (True, False)):
+            game = build_game(g, cfg, u, cost_on_miss)
+            expect = np.array(
+                [
+                    [reference_payoffs(g, cs, sid, u, cost_on_miss) for sid in game.attacker_actions]
+                    for cs in cfg.sets
+                ]
+            )
+            assert np.array_equal(game.defender_payoffs, expect[:, :, 0])
+            assert np.array_equal(game.attacker_payoffs, expect[:, :, 1])
+
+    # the direct calls on active sets that are not discriminating
+    rng = np.random.default_rng(8)
+    checked = 0
+    for i, g in enumerate(feasible_corpus(seed=59, count=20, s_lo=4, s_hi=8)):
+        u = random_profile(g, np.random.default_rng(100 + i))
+        for _ in range(10):
+            active = frozenset(s for s in g.s_ids if rng.random() < 0.4)
+            if is_dcs(g, active):
+                continue
+            checked += 1
+            for sid in g.s_ids:
+                for com in (True, False):
+                    d, a = reference_payoffs(g, active, sid, u, com)
+                    assert defender_payoff(g, active, sid, u) == d
+                    assert attacker_payoff(g, active, sid, u, com) == a
+    assert checked >= 50
 
 
 # ---------------------------------------------------------------------------

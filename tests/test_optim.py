@@ -58,24 +58,34 @@ def test_lp_unbounded():
 
 
 def test_lp_equality_and_negative_values():
-    # maximize -x + y with x + y = 2, y <= 1.5, x free
+    # maximize -x + y with x + y = 2, y <= 3, x >= -5: the cap on y sets x = -1
     sol = solve_lp(
         lp(
             [-1.0, 1.0],
-            [([1.0, 1.0], "=", 2.0), ([0.0, 1.0], "<=", 1.5)],
-            [(-math.inf, math.inf), (0.0, math.inf)],
+            [([1.0, 1.0], "=", 2.0), ([0.0, 1.0], "<=", 3.0)],
+            [(-5.0, math.inf), (0.0, math.inf)],
         )
     )
     assert sol.status == "optimal"
-    assert sol.assignment[1] == pytest.approx(1.5, abs=1e-8)
-    assert sol.objective_value == pytest.approx(1.0, abs=1e-8)
+    assert sol.assignment == pytest.approx([-1.0, 3.0], abs=1e-8)
+    assert sol.objective_value == pytest.approx(4.0, abs=1e-8)
+    # with y <= 10 the lower bound x >= -5 binds instead
+    sol = solve_lp(
+        lp(
+            [-1.0, 1.0],
+            [([1.0, 1.0], "=", 2.0), ([0.0, 1.0], "<=", 10.0)],
+            [(-5.0, math.inf), (0.0, math.inf)],
+        )
+    )
+    assert sol.assignment == pytest.approx([-5.0, 7.0], abs=1e-8)
+    assert sol.objective_value == pytest.approx(12.0, abs=1e-8)
 
 
-def test_lp_mirror_bound():
-    # x in (-inf, 4], maximize x
-    sol = solve_lp(lp([1.0], bounds=[(-math.inf, 4.0)]))
-    assert sol.status == "optimal"
-    assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
+def test_lp_rejects_unbounded_below():
+    with pytest.raises(ValueError, match="lower bound must be finite"):
+        lp([1.0], bounds=[(-math.inf, 4.0)])
+    with pytest.raises(ValueError, match="lower bound must be finite"):
+        lp([1.0, 1.0], bounds=[(0.0, 1.0), (-math.inf, math.inf)])
 
 
 def test_lp_rejects_nan_and_inf():
