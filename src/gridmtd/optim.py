@@ -23,7 +23,6 @@ __all__ = [
     "SolverError",
     "solve_lp",
     "solve_bilp",
-    "to_lp_text",
     "FEAS_TOL",
     "PIVOT_TOL",
 ]
@@ -58,9 +57,9 @@ def _check_constraints(constraints, n: int) -> None:
             raise ValueError("constraint width does not match variable count")
         if c.relation not in _RELATIONS:
             raise ValueError(f"unknown relation {c.relation!r}")
-        _check_finite(c.coeffs, "constraint")
-        if math.isnan(c.rhs) or math.isinf(c.rhs):
-            raise ValueError("constraint bound must be finite")
+    _check_finite([c.coeffs for c in constraints], "constraint")
+    if not np.all(np.isfinite([c.rhs for c in constraints])):
+        raise ValueError("constraint bound must be finite")
 
 
 @dataclass(frozen=True)
@@ -375,42 +374,3 @@ def solve_bilp(p: BinaryProgram) -> Solution:
         return Solution("infeasible")
     value = float(np.dot(obj, incumbent))
     return Solution("optimal", incumbent, value)
-
-
-# ---------------------------------------------------------------------------
-# Debug dump
-
-
-def to_lp_text(p: LinearProgram | BinaryProgram, name: str = "prog") -> str:
-    """Render a program in LP text form for external cross-checking."""
-
-    def terms(coeffs) -> str:
-        parts = []
-        for j, a in enumerate(coeffs):
-            if a == 0:
-                continue
-            sign = "-" if a < 0 else ("+" if parts else "")
-            mag = abs(a)
-            coef = "" if mag == 1 else f"{mag:g} "
-            parts.append(f"{sign} {coef}x{j}".strip())
-        return " ".join(parts) if parts else "0"
-
-    out = [f"\\ {name}"]
-    if isinstance(p, BinaryProgram):
-        out.append("Minimize" if p.sense == "min" else "Maximize")
-    else:
-        out.append("Maximize")
-    out.append(f" obj: {terms(p.objective)}")
-    out.append("Subject To")
-    for k, c in enumerate(p.constraints):
-        out.append(f" c{k}: {terms(c.coeffs)} {c.relation} {c.rhs:g}")
-    if isinstance(p, BinaryProgram):
-        out.append("Binary")
-        out.append(" " + " ".join(f"x{j}" for j in range(len(p.objective))))
-    else:
-        out.append("Bounds")
-        for j, (lo, hi) in enumerate(p.bounds):
-            hi_s = "+inf" if hi == math.inf else f"{hi:g}"
-            out.append(f" {lo:g} <= x{j} <= {hi_s}")
-    out.append("End")
-    return "\n".join(out) + "\n"

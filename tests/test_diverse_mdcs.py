@@ -20,6 +20,7 @@ from gridmtd import (
     solve_k_dcs,
     solve_mdcs,
 )
+from gridmtd.optim import BinaryProgram, Constraint
 from conftest import feasible_corpus
 
 
@@ -117,14 +118,9 @@ def test_greedy_tiny(tiny_graph):
 
 
 def test_greedy_target_one_is_mdcs(tiny_graph, greedy_gap_graph):
+    # greedy's first set is the single MDCS solve's set
     for g in (tiny_graph, greedy_gap_graph):
-        cfg = greedy_k(g, k_target=1)
-        assert cfg.K == 1
-        assert cfg.sets[0].sensors == solve_mdcs(g).sensors
-
-
-def test_greedy_target_beyond_reach_caps_at_achievable(greedy_gap_graph):
-    assert greedy_k(greedy_gap_graph, k_target=10).K == 3
+        assert greedy_k(g).sets[0] == solve_mdcs(g)
 
 
 def test_greedy_gap_fixture(greedy_gap_graph):
@@ -269,6 +265,57 @@ def test_linearized_disjointness_matches_quadratic(tiny_graph):
             for i, j in itertools.combinations(range(K), 2)
         )
         assert linear_ok == quad_ok
+
+
+def reference_k_dcs_program(g, K, forbidden=frozenset()):
+    """build_k_dcs_program written row by row, one coefficient dict per row."""
+    n = g.n_s
+    nv = n * K
+
+    def var(k, s):
+        return k * n + s
+
+    cons = []
+
+    def row(entries, rel, rhs):
+        coeffs = [0.0] * nv
+        for j, a in entries.items():
+            coeffs[j] = a
+        cons.append(Constraint(tuple(coeffs), rel, rhs))
+
+    for k in range(K):
+        for nb in g.adj:
+            row({var(k, s): 1.0 for s in nb}, ">=", 1.0)
+        for ti, tj in itertools.combinations(range(g.n_t), 2):
+            row({var(k, s): 1.0 for s in g.adj[ti] ^ g.adj[tj]}, ">=", 1.0)
+    if K > 1:
+        for k in range(1, K):
+            entries = {var(k, s): 1.0 for s in range(n)}
+            for s in range(n):
+                entries[var(0, s)] = -1.0
+            row(entries, "=", 0.0)
+        for s in range(n):
+            row({var(k, s): 1.0 for k in range(K)}, "<=", 1.0)
+    for s in sorted(forbidden):
+        for k in range(K):
+            row({var(k, s): 1.0}, "=", 0.0)
+    objective = [0.0] * nv
+    for s in range(n):
+        objective[var(0, s)] = 1.0
+    return BinaryProgram(tuple(objective), "min", tuple(cons))
+
+
+def test_program_matches_reference(tiny_graph, greedy_gap_graph, case14_text):
+    from gridmtd import build_bipartite, parse_matpower
+
+    grid = parse_matpower(case14_text)
+    case14 = build_bipartite(grid, ["4-7", "4-9", "5-6", "7-8", "7-9"], hop_limit=2)
+    graphs = [case14, tiny_graph, greedy_gap_graph] + feasible_corpus(seed=101, count=40)
+    for g in graphs:
+        for K in (1, 2, 3, 4):
+            for forbidden in (frozenset(), frozenset(s for s in (0, 3, 5) if s < g.n_s)):
+                prog = build_k_dcs_program(g, K, forbidden)
+                assert prog == reference_k_dcs_program(g, K, forbidden)
 
 
 def test_disjointness_is_one_capacity_row_per_site(tiny_graph, case14_text):

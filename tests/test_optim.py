@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from gridmtd import (
     LinearProgram,
     solve_bilp,
     solve_lp,
-    to_lp_text,
 )
 
 
@@ -95,6 +95,25 @@ def test_lp_rejects_nan_and_inf():
         lp([1.0], [([float("inf")], "<=", 1.0)])
     with pytest.raises(ValueError):
         LinearProgram((1.0,), (), ((2.0, 1.0),))  # empty bound interval
+
+
+@pytest.mark.parametrize("make", [LinearProgram, partial(BinaryProgram, sense="max")], ids=["lp", "bilp"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (Constraint((1.0,), "<=", 1.0), "width"),
+        (Constraint((1.0, 1.0), "<", 1.0), "unknown relation"),
+        (Constraint((1.0, math.nan), "<=", 1.0), "NaN or infinite"),
+        (Constraint((math.inf, 1.0), "=", 1.0), "NaN or infinite"),
+        (Constraint((1.0, 1.0), "<=", math.nan), "bound must be finite"),
+        (Constraint((1.0, 1.0), ">=", -math.inf), "bound must be finite"),
+    ],
+)
+def test_programs_reject_malformed_constraints(make, bad, message):
+    # a well-formed row first: every row is checked, not only the first
+    ok = Constraint((1.0, 1.0), "<=", 1.0)
+    with pytest.raises(ValueError, match=message):
+        make((1.0, 1.0), constraints=(ok, bad))
 
 
 def test_lp_feasibility_of_reported_optimum():
@@ -312,10 +331,3 @@ def test_lp_against_scipy_reference():
             assert ours.objective_value == pytest.approx(-ref.fun, abs=1e-6)
         agreements += 1
     assert agreements == 100
-
-
-def test_lp_text_dump():
-    text = to_lp_text(lp([1.0, -2.0], [([1.0, 1.0], "<=", 1.0)], [(0.0, 1.0)] * 2))
-    assert "Maximize" in text and "Subject To" in text and "x1" in text
-    text2 = to_lp_text(bilp([1.0], "min", [([1.0], ">=", 1.0)]))
-    assert "Minimize" in text2 and "Binary" in text2
