@@ -211,9 +211,11 @@ def _as_int(value: float, what: str, lineno: int) -> int:
 def parse_matpower(text: str) -> PowerGrid:
     """Parse the ``mpc.bus`` and ``mpc.branch`` matrices of a MATPOWER case.
 
-    Only bus column 1 (id), branch columns 1-2 (endpoints) and 9 (tap ratio)
-    are consumed; everything else in the file is ignored. A branch with a
-    nonzero tap ratio is flagged as a transformer branch.
+    Only bus column 1 (id) and branch columns 1-2 (endpoints), 9 (tap ratio)
+    and 11 (status) are consumed; everything else in the file is ignored. A
+    branch with status 0 is out of service and dropped; a row without column 11
+    counts as in service, and any status other than 0 or 1 is an error. A
+    branch with a nonzero tap ratio is flagged as a transformer branch.
     """
     bus_rows = _matrix_rows(text, "bus")
     if not bus_rows:
@@ -239,7 +241,11 @@ def parse_matpower(text: str) -> PowerGrid:
             raise ParseError(f"branch references unknown bus {f}", lineno)
         if t not in bus_set:
             raise ParseError(f"branch references unknown bus {t}", lineno)
-        branches.append(Branch(f, t, row[8]))
+        status = row[10] if len(row) >= 11 else 1.0
+        if status not in (0.0, 1.0):
+            raise ParseError(f"branch status must be 0 or 1, got {status}", lineno)
+        if status == 1.0:
+            branches.append(Branch(f, t, row[8]))
 
     transformer = tuple(i for i, br in enumerate(branches) if br.tap_ratio != 0.0)
     return PowerGrid(tuple(buses), tuple(branches), transformer)

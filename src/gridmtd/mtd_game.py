@@ -5,7 +5,11 @@ configuration; the attacker observes the mix and knocks out one sensor site.
 Payoffs follow residual identifiability: the defender collects the utility of
 every transformer still uniquely identified, the attacker collects the rest
 minus the attack cost. The optimal commitment is found by one LP per attacker
-action.
+action that no other action strictly dominates.
+
+Tolerances: dominance uses the LP's feasibility tolerance FEAS_TOL, since a
+column another beats by more than FEAS_TOL in every row already leaves its LP
+infeasible; ties between equilibrium or best-response values use _TIE_TOL.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from gridmtd.diverse_mdcs import ConfigurationSet
 from gridmtd.graph_core import BipartiteGraph, CodeSet
-from gridmtd.optim import Constraint, LinearProgram, SolverError, solve_lp
+from gridmtd.optim import FEAS_TOL, Constraint, LinearProgram, SolverError, solve_lp
 
 __all__ = [
     "UtilityProfile",
@@ -197,27 +201,42 @@ def build_game(
 # Equilibrium and baseline
 
 
+def _live_columns(am: np.ndarray) -> np.ndarray:
+    """Indices of the attacker columns that no other column beats by more than
+    FEAS_TOL in every defender row."""
+    beats = (am[:, :, None] - am[:, None, :] > FEAS_TOL).all(axis=0)  # beats[j, jp]
+    return np.flatnonzero(~beats.any(axis=0))
+
+
 def solve_sse(game: GameMatrix) -> SseSolution:
     """Strong Stackelberg commitment via one LP per attacker action: maximize
     defender expectation over mixes keeping that action a best response; the
-    best feasible action wins, ties to the defender then to the lowest index.
+    best feasible action wins, ties (within _TIE_TOL) to the defender then to
+    the lowest index.
+
+    An action that another beats by more than FEAS_TOL in every defender row
+    gets no LP: its LP is infeasible at that tolerance, so it cannot win. The
+    remaining LPs keep only the rows against the other remaining actions; a
+    dropped row is implied by the row against a remaining action that
+    dominates the dropped one.
     """
     K, A = game.n_defender, game.n_attacker
     if K < 1 or A < 1:
         raise ValueError("degenerate game shape")
     dm, am = game.defender_payoffs, game.attacker_payoffs
     simplex = Constraint((1.0,) * K, "=", 1.0)  # with x >= 0 this also caps x at 1
+    live = _live_columns(am)
     best: tuple[float, int, np.ndarray] | None = None
-    for j in range(A):
-        # action j beats every other action jp: am[:, j] - am[:, jp] >= 0
-        gaps = np.delete(am[:, [j]] - am, j, axis=1).T
+    for j in live:
+        # action j beats every other live action jp: am[:, j] - am[:, jp] >= 0
+        gaps = (am[:, [j]] - am[:, live[live != j]]).T
         # a list first: tuple() of a generator raised the trials' peak RSS by 0.5 MB
         cons = tuple([simplex] + [Constraint(tuple(row), ">=", 0.0) for row in gaps])
         sol = solve_lp(LinearProgram(tuple(dm[:, j]), cons))
         if sol.status != "optimal":
             continue
         if best is None or sol.objective_value > best[0] + _TIE_TOL:
-            best = (sol.objective_value, j, sol.assignment)
+            best = (sol.objective_value, int(j), sol.assignment)
     if best is None:
         raise SolverError("no attacker action admitted a feasible best-response region")
     value, j, mix = best

@@ -45,3 +45,19 @@ def feasible_corpus(seed: int, count: int, s_lo: int = 4, s_hi: int = 12):
         if is_feasible(g):
             out.append(g)
     return out
+
+
+def with_branch_status(text: str, ends: tuple[int, int], status: str | None) -> str:
+    """MATPOWER text with column 11 of branch row `ends` set to status, or
+    with that row deleted when status is None."""
+    head, sep, body = text.partition("mpc.branch")
+    lines = []
+    for line in body.splitlines(keepends=True):
+        cols = line.split()
+        if cols[:2] == [str(ends[0]), str(ends[1])]:
+            if status is None:
+                continue
+            cols[10] = status
+            line = "\t" + "\t".join(cols) + "\n"
+        lines.append(line)
+    return head + sep + "".join(lines)

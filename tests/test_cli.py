@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import gridmtd
 from gridmtd.cli import main
-from conftest import DATA, FIXTURES
+from conftest import DATA, FIXTURES, with_branch_status
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -56,6 +59,18 @@ def test_build_graph_malformed_input(tmp_path, capsys):
     code, _, err = run(capsys, "build-graph", "--input", str(bad))
     assert code == 2
     assert "duplicate" in err
+
+
+def test_build_graph_rejects_out_of_service_hvt(tmp_path, capsys, case14_text):
+    case = tmp_path / "case14_off.m"
+    case.write_text(with_branch_status(case14_text, (7, 8), "0"))
+    code, out, err = run(
+        capsys, "build-graph", "--input", str(case), "--hvts", "4-7,4-9,5-6,7-8,7-9",
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert "'7-8'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +135,45 @@ def test_experiment_deterministic_csv(tmp_path, capsys):
         assert sse_k >= urs_k - 1e-6
         assert sse_kmax >= urs_kmax - 1e-6
     assert "K=2 K_max=2 l=2" in out1
+
+
+CASE14_EXPERIMENT = [
+    "experiment", "--input", str(DATA / "case14.m"), "--hvts", "4-7,4-9,5-6,7-8,7-9",
+    "--trials", "100", "--seed", "42",
+]
+
+
+def test_experiment_case14_headline_stdout(tmp_path, capsys):
+    code, out, _ = run(capsys, *CASE14_EXPERIMENT, "--out", str(tmp_path))
+    assert code == 0
+    assert out == (
+        "K=3 K_max=4 l=4\n"
+        "attacker_actions K*l=12 K_max*l=16\n"
+        "strategy mean std\n"
+        "urs_k 20.2736 5.3095\n"
+        "urs_kmax 21.3358 5.4423\n"
+        "sse_k 22.5981 5.6382\n"
+        "sse_kmax 23.6152 5.7832\n"
+        f"csv={tmp_path / 'trials.csv'}\n"
+    )
+
+
+def test_experiment_case14_free_miss_integer_stdout(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, *CASE14_EXPERIMENT, "--cost-on-miss", "false", "--integer-utilities",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert out == (
+        "K=3 K_max=4 l=4\n"
+        "attacker_actions K*l=12 K_max*l=16\n"
+        "strategy mean std\n"
+        "urs_k 20.0033 5.1610\n"
+        "urs_kmax 21.2725 5.4050\n"
+        "sse_k 22.0652 5.4197\n"
+        "sse_kmax 23.0975 5.5183\n"
+        f"csv={tmp_path / 'trials.csv'}\n"
+    )
 
 
 def test_experiment_single_trial_reports_zero_std(tmp_path, capsys):
@@ -195,11 +249,14 @@ def test_experiment_unwritable_out_fails_before_solving(capsys):
 
 
 def test_console_entry_smoke():
+    # the child imports the same gridmtd as this process, installed or not
+    path = [str(Path(gridmtd.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "gridmtd.cli", "kmax", "--input",
          str(FIXTURES / "tiny.graph")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
     )
     assert proc.returncode == 0
     assert "kmax 2 l 2" in proc.stdout

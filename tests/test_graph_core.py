@@ -19,6 +19,7 @@ from gridmtd import (
     random_bipartite,
     save_graph,
 )
+from conftest import with_branch_status
 
 HVTS_14 = ["4-7", "4-9", "5-6", "7-8", "7-9"]
 
@@ -80,6 +81,24 @@ mpc.branch = [
 """
     with pytest.raises(ParseError, match="unknown bus 99"):
         parse_matpower(text)
+
+
+def test_parse_out_of_service_branch_is_dropped(case14_text):
+    off = with_branch_status(case14_text, (4, 5), "0")
+    deleted = with_branch_status(case14_text, (4, 5), None)
+    assert len(parse_matpower(off).branches) == 19
+    g_off = graph_to_text(build_bipartite(parse_matpower(off), HVTS_14))
+    assert g_off == graph_to_text(build_bipartite(parse_matpower(deleted), HVTS_14))
+    # the branch carries signal hops when in service
+    assert g_off != graph_to_text(build_bipartite(parse_matpower(case14_text), HVTS_14))
+
+
+def test_parse_branch_status_must_be_0_or_1(case14_text):
+    with pytest.raises(ParseError, match="status must be 0 or 1, got 2"):
+        parse_matpower(with_branch_status(case14_text, (4, 5), "2"))
+    # a row without a status column counts as in service
+    text = "mpc.bus = [\n 1 3;\n 2 1;\n];\nmpc.branch = [\n 1 2 0 0 0 0 0 0 0;\n];\n"
+    assert len(parse_matpower(text).branches) == 1
 
 
 def test_parse_malformed_row_reports_line():

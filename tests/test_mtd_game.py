@@ -9,22 +9,30 @@ from gridmtd import (
     BipartiteGraph,
     CodeSet,
     ConfigurationSet,
+    Constraint,
+    GameMatrix,
+    LinearProgram,
+    SolverError,
     UtilityProfile,
     attacker_payoff,
     best_response,
+    build_bipartite,
     build_game,
     defender_payoff,
     find_kmax,
     greedy_k,
     is_dcs,
     is_feasible,
+    parse_matpower,
     random_bipartite,
     random_profile,
     run_trials,
+    solve_lp,
     solve_sse,
     urs_value,
 )
-from gridmtd.mtd_game import trial_rng
+from gridmtd.mtd_game import _TIE_TOL, _live_columns, trial_rng
+from gridmtd.optim import FEAS_TOL
 from conftest import feasible_corpus
 
 
@@ -263,6 +271,82 @@ def test_sse_matches_breakpoint_oracle_on_two_set_games():
         )
         count += 1
     assert count >= 10  # enough two-set games actually exercised
+
+
+def full_lp(game, j):
+    """The LP of attacker action j with a best-response row against every
+    other action: maximize the defender's value of j over the simplex."""
+    am = game.attacker_payoffs
+    gaps = np.delete(am[:, [j]] - am, j, axis=1).T
+    simplex = Constraint((1.0,) * game.n_defender, "=", 1.0)
+    cons = tuple([simplex] + [Constraint(tuple(row), ">=", 0.0) for row in gaps])
+    return LinearProgram(tuple(game.defender_payoffs[:, j]), cons)
+
+
+def reference_sse(game):
+    """(attacker response, defender value) of the multiple-LPs method with no
+    pruning: every action's full LP, the best feasible one winning, ties to the
+    lowest index."""
+    best = None
+    for j in range(game.n_attacker):
+        sol = solve_lp(full_lp(game, j))
+        if sol.status != "optimal":
+            continue
+        if best is None or sol.objective_value > best[1] + _TIE_TOL:
+            best = (j, sol.objective_value)
+    if best is None:
+        raise SolverError("no attacker action admitted a feasible best-response region")
+    return best
+
+
+def assert_pruning_exact(game):
+    """solve_sse agrees with reference_sse, and every action it prunes has an
+    infeasible full LP. Returns the number of pruned actions."""
+    sse = solve_sse(game)
+    response, value = reference_sse(game)
+    assert sse.attacker_response == response
+    assert sse.defender_value == pytest.approx(value, abs=1e-9)
+    pruned = sorted(set(range(game.n_attacker)) - set(_live_columns(game.attacker_payoffs)))
+    for j in pruned:
+        assert solve_lp(full_lp(game, j)).status == "infeasible"
+    return len(pruned)
+
+
+def test_sse_pruning_matches_reference_on_case14(case14_text):
+    g = build_bipartite(parse_matpower(case14_text), ["4-7", "4-9", "5-6", "7-8", "7-9"])
+    pruned = columns = 0
+    for cfg in (find_kmax(g), greedy_k(g)):
+        for cost_on_miss, integer_utilities in itertools.product((True, False), repeat=2):
+            for trial in range(5):
+                u = random_profile(g, trial_rng(42, trial), integer_utilities)
+                game = build_game(g, cfg, u, cost_on_miss)
+                pruned += assert_pruning_exact(game)
+                columns += game.n_attacker
+    assert pruned > columns // 4
+
+
+def test_sse_pruning_matches_reference_on_corpus():
+    pruned = 0
+    for i, g in enumerate(feasible_corpus(seed=61, count=30, s_lo=4, s_hi=10)):
+        u = random_profile(g, np.random.default_rng(i), integer_utilities=i % 2 == 1)
+        for cfg, cost_on_miss in itertools.product((find_kmax(g), greedy_k(g)), (True, False)):
+            pruned += assert_pruning_exact(build_game(g, cfg, u, cost_on_miss))
+    assert pruned > 0
+
+
+def test_sse_pruning_margin_is_feas_tol():
+    # action 0 beats action 1 by FEAS_TOL / 2 in row 0 and by 5 in row 1, so
+    # solve_lp reports the full LP of action 1 feasible and the action must
+    # stay; action 1 pays the defender most. Action 0 beats action 2 by 1.0 in
+    # both rows, so action 2 goes.
+    h = FEAS_TOL / 2
+    am = np.array([[0.0, -h, -1.0, -2.0], [1.0, -4.0, 0.0, 2.0]])
+    dm = np.array([[1.0, 9.0, 8.0, 2.0], [2.0, 9.0, 8.0, 3.0]])
+    sets = (CodeSet(frozenset({"a"})), CodeSet(frozenset({"b"})))
+    game = GameMatrix(sets, ("s0", "s1", "s2", "s3"), dm, am)
+    assert solve_lp(full_lp(game, 1)).status == "optimal"
+    assert list(_live_columns(am)) == [0, 1, 3]
+    assert assert_pruning_exact(game) == 1
 
 
 def test_attack_futility_bound(tiny_graph, tiny_config):
