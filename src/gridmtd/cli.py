@@ -28,7 +28,7 @@ from gridmtd.graph_core import (
     load_graph,
     parse_matpower,
 )
-from gridmtd.mtd_game import run_trials
+from gridmtd.mtd_game import format_value, run_trials
 from gridmtd.optim import SolverError
 
 EXIT_OK = 0
@@ -116,7 +116,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     print(f"attacker_actions K*l={greedy.K * greedy.l} K_max*l={optimal.K * optimal.l}")
     print("strategy mean std")
     for name, mu, sd in zip(report.columns, means, stds):
-        print(f"{name} {mu:.4f} {sd:.4f}")
+        print(f"{name} {format_value(mu)} {format_value(sd)}")
     print(f"csv={dest}")
     return EXIT_OK
 

@@ -9,13 +9,15 @@ validate the solvers on small graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, islice
 
 import numpy as np
 
 from gridmtd.graph_core import BipartiteGraph, CodeSet, is_dcs, is_dcs_indices
-from gridmtd.optim import BinaryProgram, Constraint, SolverError, solve_bilp
+from gridmtd.optim import (
+    FEAS_TOL, BinaryProgram, Constraint, LinearProgram, SolverError, solve_bilp, solve_lp,
+)
 
 __all__ = [
     "ConfigurationSet",
@@ -167,15 +169,10 @@ def build_k_dcs_program(
 
 
 def _solve(
-    g: BipartiteGraph, K: int, size: int | None = None, forbidden: frozenset[int] = frozenset()
+    g: BipartiteGraph, K: int, forbidden: frozenset[int] = frozenset()
 ) -> ConfigurationSet | None:
-    """The validated family solving build_k_dcs_program(g, K, forbidden), with
-    block 0's size fixed at `size` when given; None when it is infeasible."""
-    p = build_k_dcs_program(g, K, forbidden)
-    if size is not None:
-        # the objective is block 0's size
-        p = replace(p, constraints=p.constraints + (Constraint(p.objective, "=", float(size)),))
-    sol = solve_bilp(p)
+    """The validated family solving build_k_dcs_program(g, K, forbidden), or None."""
+    sol = solve_bilp(build_k_dcs_program(g, K, forbidden))
     if sol.status != "optimal":
         return None
     chosen = sol.assignment.reshape(K, g.n_s) > 0.5
@@ -209,48 +206,59 @@ def solve_k_dcs(g: BipartiteGraph, K: int) -> ConfigurationSet:
 
 
 def find_kmax(g: BipartiteGraph) -> ConfigurationSet:
-    """Largest K whose K disjoint DCSs still have minimum-DCS size.
-
-    Scans K = 2, 3, ... with the common size fixed at the minimum m, so each
-    step is a feasibility question, and stops at the first K with no such
-    family. A family of a larger size never counts, so no solve has to prove
-    one optimal; K * m <= n_s bounds the scan. The programs are built on g
-    in a canonical numbering, so renumbering g leaves them as they are.
-    """
-    g = _canonical(g)
-    best = solve_k_dcs(g, 1)
-    m = best.l
-    for K in range(2, g.n_s // m + 1):
-        cfg = _solve(g, K, size=m)
-        if cfg is None:
+    """Largest family of pairwise-disjoint minimum DCSs, packed from patterns
+    over twin classes (sites heard by the same transformers). A minimum DCS,
+    of size m from the DCS program, holds one site from each of m classes
+    whose codes are non-empty and distinct, a pattern. Column generation
+    (Gilmore and Gomory) solves the packing LP, no class used more often than
+    it has sites, over the patterns its class prices call in, and the packing
+    BILP over those patterns is widened only when it falls short of the LP
+    bound. Classes and sites go in name order, so renumbering g leaves the
+    family as it is."""
+    m = solve_k_dcs(g, 1).l
+    heard_by = [tuple(sorted(t for t, nb in zip(g.t_ids, g.adj) if s in nb)) for s in range(g.n_s)]
+    keys = sorted(set(heard_by) - {()})
+    sites = [sorted(sid for sid, h in zip(g.s_ids, heard_by) if h == k) for k in keys]
+    mult = np.array([len(ids) for ids in sites])
+    heard = np.array([np.isin(g.t_ids, k) for k in keys], dtype=np.int64 if m < 63 else object)
+    subsets, patterns = combinations(range(len(keys)), m), []
+    while (idx := np.array(list(islice(subsets, 1024)))).size:  # about a thousand at a time
+        # bit j of a transformer's code is set when the pattern's j-th class hears it
+        codes = np.sort(sum(heard[idx[:, j]] << j for j in range(m)), axis=1)
+        patterns.append(idx[(codes[:, 0] > 0) & (np.diff(codes, axis=1) != 0).all(axis=1)])
+    patterns = np.concatenate(patterns)
+    use = np.arange(len(patterns)) == 0
+    while True:
+        lp = solve_lp(LinearProgram((1.0,) * int(use.sum()), _capacity(patterns[use], mult)))
+        gain = 1.0 - lp.duals[patterns].sum(axis=1)  # a pattern's value beyond its classes' price
+        new = np.flatnonzero(~use & (gain > FEAS_TOL))
+        if not new.size:
             break
-        best = cfg
-    return best
+        use[new[np.argsort(-gain[new], kind="stable")[: len(keys)]]] = True
+    # by LP duality a family of v + 1 or more patterns uses only patterns with
+    # gain >= v + 1 - bound, and none has more than bound
+    bound = float(mult @ lp.duals) + FEAS_TOL * g.n_s
+    picks = _pack(patterns[use], mult)
+    if len(picks) < int(bound):
+        picks = max(picks, _pack(patterns[gain >= len(picks) + 1 - bound], mult), key=len)
+    left = [iter(ids) for ids in sites]
+    cfg = ConfigurationSet(tuple(CodeSet(frozenset(next(left[c]) for c in p)) for p in picks))
+    cfg.validate(g)
+    return cfg
 
 
-def _canonical(g: BipartiteGraph) -> BipartiteGraph:
-    """g renumbered by colour refinement, so that find_kmax's programs, and
-    with them its family and its run time, do not depend on how the input
-    numbers transformers and sites. Only nodes refinement cannot tell apart
-    keep their input order; for sites, once transformers are told apart,
-    those are twins, whose columns are equal."""
+def _capacity(patterns: np.ndarray, mult: np.ndarray) -> tuple[Constraint, ...]:
+    """One row per class: the columns (patterns) that hold it, at most its sites."""
+    uses = np.zeros((len(mult), len(patterns)), dtype=np.int8)
+    uses[patterns.T, np.arange(len(patterns))] = 1
+    return tuple(Constraint(tuple(_COEFF[r].tolist()), "<=", float(k)) for r, k in zip(uses, mult))
 
-    def ranks(keys: list[tuple]) -> list[int]:
-        distinct = sorted(set(keys))
-        return [distinct.index(k) for k in keys]
 
-    heard = [[t for t in range(g.n_t) if s in g.adj[t]] for s in range(g.n_s)]
-    tc, sc, count = [0] * g.n_t, [0] * g.n_s, 0
-    while len(set(tc)) + len(set(sc)) > count:
-        count = len(set(tc)) + len(set(sc))
-        tc = ranks([(tc[t], tuple(sorted(sc[s] for s in g.adj[t]))) for t in range(g.n_t)])
-        sc = ranks([(sc[s], tuple(sorted(tc[t] for t in heard[s]))) for s in range(g.n_s)])
-    ts = sorted(range(g.n_t), key=lambda t: (tc[t], t))
-    ss = sorted(range(g.n_s), key=lambda s: (sc[s], s))
-    new = {s: i for i, s in enumerate(ss)}
-    adj = tuple(frozenset(new[s] for s in g.adj[t]) for t in ts)
-    t_ids, s_ids = tuple(g.t_ids[t] for t in ts), tuple(g.s_ids[s] for s in ss)
-    return replace(g, t_ids=t_ids, s_ids=s_ids, adj=adj)
+def _pack(patterns: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """A largest packing of `patterns`, one binary copy per site of its smallest class."""
+    copies = np.repeat(patterns, mult[patterns].min(axis=1), axis=0)
+    sol = solve_bilp(BinaryProgram((1.0,) * len(copies), "max", _capacity(copies, mult)))
+    return copies[np.flatnonzero(sol.assignment)]
 
 
 def greedy_k(g: BipartiteGraph) -> ConfigurationSet:
@@ -297,11 +305,8 @@ def enumerate_mdcs(
     _guard(g, max_sites)
     check_feasible(g)
     m = brute_force_mdcs(g, max_sites).size
-    return [
-        frozenset(combo)
-        for combo in combinations(range(g.n_s), m)
-        if is_dcs_indices(g, frozenset(combo))
-    ]
+    combos = map(frozenset, combinations(range(g.n_s), m))
+    return [c for c in combos if is_dcs_indices(g, c)]
 
 
 def brute_force_kmax(
@@ -326,10 +331,7 @@ def brute_force_kmax(
                 chosen.pop()
 
     extend(0, [], frozenset())
-    sets = tuple(
-        CodeSet(frozenset(g.s_ids[s] for s in all_mdcs[i])) for i in best
-    )
-    cfg = ConfigurationSet(sets)
+    cfg = ConfigurationSet(tuple(CodeSet(g.site_names(all_mdcs[i])) for i in best))
     cfg.validate(g)
     return cfg
 

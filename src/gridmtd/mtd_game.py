@@ -36,6 +36,7 @@ __all__ = [
     "urs_value",
     "run_trials",
     "random_profile",
+    "format_value",
 ]
 
 UTILITY_RANGE = (0.0, 10.0)
@@ -291,11 +292,16 @@ class TrialReport:
     def to_csv(self) -> str:
         lines = ["trial," + ",".join(self.columns)]
         for i in range(self.n_trials):
-            row = ",".join(f"{v:.4f}" for v in self.values[i])
+            row = ",".join(map(format_value, self.values[i]))
             lines.append(f"{i + 1},{row}")
-        lines.append("mean," + ",".join(f"{v:.4f}" for v in self.means()))
-        lines.append("std," + ",".join(f"{v:.4f}" for v in self.stds()))
+        lines.append("mean," + ",".join(map(format_value, self.means())))
+        lines.append("std," + ",".join(map(format_value, self.stds())))
         return "\n".join(lines) + "\n"
+
+
+def format_value(v: float) -> str:
+    """v at 4 decimals, rounded to 1e-9 first so a half-way value ignores its last bit."""
+    return f"{round(float(v), 9):.4f}"
 
 
 def random_profile(

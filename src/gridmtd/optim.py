@@ -115,6 +115,7 @@ class Solution:
     status: str  # optimal | infeasible | unbounded
     assignment: np.ndarray | None = None
     objective_value: float | None = None
+    duals: np.ndarray | None = None  # solve_lp: d optimum / d rhs, per constraint
 
     def __eq__(self, other):
         if not isinstance(other, Solution):
@@ -189,9 +190,10 @@ def _run_simplex(T: np.ndarray, basis: list[int], allowed: np.ndarray) -> str:
 
 def _solve_standard(
     A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray
-) -> tuple[str, np.ndarray | None]:
-    """maximize obj . y subject to A y <= / >= b (per is_ge) and y >= 0.
-    Rows with b < 0 are negated in place in A, is_ge and b."""
+) -> tuple[str, np.ndarray | None, np.ndarray | None]:
+    """maximize obj . y subject to A y <= / >= b (per is_ge) and y >= 0, with
+    the price (dual value) of each row. Rows with b < 0 are negated in place
+    in A, is_ge and b."""
     m, n_y = A.shape
     neg = b < 0
     if neg.any():
@@ -227,12 +229,15 @@ def _solve_standard(
         if status != "optimal":
             raise SolverError("phase-1 simplex reported unbounded")
         if T[-1, -1] > FEAS_TOL:
-            return "infeasible", None
+            return "infeasible", None, None
         # drive leftover artificials out of the basis or drop redundant rows
         art_set = set(art_cols.values())
         drop: list[int] = []
         for i in range(m):
             if basis[i] in art_set:
+                # accept phase 1's residual on this row, at most FEAS_TOL, so
+                # the pivot leaves the point where it is
+                T[i, -1] = 0.0
                 piv = -1
                 for j in range(n_y + m):
                     if abs(T[i, j]) > PIVOT_TOL:
@@ -260,11 +265,18 @@ def _solve_standard(
 
     status = _run_simplex(T, basis, allowed)
     if status == "unbounded":
-        return "unbounded", None
+        return "unbounded", None, None
+    # a row's price is minus its slack's reduced cost, that slack entering
+    # with -1 on >= rows; negating the row negates its price
+    prices = T[-1, n_y : n_y + len(b)] * np.where(is_ge ^ neg, 1.0, -1.0)
     y = np.zeros(n_cols)
     for i in range(m):
         y[basis[i]] = T[i, -1]
-    return "optimal", y[:n_y]
+    y = y[:n_y]
+    miss = A @ y - b
+    if np.any(np.where(is_ge, -miss, miss) > FEAS_TOL):
+        raise SolverError("simplex point misses a constraint row by more than FEAS_TOL")
+    return "optimal", y, prices
 
 
 def _rows_with_equalities_expanded(
@@ -289,19 +301,23 @@ def _solve_box(
     lo: np.ndarray, hi: np.ndarray,
 ) -> tuple[str, np.ndarray | None]:
     """maximize obj . x subject to A x <= / >= b (per is_ge) and lo <= x <= hi,
-    lo finite: x = lo + y with y >= 0, plus a row y <= hi - lo per finite hi."""
-    capped = np.nonzero(hi < math.inf)[0]
+    lo finite: x = lo + y with y >= 0, plus a row y <= hi - lo per finite hi
+    unless a <= row with non-negative coefficients implies it (y_j <= b_i / a_ij)."""
+    b = b - A @ lo
+    pos = (~is_ge & (A >= 0).all(axis=1))[:, None] & (A > 0)
+    bound = np.divide(b[:, None], A, out=np.full_like(A, np.inf), where=pos)
+    capped = np.nonzero((hi < math.inf) & (bound.min(axis=0, initial=math.inf) > hi - lo))[0]
     caps = np.zeros((capped.size, len(lo)))
     caps[np.arange(capped.size), capped] = 1.0
-    status, y = _solve_standard(
+    status, y, prices = _solve_standard(
         np.vstack([A, caps]),
         np.concatenate([is_ge, np.zeros(capped.size, dtype=bool)]),
-        np.concatenate([b - A @ lo, hi[capped] - lo[capped]]),
+        np.concatenate([b, hi[capped] - lo[capped]]),
         obj,
     )
     if status != "optimal":
-        return status, None
-    return status, lo + y
+        return status, None, None
+    return status, lo + y, prices[: len(b)]
 
 
 def solve_lp(p: LinearProgram) -> Solution:
@@ -310,10 +326,13 @@ def solve_lp(p: LinearProgram) -> Solution:
     A, is_ge, b = _rows_with_equalities_expanded(p.constraints, n)
     lo, hi = np.array(p.bounds).T
     obj = np.asarray(p.objective, dtype=float)
-    status, x = _solve_box(A, is_ge, b, obj, lo, hi)
+    status, x, prices = _solve_box(A, is_ge, b, obj, lo, hi)
     if status != "optimal":
         return Solution(status)
-    return Solution("optimal", x, float(np.dot(obj, x)))
+    # an equality's price is the sum of its <= and >= halves
+    row = np.repeat(np.arange(len(p.constraints)), [1 + (c.relation == "=") for c in p.constraints])
+    duals = np.bincount(row, prices, len(p.constraints))
+    return Solution("optimal", x, float(np.dot(obj, x)), duals)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +366,7 @@ def solve_bilp(p: BinaryProgram) -> Solution:
         hi = np.ones(n)
         for j, v in fixed.items():
             lo[j] = hi[j] = float(v)
-        status, x = _solve_box(A, is_ge, b, internal, lo, hi)
+        status, x, _ = _solve_box(A, is_ge, b, internal, lo, hi)
         if status == "infeasible":
             continue
         if status != "optimal":

@@ -3,6 +3,8 @@ refactor that renames or hides one of them would leave its layer untimed."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,3 +26,13 @@ def test_wrapped_attribute_resolves(mod_name, attr, span):
     # the span is named after the layer that defines the function
     layer, name = span.split(".")
     assert (fn.__module__, fn.__name__) == (f"gridmtd.{layer}", name)
+
+
+def test_bench_selftest_passes():
+    # the harness's own checks, among them that case14 records work in every
+    # layer the tracer wraps; bench/ finds the package through its checkout
+    selftest = SPANS.parent / "selftest.py"
+    proc = subprocess.run(
+        [sys.executable, str(selftest)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

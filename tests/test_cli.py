@@ -103,6 +103,29 @@ def test_kmax_stdout_deterministic(capsys):
     assert "kmax 3 l 2" in out1  # greedy dump
 
 
+def test_kmax_case14_default_hvts_stdout(capsys):
+    # the transformers are the branches with a tap ratio: 4-7, 4-9 and 5-6
+    code, out, _ = run(capsys, "kmax", "--input", str(DATA / "case14.m"))
+    assert code == 0
+    assert out == (
+        "optimal\n"
+        "kmax 6 l 3\n"
+        "mdcs 1: 2@2-4 4@4-7 11@6-11\n"
+        "mdcs 2: 3@3-4 12@6-12 8@7-8\n"
+        "mdcs 3: 13@6-13 9@7-9 10@9-10\n"
+        "mdcs 4: 1@1-5 5@4-5 14@9-14\n"
+        "mdcs 5: 2@2-5 7@4-7 4@4-9\n"
+        "mdcs 6: 4@4-5 9@4-9 7@7-9\n"
+        "greedy\n"
+        "kmax 5 l 3\n"
+        "mdcs 1: 1@1-5 2@2-4 4@4-7\n"
+        "mdcs 2: 2@2-5 3@3-4 8@7-8\n"
+        "mdcs 3: 4@4-5 5@4-5 9@7-9\n"
+        "mdcs 4: 7@4-7 4@4-9 5@5-6\n"
+        "mdcs 5: 9@4-9 6@5-6 7@7-9\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # experiment
 
@@ -151,9 +174,9 @@ def test_experiment_case14_headline_stdout(tmp_path, capsys):
         "attacker_actions K*l=12 K_max*l=16\n"
         "strategy mean std\n"
         "urs_k 20.2736 5.3095\n"
-        "urs_kmax 21.3358 5.4423\n"
+        "urs_kmax 21.5112 5.6167\n"
         "sse_k 22.5981 5.6382\n"
-        "sse_kmax 23.6152 5.7832\n"
+        "sse_kmax 23.6640 5.8480\n"
         f"csv={tmp_path / 'trials.csv'}\n"
     )
 
@@ -169,9 +192,9 @@ def test_experiment_case14_free_miss_integer_stdout(tmp_path, capsys):
         "attacker_actions K*l=12 K_max*l=16\n"
         "strategy mean std\n"
         "urs_k 20.0033 5.1610\n"
-        "urs_kmax 21.2725 5.4050\n"
+        "urs_kmax 21.2625 5.3955\n"
         "sse_k 22.0652 5.4197\n"
-        "sse_kmax 23.0975 5.5183\n"
+        "sse_kmax 23.0239 5.5344\n"
         f"csv={tmp_path / 'trials.csv'}\n"
     )
 

@@ -20,6 +20,8 @@ from gridmtd import (
     solve_k_dcs,
     solve_mdcs,
 )
+from gridmtd import diverse_mdcs
+from gridmtd.diverse_mdcs import BRUTE_FORCE_SITE_LIMIT
 from gridmtd.optim import BinaryProgram, Constraint
 from conftest import feasible_corpus
 
@@ -357,3 +359,80 @@ def test_enumerate_mdcs_tiny(tiny_graph):
         frozenset({"s2", "s3"}),
         frozenset({"s3", "s4"}),
     }
+
+
+# ---------------------------------------------------------------------------
+# find_kmax on twin-rich graphs
+
+
+def twin_rich_corpus(seed: int, count: int, s_lo: int, s_hi: int) -> list[BipartiteGraph]:
+    """Feasible random graphs on 5-8 sites whose site columns are copied at
+    random up to s_lo..s_hi sites, the sites then shuffled, so most classes
+    of sites heard by the same transformers hold several twins. Copying a
+    column keeps every neighborhood distinct, so the graphs stay feasible.
+
+    With two transformers and twenty twins the exhaustive oracle runs for up
+    to half a minute a graph, so graphs have 3-5 transformers."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n_t, n_s = int(rng.integers(3, 6)), int(rng.integers(5, 9))
+        g = random_bipartite(rng, n_t, n_s, float(rng.uniform(0.3, 0.7)))
+        if not is_feasible(g):
+            continue
+        n = int(rng.integers(s_lo, s_hi + 1))
+        src = rng.permutation(np.concatenate([np.arange(n_s), rng.integers(0, n_s, n - n_s)]))
+        adj = tuple(frozenset(i for i in range(n) if src[i] in nb) for nb in g.adj)
+        out.append(BipartiteGraph(g.t_ids, tuple(f"s{i + 1}" for i in range(n)), adj))
+    return out
+
+
+def test_find_kmax_matches_brute_force_on_twin_rich_graphs():
+    for g in twin_rich_corpus(seed=11, count=12, s_lo=14, s_hi=25):
+        cfg, oracle = find_kmax(g), brute_force_kmax(g)
+        assert (cfg.K, cfg.l) == (oracle.K, oracle.l)
+
+
+def highs_k_dcs_feasible(g: BipartiteGraph, K: int, size: int) -> bool:
+    """Whether HiGHS finds a point of build_k_dcs_program(g, K) with block 0's
+    size fixed at `size`."""
+    opt = pytest.importorskip("scipy.optimize")
+    p = build_k_dcs_program(g, K)
+    rows = np.array([c.coeffs for c in p.constraints] + [p.objective], dtype=float)
+    rel = np.array([c.relation for c in p.constraints] + ["="])
+    rhs = np.array([c.rhs for c in p.constraints] + [float(size)])
+    lb = np.where(rel == "<=", -np.inf, rhs)
+    ub = np.where(rel == ">=", np.inf, rhs)
+    n = len(p.objective)
+    res = opt.milp(
+        np.zeros(n), constraints=opt.LinearConstraint(rows, lb, ub),
+        integrality=np.ones(n), bounds=opt.Bounds(0, 1),
+    )
+    assert res.status in (0, 2), res.message  # optimal or infeasible
+    return res.status == 0
+
+
+def test_find_kmax_matches_highs_past_the_brute_force_limit():
+    for g in twin_rich_corpus(seed=12, count=8, s_lo=BRUTE_FORCE_SITE_LIMIT + 1, s_hi=32):
+        cfg = find_kmax(g)
+        cfg.validate(g)
+        assert highs_k_dcs_feasible(g, cfg.K, cfg.l)
+        assert not highs_k_dcs_feasible(g, cfg.K + 1, cfg.l)
+
+
+def test_find_kmax_widens_the_packing_when_the_generated_patterns_fall_short(monkeypatch):
+    # when the BILP over the generated patterns misses the LP bound, patterns
+    # the class prices do not rule out join; here the first packing is cut
+    # short by one pattern, and the answer must still be the maximum
+    real, calls = diverse_mdcs._pack, []
+
+    def short_first(patterns, mult):
+        picks = real(patterns, mult)
+        calls.append(len(picks))
+        return picks[:-1] if len(calls) == 1 else picks
+
+    monkeypatch.setattr(diverse_mdcs, "_pack", short_first)
+    for g in twin_rich_corpus(seed=13, count=6, s_lo=10, s_hi=18):
+        calls.clear()
+        assert find_kmax(g).K == brute_force_kmax(g).K
+        assert len(calls) == 2

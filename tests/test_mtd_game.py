@@ -13,6 +13,7 @@ from gridmtd import (
     GameMatrix,
     LinearProgram,
     SolverError,
+    TrialReport,
     UtilityProfile,
     attacker_payoff,
     best_response,
@@ -31,7 +32,7 @@ from gridmtd import (
     solve_sse,
     urs_value,
 )
-from gridmtd.mtd_game import _TIE_TOL, _live_columns, trial_rng
+from gridmtd.mtd_game import _TIE_TOL, _live_columns, format_value, trial_rng
 from gridmtd.optim import FEAS_TOL
 from conftest import feasible_corpus
 
@@ -443,6 +444,16 @@ def test_csv_format(tiny_graph):
     assert lines[3].startswith("mean,") and lines[4].startswith("std,")
     for cell in lines[1].split(",")[1:]:
         assert len(cell.split(".")[1]) == 4
+
+
+def test_half_way_values_print_alike():
+    # 609/32 = 19.03125 sits on a 4-decimal half-way point; the LP's last bit
+    # must not pick the printed digit
+    assert format_value(19.031250000000007) == format_value(19.03125) == "19.0312"
+    rep = TrialReport(np.array([[19.031250000000007] * 4, [19.03125] * 4]), seed=0)
+    lines = rep.to_csv().splitlines()
+    assert lines[1][2:] == lines[2][2:] == "19.0312,19.0312,19.0312,19.0312"
+    assert lines[3] == "mean,19.0312,19.0312,19.0312,19.0312"
 
 
 @settings(max_examples=15, deadline=None)

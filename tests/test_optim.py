@@ -13,6 +13,8 @@ from gridmtd import (
     solve_bilp,
     solve_lp,
 )
+from gridmtd import optim
+from gridmtd.optim import FEAS_TOL
 
 
 def lp(obj, cons=(), bounds=None):
@@ -264,6 +266,34 @@ def test_bilp_matches_enumeration_up_to_twenty_variables():
         assert sol.objective_value == pytest.approx(expect, abs=1e-6)
 
 
+def test_cap_rows_left_out_where_a_packing_row_implies_them(monkeypatch):
+    rows = []
+    real = optim._solve_standard
+    monkeypatch.setattr(
+        optim, "_solve_standard", lambda A, *rest: rows.append(len(A)) or real(A, *rest)
+    )
+    # x0 + x1 <= 1 bounds x0 and x1 by 1; x0 + 2 x2 <= 3 bounds x2 by 1.5 only
+    p = bilp([1.0, 2.0, 3.0], "max", [([1.0, 1.0, 0.0], "<=", 1.0), ([1.0, 0.0, 2.0], "<=", 3.0)])
+    assert solve_bilp(p).objective_value == 5.0
+    assert rows[0] == 2 + 1  # the two rows and x2's cap
+
+
+def test_bilp_matches_enumeration_on_packing_programs():
+    # <= rows with non-negative coefficients imply some caps (rhs over a
+    # coefficient at most 1) and not others; mixed-sign rows imply none
+    rng = np.random.default_rng(808)
+    for _ in range(80):
+        n, m = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+        A = (rng.random((m, n)) < 0.5) * rng.integers(1, 3, size=(m, n)).astype(float)
+        if rng.random() < 0.3:
+            A[0] = rng.integers(-2, 3, size=n)
+        b = rng.integers(0, 4, size=m).astype(float)
+        c = rng.integers(-3, 10, size=n).astype(float)
+        p = bilp(c, "max", [(A[i], "<=", b[i]) for i in range(m)])
+        sol = solve_bilp(p)
+        assert sol.status == "optimal"  # x = 0 is feasible
+        assert sol.objective_value == pytest.approx(_enumerate_optimum(p), abs=1e-6)
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_bilp_relaxation_bounds_minimum(seed):
@@ -331,3 +361,71 @@ def test_lp_against_scipy_reference():
             assert ours.objective_value == pytest.approx(-ref.fun, abs=1e-6)
         agreements += 1
     assert agreements == 100
+
+
+def max_row_miss(p, x):
+    """How far x lies outside the program's worst-satisfied row."""
+    miss = 0.0
+    for c in p.constraints:
+        lhs = float(np.dot(c.coeffs, x))
+        if c.relation in ("<=", "="):
+            miss = max(miss, lhs - c.rhs)
+        if c.relation in (">=", "="):
+            miss = max(miss, c.rhs - lhs)
+    return miss
+
+
+def test_lp_phase1_residual_keeps_the_point_on_its_rows():
+    # phase 1 ends with the artificial of the second row basic at 5e-7, inside
+    # FEAS_TOL; driving it out on its 5e-7 entry must not move x off x0 + x1 = 1
+    p = lp([9.0, 9.0], [([1.0, 1.0], "=", 1.0), ([-5e-7, -5e-7], ">=", 0.0)])
+    sol = solve_lp(p)
+    assert sol.status == "optimal"
+    assert max_row_miss(p, sol.assignment) <= FEAS_TOL
+    assert sol.objective_value == pytest.approx(9.0, abs=1e-6)
+
+
+def test_lp_never_optimal_off_a_row_on_near_dominated_columns():
+    # SSE-shaped LPs over the simplex where the column kept a best response
+    # trails another column by FEAS_TOL / 2 in some rows and beats it in the
+    # rest; where it trails in every row, phase 1 ends inside FEAS_TOL but not
+    # at 0, so leftover artificials carry a residual
+    rng = np.random.default_rng(13)
+    optimal = 0
+    for _ in range(300):
+        k = int(rng.integers(2, 5))
+        am = rng.integers(-5, 6, size=(k, 3)).astype(float)
+        trails = rng.random(k) < 0.7
+        am[:, 1] = am[:, 0] + np.where(trails, -FEAS_TOL / 2, rng.uniform(0.5, 3.0, size=k))
+        gaps = [am[:, 1] - am[:, jp] for jp in (0, 2)]
+        cons = [([1.0] * k, "=", 1.0)] + [(row, ">=", 0.0) for row in gaps]
+        p = lp(rng.uniform(0, 10, size=k), cons)
+        sol = solve_lp(p)
+        if sol.status == "optimal":
+            optimal += 1
+            assert max_row_miss(p, sol.assignment) <= FEAS_TOL
+    assert optimal > 0
+
+
+def test_lp_duals_certify_the_optimum():
+    # for maximize c.x, A x (<=, >=, =) b, x >= 0 the row prices are a dual
+    # solution: non-negative on <= rows, non-positive on >= rows, A^T y >= c,
+    # and b.y equals the optimum
+    rng = np.random.default_rng(29)
+    checked = 0
+    for _ in range(200):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        A = rng.integers(-4, 5, size=(m, n)).astype(float)
+        rels = [("<=", ">=", "=")[i] for i in rng.integers(0, 3, size=m)]
+        b = A @ rng.integers(0, 3, size=n) + np.where(np.array(rels) == "<=", 1.0, 0.0)
+        cons = [(A[i], rels[i], b[i]) for i in range(m)] + [([1.0] * n, "<=", 20.0)]
+        c = rng.integers(-5, 6, size=n).astype(float)
+        sol = solve_lp(lp(c, cons))
+        assert sol.status == "optimal"
+        y, rows = sol.duals, np.vstack([A, np.ones(n)])
+        kinds = np.array(rels + ["<="])
+        assert (y[kinds == "<="] >= -1e-9).all() and (y[kinds == ">="] <= 1e-9).all()
+        assert (rows.T @ y >= c - 1e-6).all()
+        assert np.append(b, 20.0) @ y == pytest.approx(sol.objective_value, abs=1e-6)
+        checked += 1
+    assert checked == 200
