@@ -5,11 +5,13 @@ configuration; the attacker observes the mix and knocks out one sensor site.
 Payoffs follow residual identifiability: the defender collects the utility of
 every transformer still uniquely identified, the attacker collects the rest
 minus the attack cost. The optimal commitment is found by one LP per attacker
-action that no other action strictly dominates.
+action that no other action strictly dominates, all of a game's LPs solved as
+one stack in a single solve_lp call.
 
-Tolerances: dominance uses the LP's feasibility tolerance FEAS_TOL, since a
-column another beats by more than FEAS_TOL in every row already leaves its LP
-infeasible; ties between equilibrium or best-response values use _TIE_TOL.
+Tolerances, both from optim: dominance uses the LP's feasibility tolerance
+FEAS_TOL, since a column another beats by more than FEAS_TOL in every row
+already leaves its LP infeasible; ties between equilibrium or best-response
+values use TIE_TOL.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from gridmtd.diverse_mdcs import ConfigurationSet
 from gridmtd.graph_core import BipartiteGraph, CodeSet
-from gridmtd.optim import FEAS_TOL, Constraint, LinearProgram, SolverError, solve_lp
+from gridmtd.optim import FEAS_TOL, TIE_TOL, LinearProgramStack, SolverError, solve_lp
 
 __all__ = [
     "UtilityProfile",
@@ -40,7 +42,6 @@ __all__ = [
 ]
 
 UTILITY_RANGE = (0.0, 10.0)
-_TIE_TOL = 1e-9  # values closer than this are ties in solve_sse and best_response
 
 
 @dataclass(frozen=True)
@@ -212,36 +213,36 @@ def _live_columns(am: np.ndarray) -> np.ndarray:
 def solve_sse(game: GameMatrix) -> SseSolution:
     """Strong Stackelberg commitment via one LP per attacker action: maximize
     defender expectation over mixes keeping that action a best response; the
-    best feasible action wins, ties (within _TIE_TOL) to the defender then to
+    best feasible action wins, ties (within TIE_TOL) to the defender then to
     the lowest index.
 
     An action that another beats by more than FEAS_TOL in every defender row
     gets no LP: its LP is infeasible at that tolerance, so it cannot win. The
     remaining LPs keep only the rows against the other remaining actions; a
     dropped row is implied by the row against a remaining action that
-    dominates the dropped one.
+    dominates the dropped one. They share their relations and right-hand
+    sides, so all of them are solved as one stack.
     """
     K, A = game.n_defender, game.n_attacker
     if K < 1 or A < 1:
         raise ValueError("degenerate game shape")
     dm, am = game.defender_payoffs, game.attacker_payoffs
-    simplex = Constraint((1.0,) * K, "=", 1.0)  # with x >= 0 this also caps x at 1
     live = _live_columns(am)
-    best: tuple[float, int, np.ndarray] | None = None
-    for j in live:
-        # action j beats every other live action jp: am[:, j] - am[:, jp] >= 0
-        gaps = (am[:, [j]] - am[:, live[live != j]]).T
-        # a list first: tuple() of a generator raised the trials' peak RSS by 0.5 MB
-        cons = tuple([simplex] + [Constraint(tuple(row), ">=", 0.0) for row in gaps])
-        sol = solve_lp(LinearProgram(tuple(dm[:, j]), cons))
-        if sol.status != "optimal":
-            continue
-        if best is None or sol.objective_value > best[0] + _TIE_TOL:
-            best = (sol.objective_value, int(j), sol.assignment)
-    if best is None:
+    L = live.size
+    # LP k keeps live[k] a best response: am[:, live[k]] - am[:, jp] >= 0 for
+    # every other live jp, plus the simplex row (with x >= 0 it caps x at 1)
+    cols = am[:, live].T
+    gaps = (cols[:, None] - cols[None, :])[~np.eye(L, dtype=bool)].reshape(L, L - 1, K)
+    sol = solve_lp(LinearProgramStack(
+        dm[:, live].T,
+        np.concatenate([np.ones((L, 1, K)), gaps], axis=1),
+        ("=",) + (">=",) * (L - 1),
+        np.r_[1.0, np.zeros(L - 1)],
+    ))
+    if sol.status != "optimal":
         raise SolverError("no attacker action admitted a feasible best-response region")
-    value, j, mix = best
-    return SseSolution(mix, j, float(value), float(np.dot(mix, am[:, j])))
+    j, mix = int(live[sol.index]), sol.assignment
+    return SseSolution(mix, j, sol.objective_value, float(np.dot(mix, am[:, j])))
 
 
 def best_response(game: GameMatrix, mix: np.ndarray) -> tuple[int, float, float]:
@@ -253,7 +254,7 @@ def best_response(game: GameMatrix, mix: np.ndarray) -> tuple[int, float, float]
     top = float(att.max())
     best_j = -1
     for j in range(game.n_attacker):
-        if att[j] >= top - _TIE_TOL and (best_j < 0 or dfd[j] > dfd[best_j] + _TIE_TOL):
+        if att[j] >= top - TIE_TOL and (best_j < 0 or dfd[j] > dfd[best_j] + TIE_TOL):
             best_j = j
     return best_j, float(att[best_j]), float(dfd[best_j])
 

@@ -1,23 +1,34 @@
 """Linear and binary integer programming on dense tableaus.
 
 Two-phase primal simplex plus a depth-first branch-and-bound wrapper for
-binary programs. Pivoting uses the largest-reduced-cost rule for speed and
-falls back to Bland's anti-cycling rule whenever the objective stalls on a
-degenerate vertex, so termination is guaranteed. Everything is deterministic:
-fixed pivot and branching rules, no randomization, so repeated solves of the
-same program return bit-identical solutions.
+binary programs. The one simplex core pivots a stack of same-shape tableaus
+(B, m+1, n+1) one array step at a time, each member with its own pivot
+choices, stall count and iteration cap: a LinearProgram or branch-and-bound
+node is a stack of one, a LinearProgramStack one of B. Pivoting uses the
+largest-reduced-cost rule and falls back to Bland's rule whenever the
+objective stalls on a degenerate vertex, so termination is guaranteed. The
+fixed rules make solves deterministic: a program gets the same bits alone or
+in a stack.
+
+Tolerances: PIVOT_TOL, an entry at most this large is zero (no pivot, no row
+update, a stall); FEAS_TOL, feasibility (an entering reduced cost, the
+phase-1 residual, a returned point's row miss, branch and bound's
+integrality and pruning); TIE_TOL, values closer than this tie (a stack's
+best member, mtd_game's best response).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "Constraint",
     "LinearProgram",
+    "LinearProgramStack",
     "BinaryProgram",
     "Solution",
     "SolverError",
@@ -25,10 +36,12 @@ __all__ = [
     "solve_bilp",
     "FEAS_TOL",
     "PIVOT_TOL",
+    "TIE_TOL",
 ]
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-6
+TIE_TOL = 1e-9
 _STALL_LIMIT = 100  # degenerate pivots tolerated before switching to Bland
 
 _RELATIONS = ("<=", "=", ">=")
@@ -51,15 +64,22 @@ def _check_finite(values, what: str) -> None:
         raise ValueError(f"{what} contains NaN or infinite coefficients")
 
 
-def _check_constraints(constraints, n: int) -> None:
-    for c in constraints:
-        if len(c.coeffs) != n:
-            raise ValueError("constraint width does not match variable count")
-        if c.relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {c.relation!r}")
-    _check_finite([c.coeffs for c in constraints], "constraint")
-    if not np.all(np.isfinite([c.rhs for c in constraints])):
+def _check_rows(matrix, relations, rhs) -> None:
+    for r in relations:
+        if r not in _RELATIONS:
+            raise ValueError(f"unknown relation {r!r}")
+    _check_finite(matrix, "constraint")
+    if not np.all(np.isfinite(rhs)):
         raise ValueError("constraint bound must be finite")
+
+
+def _check_constraints(constraints, n: int) -> np.ndarray:
+    """The constraint rows as an (m, n) float array, once they are checked."""
+    if any(len(c.coeffs) != n for c in constraints):
+        raise ValueError("constraint width does not match variable count")
+    rows = np.array([c.coeffs for c in constraints], dtype=float).reshape(-1, n)
+    _check_rows(rows, [c.relation for c in constraints], [c.rhs for c in constraints])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -73,13 +93,14 @@ class LinearProgram:
     objective: tuple[float, ...]
     constraints: tuple[Constraint, ...] = ()
     bounds: tuple[tuple[float, float], ...] = ()
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)  # the rows, (m, n)
 
     def __post_init__(self):
         n = len(self.objective)
         if n == 0:
             raise ValueError("program has no variables")
         _check_finite(self.objective, "objective")
-        _check_constraints(self.constraints, n)
+        object.__setattr__(self, "matrix", _check_constraints(self.constraints, n))
         bounds = self.bounds if self.bounds else tuple((0.0, math.inf) for _ in range(n))
         if len(bounds) != n:
             raise ValueError("bounds length does not match variable count")
@@ -100,6 +121,7 @@ class BinaryProgram:
     objective: tuple[float, ...]
     sense: str  # "min" or "max"
     constraints: tuple[Constraint, ...] = ()
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)  # the rows, (m, n)
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -107,7 +129,33 @@ class BinaryProgram:
         if len(self.objective) == 0:
             raise ValueError("program has no variables")
         _check_finite(self.objective, "objective")
-        _check_constraints(self.constraints, len(self.objective))
+        n = len(self.objective)
+        object.__setattr__(self, "matrix", _check_constraints(self.constraints, n))
+
+
+@dataclass(frozen=True, eq=False)
+class LinearProgramStack:
+    """B programs over the same n variables x >= 0, solved in one call:
+    program k maximizes objective[k] . x subject to matrix[k] x (relations)
+    rhs, the relations and rhs shared by all."""
+
+    objective: np.ndarray  # (B, n)
+    matrix: np.ndarray  # (B, m, n)
+    relations: tuple[str, ...]  # (m,)
+    rhs: np.ndarray  # (m,)
+
+    def __post_init__(self):
+        obj = np.ascontiguousarray(self.objective, dtype=float)
+        matrix, rhs = np.asarray(self.matrix, dtype=float), np.asarray(self.rhs, dtype=float)
+        m = len(self.relations)
+        shaped = obj.ndim == 2 and 0 not in obj.shape and rhs.shape == (m,)
+        if not shaped or matrix.shape != (len(obj), m, obj.shape[1]):
+            raise ValueError("stack is not objective (B, n), matrix (B, m, n), rhs (m,), B, n >= 1")
+        _check_finite(obj, "objective")
+        _check_rows(matrix, self.relations, rhs)
+        object.__setattr__(self, "relations", tuple(self.relations))
+        for name, value in (("objective", obj), ("matrix", matrix), ("rhs", rhs)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -116,6 +164,7 @@ class Solution:
     assignment: np.ndarray | None = None
     objective_value: float | None = None
     duals: np.ndarray | None = None  # solve_lp: d optimum / d rhs, per constraint
+    index: int | None = None  # solve_lp: the winning member of a stack
 
     def __eq__(self, other):
         if not isinstance(other, Solution):
@@ -130,209 +179,239 @@ class Solution:
 
 
 # ---------------------------------------------------------------------------
-# Simplex core
+# Simplex core: every array carries a leading batch axis over the stack
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    colv = T[:, col].copy()
-    colv[row] = 0.0
-    touched = np.nonzero(np.abs(colv) > PIVOT_TOL)[0]
+def _pivot(
+    T: np.ndarray, basis: np.ndarray, r: np.ndarray, cols: np.ndarray, colv: np.ndarray
+) -> None:
+    """Pivot member b of the C-contiguous stack T on column cols[b], flat row
+    r[b] (row i of member b is row b * M + i of T as (B * M, N); basis, (B, M)
+    with an unused objective slot, numbers alike). colv[b], that column as it
+    stands, is spent. Rows with an entry of at most PIVOT_TOL stay untouched."""
+    B, M, N = T.shape
+    flat = T.reshape(B * M, N)
+    prow = flat.take(r, axis=0) / colv.take(r)[:, None]
+    flat[r] = prow
+    colv.put(r, 0.0)
+    touched = (np.abs(colv) > PIVOT_TOL).ravel().nonzero()[0]
     if touched.size:
-        T[touched] -= np.outer(colv[touched], T[row])
-    basis[row] = col
+        # a stack of one broadcasts its pivot row
+        prows = prow if B == 1 else prow.take(touched // M, axis=0)
+        flat[touched] -= colv.take(touched)[:, None] * prows
+    basis.put(r, cols)
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], allowed: np.ndarray) -> str:
-    """Iterate to optimality on a tableau whose last row holds reduced costs
-    for maximization and whose rhs column is feasible.
+def _run_simplex(T: np.ndarray, basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Iterate each member to optimality from a feasible rhs column, the last
+    row holding reduced costs for maximization; return which members are
+    unbounded. rows[b] counts member b's live rows, for its iteration cap.
 
     Entering column: largest reduced cost, ties to the lowest index; after
-    _STALL_LIMIT pivots without objective progress the entering rule drops to
-    Bland's lowest-improving-index until progress resumes, which breaks any
-    degenerate cycle. Leaving row: minimum ratio, ties to lowest basis index.
+    _STALL_LIMIT pivots without objective progress, Bland's lowest improving
+    index until progress resumes. Leaving row: minimum ratio, ties to lowest
+    basis index. A member that is done leaves the working stack W.
     """
-    m = len(basis)
-    max_iter = 50_000 + 200 * (T.shape[0] + T.shape[1])
-    bland = False
-    stall = 0
-    last_value = T[-1, -1]
-    for _ in range(max_iter):
-        reduced = T[-1, :-1]
-        mask = (reduced > FEAS_TOL) & allowed
-        if not mask.any():
-            return "optimal"
-        cands = np.nonzero(mask)[0]
-        if bland:
-            enter = int(cands[0])
-        else:
-            enter = int(cands[np.argmax(reduced[cands])])
-        col = T[:m, enter]
-        usable = np.nonzero(col > PIVOT_TOL)[0]
-        if usable.size == 0:
-            return "unbounded"
-        ratios = T[usable, -1] / col[usable]
-        best = ratios.min()
-        ties = usable[ratios <= best + PIVOT_TOL]
-        leave = int(min(ties, key=lambda i: basis[i]))
-        _pivot(T, basis, leave, enter)
-        # T[-1, -1] stores the negated objective; any decrease is progress
-        if T[-1, -1] < last_value - PIVOT_TOL:
-            last_value = T[-1, -1]
-            stall = 0
-            bland = False
-        else:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                bland = True
-    raise SolverError("simplex iteration cap exceeded")
+    m = basis.shape[1] - 1
+    unbounded = np.zeros(len(T), dtype=bool)
+    if not len(T):
+        return unbounded
+    members, W, Wb, at = np.arange(len(T)), T, basis, np.arange(len(T))  # members: W's rows in T
+    base = at * T.shape[1]  # each member's first flat row
+    caps = 50_000 + 200 * (rows + 1 + T.shape[2])
+    cap = caps.min()
+    floor = T[:, -1, -1] - PIVOT_TOL  # the negated objective falling below this is progress
+    since = np.zeros(len(T), dtype=int)  # iterations before the last progress
+    for it in itertools.count():
+        if it >= cap:
+            raise SolverError("simplex iteration cap exceeded")
+        reduced = W[:, -1, :-1]
+        enter = reduced.argmax(axis=1)
+        if it >= _STALL_LIMIT and it - since.min() >= _STALL_LIMIT:
+            enter = np.where(it - since >= _STALL_LIMIT, (reduced > FEAS_TOL).argmax(axis=1), enter)
+        colv = W[at, :, enter]  # the entering column, its reduced cost last
+        col = colv[:, :m]
+        # NaN off the usable entries: no ratio, and never a tie
+        ratios = W[:, :m, -1] / np.where(col > PIVOT_TOL, col, np.nan)
+        best = np.fmin.reduce(ratios, axis=1, initial=np.inf)
+        done = colv[:, m] <= FEAS_TOL
+        stop = done | (best == np.inf)
+        if np.count_nonzero(stop):
+            unbounded[members[stop & ~done]] = True
+            if W is not T:
+                T[members[stop]], basis[members[stop]] = W[stop], Wb[stop]
+            go = ~stop
+            members, W, Wb, caps = members[go], W[go], Wb[go], caps[go]
+            floor, since = floor[go], since[go]
+            if not len(W):
+                return unbounded
+            at, base, cap = at[: len(W)], base[: len(W)], caps.min()
+            enter, colv, ratios, best = enter[go], colv[go], ratios[go], best[go]
+        ties = ratios <= (best + PIVOT_TOL)[:, None]
+        _pivot(W, Wb, base + np.where(ties, Wb[:, :m], W.shape[2]).argmin(axis=1), enter, colv)
+        # W[:, -1, -1] stores the negated objective; any decrease is progress
+        value = W[:, -1, -1]
+        progress = value < floor
+        np.copyto(floor, value - PIVOT_TOL, where=progress)
+        np.copyto(since, it + 1, where=progress)
+    raise AssertionError("unreachable")
+
+
+def _price_out(T: np.ndarray, basis: np.ndarray) -> None:
+    """In row order, subtract each basic row times its column's objective-row
+    cost where that cost, as it stands by then, exceeds PIVOT_TOL."""
+    members, start = np.arange(len(T))[:, None], 0
+    while True:
+        cost = T[members, -1, basis[:, start:-1]]
+        hit = np.abs(cost) > PIVOT_TOL
+        rows_hit = hit.any(axis=0)
+        if not rows_hit.any():
+            return
+        i = int(rows_hit.argmax())
+        k = hit[:, i].nonzero()[0]
+        T[k, -1] -= cost[k, i, None] * T[k, start + i]
+        start += i + 1
 
 
 def _solve_standard(
     A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray
-) -> tuple[str, np.ndarray | None, np.ndarray | None]:
-    """maximize obj . y subject to A y <= / >= b (per is_ge) and y >= 0, with
-    the price (dual value) of each row. Rows with b < 0 are negated in place
-    in A, is_ge and b."""
-    m, n_y = A.shape
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per member k, maximize obj[k] . y subject to A[k] y <= / >= b (per
+    is_ge) and y >= 0: each member's status, point and row prices (duals),
+    zero unless optimal. Rows with b < 0 are negated in place in A, is_ge, b.
+    A member infeasible in phase 1 leaves the stack; a row phase 1 finds
+    redundant stays inert, all its entries at most PIVOT_TOL."""
+    B, m, n_y = A.shape
     neg = b < 0
     if neg.any():
-        A[neg] *= -1.0
+        A[:, neg] *= -1.0
         b[neg] *= -1.0
         is_ge[neg] = ~is_ge[neg]
 
-    ge_rows = np.nonzero(is_ge)[0]
-    n_art = ge_rows.size
-    n_cols = n_y + m + n_art
-    T = np.zeros((m + 1, n_cols + 1))
-    T[:m, :n_y] = A
-    T[:m, -1] = b
-    basis = [0] * m
-    for i in range(m):
-        T[i, n_y + i] = -1.0 if is_ge[i] else 1.0
-        basis[i] = n_y + i
-    art_cols: dict[int, int] = {}
-    for k, i in enumerate(ge_rows):
-        j = n_y + m + k
-        T[i, j] = 1.0
-        basis[i] = j
-        art_cols[i] = j
+    ge_rows = np.flatnonzero(is_ge)
+    art0 = n_y + m  # artificial columns, one per >= row
+    n_cols = art0 + ge_rows.size
+    T = np.zeros((B, m + 1, n_cols + 1))
+    T[:, :m, :n_y] = A
+    T[:, :m, -1] = b
+    T[:, np.arange(m), n_y + np.arange(m)] = np.where(is_ge, -1.0, 1.0)
+    T[:, ge_rows, art0 + np.arange(ge_rows.size)] = 1.0
+    slack_or_art = np.where(is_ge, art0 + np.cumsum(is_ge) - 1, n_y + np.arange(m))
+    basis = np.tile(np.append(slack_or_art, -1), (B, 1))
+    rows, live = np.full(B, m), np.arange(B)
+    status = np.full(B, "optimal", dtype=object)
 
-    allowed = np.ones(n_cols, dtype=bool)
-    if n_art:
+    if ge_rows.size:
         # phase 1: maximize minus the artificial sum; reduced costs start as
         # the column sums over the artificial-basis rows
-        T[-1, :] = T[ge_rows, :].sum(axis=0)
-        for j in art_cols.values():
-            T[-1, j] = 0.0
-        status = _run_simplex(T, basis, allowed)
-        if status != "optimal":
+        T[:, -1] = T[:, ge_rows].sum(axis=1)
+        T[:, -1, art0:-1] = 0.0
+        if _run_simplex(T, basis, rows).any():
             raise SolverError("phase-1 simplex reported unbounded")
-        if T[-1, -1] > FEAS_TOL:
-            return "infeasible", None, None
-        # drive leftover artificials out of the basis or drop redundant rows
-        art_set = set(art_cols.values())
-        drop: list[int] = []
-        for i in range(m):
-            if basis[i] in art_set:
-                # accept phase 1's residual on this row, at most FEAS_TOL, so
-                # the pivot leaves the point where it is
-                T[i, -1] = 0.0
-                piv = -1
-                for j in range(n_y + m):
-                    if abs(T[i, j]) > PIVOT_TOL:
-                        piv = j
-                        break
-                if piv >= 0:
-                    _pivot(T, basis, i, piv)
-                else:
-                    drop.append(i)
-        if drop:
-            keep = [i for i in range(m) if i not in drop]
-            T = np.vstack([T[keep], T[-1:]])
-            basis = [basis[i] for i in keep]
-            m = len(basis)
-        for j in art_set:
-            allowed[j] = False
-            T[:, j] = 0.0
+        feasible = ~(T[:, -1, -1] > FEAS_TOL)
+        status[~feasible] = "infeasible"
+        T, basis, rows, live = T[feasible], basis[feasible], rows[feasible], live[feasible]
+        # drive leftover artificials out of the basis; a row with nothing to
+        # pivot on is redundant and goes inert
+        for i in np.flatnonzero((basis >= art0).any(axis=0)):
+            k = np.flatnonzero(basis[:, i] >= art0)
+            # accept phase 1's residual on this row, at most FEAS_TOL, so
+            # the pivot leaves the point where it is
+            T[k, i, -1] = 0.0
+            nonzero = np.abs(T[k, i, :art0]) > PIVOT_TOL
+            has = nonzero.any(axis=1)
+            rows[k[~has]] -= 1
+            k, cols = k[has], nonzero[has].argmax(axis=1)
+            sub, sub_basis, r = T[k], basis[k], np.arange(i, k.size * (m + 1), m + 1)
+            _pivot(sub, sub_basis, r, cols, sub[np.arange(k.size), :, cols])
+            T[k], basis[k] = sub, sub_basis
+        # zeroed artificial columns have reduced cost 0 and never enter again
+        T[:, :, art0:-1] = 0.0
 
-    T[-1, :] = 0.0
-    T[-1, :n_y] = obj
-    for i in range(m):
-        bj = basis[i]
-        if abs(T[-1, bj]) > PIVOT_TOL:
-            T[-1] -= T[-1, bj] * T[i]
-
-    status = _run_simplex(T, basis, allowed)
-    if status == "unbounded":
-        return "unbounded", None, None
+    T[:, -1] = 0.0
+    T[:, -1, :n_y] = obj[live]
+    _price_out(T, basis)
+    unbounded = _run_simplex(T, basis, rows)
+    status[live[unbounded]] = "unbounded"
+    ok = live[~unbounded]
     # a row's price is minus its slack's reduced cost, that slack entering
     # with -1 on >= rows; negating the row negates its price
-    prices = T[-1, n_y : n_y + len(b)] * np.where(is_ge ^ neg, 1.0, -1.0)
-    y = np.zeros(n_cols)
-    for i in range(m):
-        y[basis[i]] = T[i, -1]
-    y = y[:n_y]
-    miss = A @ y - b
+    prices, point, y = np.zeros((B, m)), np.zeros((B, n_y)), np.zeros((len(T), n_cols))
+    prices[ok] = T[~unbounded, -1, n_y:art0] * np.where(is_ge ^ neg, 1.0, -1.0)
+    y[np.arange(len(T))[:, None], basis[:, :m]] = T[:, :m, -1]
+    point[ok] = y[~unbounded, :n_y]
+    miss = (A[ok] @ point[ok, :, None])[..., 0] - b
     if np.any(np.where(is_ge, -miss, miss) > FEAS_TOL):
         raise SolverError("simplex point misses a constraint row by more than FEAS_TOL")
-    return "optimal", y, prices
+    return status, point, prices
 
 
-def _rows_with_equalities_expanded(
-    constraints: tuple[Constraint, ...], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, is_ge, b) with every equality row turned into a <= / >= pair."""
-    rows = [
-        (c.coeffs, rel == ">=", c.rhs)
-        for c in constraints
-        for rel in (("<=", ">=") if c.relation == "=" else (c.relation,))
-    ]
-    coeffs, ge, rhs = zip(*rows) if rows else ((), (), ())
-    return (
-        np.array(coeffs, dtype=float).reshape(-1, n),
-        np.array(ge, dtype=bool),
-        np.array(rhs, dtype=float),
-    )
+def _expanded(A: np.ndarray, relations, rhs) -> tuple[np.ndarray, ...]:
+    """(A, is_ge, b, source row) with every equality row turned into a <= / >=
+    pair; A keeps its leading batch axis."""
+    src = np.repeat(np.arange(len(relations)), [1 + (r == "=") for r in relations])
+    split = [ge for r in relations for ge in ((False, True) if r == "=" else (r == ">=",))]
+    is_ge = np.array(split, dtype=bool)
+    return A[:, src], is_ge, np.asarray(rhs, dtype=float)[src], src
+
+
+def _program_rows(p: LinearProgram | BinaryProgram):
+    """_expanded for a program's constraints, as a stack of one."""
+    rows = p.constraints
+    return _expanded(p.matrix[None], [c.relation for c in rows], [c.rhs for c in rows])
 
 
 def _solve_box(
     A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray,
     lo: np.ndarray, hi: np.ndarray,
-) -> tuple[str, np.ndarray | None]:
-    """maximize obj . x subject to A x <= / >= b (per is_ge) and lo <= x <= hi,
-    lo finite: x = lo + y with y >= 0, plus a row y <= hi - lo per finite hi
-    unless a <= row with non-negative coefficients implies it (y_j <= b_i / a_ij)."""
-    b = b - A @ lo
-    pos = (~is_ge & (A >= 0).all(axis=1))[:, None] & (A > 0)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each member k of the stack, maximize obj[k] . x subject to
+    A[k] x <= / >= b (per is_ge) and lo <= x <= hi, lo finite: x = lo + y
+    with y >= 0, plus a row y <= hi - lo per finite hi unless a <= row with
+    non-negative coefficients implies it (y_j <= b_i / a_ij). A stack of more
+    than one member has lo = 0 and hi = +inf."""
+    if lo.any():
+        b = b - A[0] @ lo
+    pos = (~is_ge & (A >= 0).all(axis=-1))[..., None] & (A > 0)
     bound = np.divide(b[:, None], A, out=np.full_like(A, np.inf), where=pos)
-    capped = np.nonzero((hi < math.inf) & (bound.min(axis=0, initial=math.inf) > hi - lo))[0]
-    caps = np.zeros((capped.size, len(lo)))
-    caps[np.arange(capped.size), capped] = 1.0
+    capped = np.flatnonzero((hi < math.inf) & (bound.min(axis=(0, 1), initial=math.inf) > hi - lo))
+    caps = np.zeros((len(A), capped.size, len(lo)))
+    caps[:, np.arange(capped.size), capped] = 1.0
     status, y, prices = _solve_standard(
-        np.vstack([A, caps]),
+        np.concatenate([A, caps], axis=1),
         np.concatenate([is_ge, np.zeros(capped.size, dtype=bool)]),
         np.concatenate([b, hi[capped] - lo[capped]]),
         obj,
     )
-    if status != "optimal":
-        return status, None, None
-    return status, lo + y, prices[: len(b)]
+    return status, lo + y, prices[:, : len(b)]
 
 
-def solve_lp(p: LinearProgram) -> Solution:
-    """Maximize the objective; status is optimal, infeasible or unbounded."""
-    n = len(p.objective)
-    A, is_ge, b = _rows_with_equalities_expanded(p.constraints, n)
-    lo, hi = np.array(p.bounds).T
-    obj = np.asarray(p.objective, dtype=float)
+def solve_lp(p: LinearProgram | LinearProgramStack) -> Solution:
+    """Maximize the objective; status is optimal, infeasible or unbounded.
+
+    A stack maximizes over the union of its members: unbounded if any member
+    is, infeasible if none is feasible; else, scanning members in order, the
+    best so far gives way only to a value above it by more than TIE_TOL. index
+    names the winner, whose solution is the one it gets alone.
+    """
+    if isinstance(p, LinearProgram):
+        obj, (lo, hi) = np.asarray(p.objective, dtype=float)[None], np.array(p.bounds).T
+        A, is_ge, b, src = _program_rows(p)
+    else:
+        n = p.objective.shape[1]
+        obj, lo, hi = p.objective, np.zeros(n), np.full(n, math.inf)
+        A, is_ge, b, src = _expanded(p.matrix, p.relations, p.rhs)
     status, x, prices = _solve_box(A, is_ge, b, obj, lo, hi)
-    if status != "optimal":
-        return Solution(status)
+    best: tuple[float, int] | None = None
+    for k in np.flatnonzero(status == "optimal"):
+        value = float(np.dot(obj[k], x[k]))
+        if best is None or value > best[0] + TIE_TOL:
+            best = (value, int(k))
+    if best is None or (status == "unbounded").any():
+        return Solution("unbounded" if (status == "unbounded").any() else "infeasible")
+    value, k = best
     # an equality's price is the sum of its <= and >= halves
-    row = np.repeat(np.arange(len(p.constraints)), [1 + (c.relation == "=") for c in p.constraints])
-    duals = np.bincount(row, prices, len(p.constraints))
-    return Solution("optimal", x, float(np.dot(obj, x)), duals)
+    return Solution("optimal", x[k], value, np.bincount(src, prices[k]), k)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +433,7 @@ def solve_bilp(p: BinaryProgram) -> Solution:
     integral_obj = bool(np.all(internal == np.round(internal)))
 
     # each node relaxes to the box lo <= x <= hi; fixing a variable pins both
-    A, is_ge, b = _rows_with_equalities_expanded(p.constraints, n)
+    A, is_ge, b, _ = _program_rows(p)
 
     incumbent: np.ndarray | None = None
     incumbent_val = -math.inf
@@ -366,7 +445,8 @@ def solve_bilp(p: BinaryProgram) -> Solution:
         hi = np.ones(n)
         for j, v in fixed.items():
             lo[j] = hi[j] = float(v)
-        status, x, _ = _solve_box(A, is_ge, b, internal, lo, hi)
+        status, x, _ = _solve_box(A, is_ge, b, internal[None], lo, hi)
+        status, x = status[0], x[0]
         if status == "infeasible":
             continue
         if status != "optimal":

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -160,6 +161,10 @@ def test_experiment_deterministic_csv(tmp_path, capsys):
     assert "K=2 K_max=2 l=2" in out1
 
 
+def csv_sha256(out_dir: Path) -> str:
+    return hashlib.sha256((out_dir / "trials.csv").read_bytes()).hexdigest()
+
+
 CASE14_EXPERIMENT = [
     "experiment", "--input", str(DATA / "case14.m"), "--hvts", "4-7,4-9,5-6,7-8,7-9",
     "--trials", "100", "--seed", "42",
@@ -179,6 +184,7 @@ def test_experiment_case14_headline_stdout(tmp_path, capsys):
         "sse_kmax 23.6640 5.8480\n"
         f"csv={tmp_path / 'trials.csv'}\n"
     )
+    assert csv_sha256(tmp_path) == "73dc4607d98e954ca7b7a3b02937e1bc48c9cfecb6f8923951c1274bd9c3d496"
 
 
 def test_experiment_case14_free_miss_integer_stdout(tmp_path, capsys):
@@ -197,6 +203,7 @@ def test_experiment_case14_free_miss_integer_stdout(tmp_path, capsys):
         "sse_kmax 23.0239 5.5344\n"
         f"csv={tmp_path / 'trials.csv'}\n"
     )
+    assert csv_sha256(tmp_path) == "a9660cb3f6faef5a4784ae9530b888ba58e3ae848d79e511a79ce9a150cc94fc"
 
 
 def test_experiment_single_trial_reports_zero_std(tmp_path, capsys):

@@ -32,8 +32,8 @@ from gridmtd import (
     solve_sse,
     urs_value,
 )
-from gridmtd.mtd_game import _TIE_TOL, _live_columns, format_value, trial_rng
-from gridmtd.optim import FEAS_TOL
+from gridmtd.mtd_game import _live_columns, format_value, trial_rng
+from gridmtd.optim import FEAS_TOL, TIE_TOL
 from conftest import feasible_corpus
 
 
@@ -293,7 +293,7 @@ def reference_sse(game):
         sol = solve_lp(full_lp(game, j))
         if sol.status != "optimal":
             continue
-        if best is None or sol.objective_value > best[1] + _TIE_TOL:
+        if best is None or sol.objective_value > best[1] + TIE_TOL:
             best = (j, sol.objective_value)
     if best is None:
         raise SolverError("no attacker action admitted a feasible best-response region")

@@ -14,7 +14,7 @@ from gridmtd import (
     solve_lp,
 )
 from gridmtd import optim
-from gridmtd.optim import FEAS_TOL
+from gridmtd.optim import FEAS_TOL, TIE_TOL, LinearProgramStack
 
 
 def lp(obj, cons=(), bounds=None):
@@ -270,7 +270,7 @@ def test_cap_rows_left_out_where_a_packing_row_implies_them(monkeypatch):
     rows = []
     real = optim._solve_standard
     monkeypatch.setattr(
-        optim, "_solve_standard", lambda A, *rest: rows.append(len(A)) or real(A, *rest)
+        optim, "_solve_standard", lambda A, *rest: rows.append(A.shape[1]) or real(A, *rest)
     )
     # x0 + x1 <= 1 bounds x0 and x1 by 1; x0 + 2 x2 <= 3 bounds x2 by 1.5 only
     p = bilp([1.0, 2.0, 3.0], "max", [([1.0, 1.0, 0.0], "<=", 1.0), ([1.0, 0.0, 2.0], "<=", 3.0)])
@@ -429,3 +429,134 @@ def test_lp_duals_certify_the_optimum():
         assert np.append(b, 20.0) @ y == pytest.approx(sol.objective_value, abs=1e-6)
         checked += 1
     assert checked == 200
+
+
+# ---------------------------------------------------------------------------
+# Stacks of same-shape programs
+
+
+BEALE = (
+    [0.75, -150.0, 0.02, -6.0],
+    [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]],
+    ("<=", "<=", "<="),
+    [0.0, 0.0, 1.0],
+)
+PHASE1_RESIDUAL = ([9.0, 9.0], [[1.0, 1.0], [-5e-7, -5e-7]], ("=", ">="), [1.0, 0.0])
+
+
+def alone(obj, matrix, relations, rhs):
+    """Stack member (obj, matrix) as its own LinearProgram, solved alone."""
+    return solve_lp(lp(obj, [(row, rel, b) for row, rel, b in zip(matrix, relations, rhs)]))
+
+
+def sequential_pick(solutions):
+    """The union of separately solved members: unbounded if any is, else the
+    first optimal member that no later one beats by more than TIE_TOL."""
+    if any(s.status == "unbounded" for s in solutions):
+        return "unbounded", None
+    best = None
+    for k, s in enumerate(solutions):
+        if s.status == "optimal" and (
+            best is None or s.objective_value > solutions[best].objective_value + TIE_TOL
+        ):
+            best = k
+    return ("infeasible", None) if best is None else ("optimal", best)
+
+
+def random_stacks(rng, count):
+    """Stacks mixing optimal, infeasible and unbounded members, with zero-rhs
+    >= rows; one holds the Beale cycling instance, one the phase-1 residual LP,
+    and some members sit within TIE_TOL of a member before them."""
+    for t in range(count):
+        n, m, B = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        relations = tuple(rng.choice(["<=", ">=", "="], size=m))
+        rhs = rng.integers(-2, 4, size=m) * (rng.random(m) < 0.6)
+        matrix = rng.integers(-3, 4, size=(B, m, n)).astype(float)
+        obj = rng.integers(-3, 4, size=(B, n)).astype(float)
+        if t % 3 == 0:  # a near twin: same rows, objective nudged inside or past TIE_TOL
+            matrix[-1], obj[-1] = matrix[0], obj[0] * (1 + rng.choice([0.2, 0.5, 2.0]) * TIE_TOL)
+        yield obj, matrix, relations, rhs.astype(float)
+    for obj, matrix, relations, rhs in (BEALE, PHASE1_RESIDUAL):
+        others = rng.integers(-3, 4, size=(4, len(relations), len(obj))).astype(float)
+        objs = rng.integers(-3, 4, size=(4, len(obj))).astype(float)
+        yield (
+            np.vstack([objs[:2], [obj], objs[2:]]),
+            np.concatenate([others[:2], [matrix], others[2:]]),
+            relations,
+            np.array(rhs),
+        )
+
+
+@pytest.mark.parametrize("stall_limit", [None, 2])
+def test_lp_stack_members_match_their_solves_alone(monkeypatch, stall_limit):
+    # at a stall limit of 2, members switch to Bland's rule while others in
+    # their stack still pivot on the largest reduced cost
+    if stall_limit:
+        monkeypatch.setattr(optim, "_STALL_LIMIT", stall_limit)
+    rng = np.random.default_rng(41)
+    statuses = set()
+    for obj, matrix, relations, rhs in random_stacks(rng, 150):
+        singles = [alone(o, a, relations, rhs) for o, a in zip(obj, matrix)]
+        # every member, inside the stack core, gets the bits it gets alone
+        A, is_ge, b, _ = optim._expanded(matrix, relations, rhs)
+        n = obj.shape[1]
+        status, x, _ = optim._solve_box(A, is_ge, b, obj, np.zeros(n), np.full(n, math.inf))
+        for k, single in enumerate(singles):
+            statuses.add(single.status)
+            assert status[k] == single.status
+            if single.status == "optimal":
+                assert x[k].tobytes() == single.assignment.tobytes()
+        # and the union's pick is the sequential rule's, with that member's solution
+        union = solve_lp(LinearProgramStack(obj, matrix, relations, rhs))
+        expect, k = sequential_pick(singles)
+        assert union.status == expect
+        if expect == "optimal":
+            assert union.index == k
+            assert union.assignment.tobytes() == singles[k].assignment.tobytes()
+            assert union.objective_value == singles[k].objective_value
+            assert union.duals.tobytes() == singles[k].duals.tobytes()
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_lp_stack_member_keeps_its_own_entering_rule(monkeypatch):
+    # at a stall limit of 1, member 0 stalls on a degenerate pivot and turns
+    # to Bland's rule, while member 1, which made progress, keeps the largest
+    # reduced cost: it enters x2 where Bland's rule would enter x1
+    monkeypatch.setattr(optim, "_STALL_LIMIT", 1)
+    relations, rhs = ("<=", "<=", "<="), np.array([1.0, 2.0, 0.0])
+    obj = np.array([[1.0, 0.0, 0.0], [3.0, 1.0, 2.0]])
+    rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]]
+    matrix = np.array([rows + [[1.0, -1.0, 0.0]], rows + [[0.0, 0.0, 0.0]]])
+    A, is_ge, b, _ = optim._expanded(matrix, relations, rhs)
+    status, x, _ = optim._solve_box(A, is_ge, b, obj, np.zeros(3), np.full(3, math.inf))
+    assert x[1].tolist() == [1.0, 0.0, 1.0]
+    for k in range(2):
+        assert x[k].tobytes() == alone(obj[k], matrix[k], relations, rhs).assignment.tobytes()
+
+
+def test_lp_stack_tie_goes_to_the_first_member():
+    # the second member's value beats the first by half TIE_TOL: a tie, so
+    # the first member wins; by twice TIE_TOL it wins itself
+    rows = np.array([[[1.0, 1.0]]] * 2)
+    for nudge, winner in ((0.5, 0), (2.0, 1)):
+        obj = np.array([[1.0, 0.0], [1.0 + nudge * TIE_TOL, 0.0]])
+        sol = solve_lp(LinearProgramStack(obj, rows, ("<=",), [1.0]))
+        assert (sol.status, sol.index) == ("optimal", winner)
+
+
+@pytest.mark.parametrize(
+    "objective, matrix, relations, rhs, message",
+    [
+        ([[1.0, 1.0]], [[[1.0, 1.0]]], ("<",), [1.0], "unknown relation"),
+        ([[1.0, math.nan]], [[[1.0, 1.0]]], ("<=",), [1.0], "NaN or infinite"),
+        ([[1.0, 1.0]], [[[1.0, math.inf]]], ("<=",), [1.0], "NaN or infinite"),
+        ([[1.0, 1.0]], [[[1.0, 1.0]]], ("<=",), [math.nan], "bound must be finite"),
+        ([[1.0, 1.0]], [[[1.0, 1.0, 1.0]]], ("<=",), [1.0], "stack is not"),
+        ([[1.0, 1.0]], [[[1.0, 1.0]]], ("<=", ">="), [1.0, 0.0], "stack is not"),
+        ([[1.0, 1.0]], [[[1.0, 1.0]]], ("<=",), [1.0, 0.0], "stack is not"),
+        (np.zeros((0, 2)), np.zeros((0, 1, 2)), ("<=",), [1.0], "stack is not"),
+    ],
+)
+def test_lp_stack_rejects_malformed_input(objective, matrix, relations, rhs, message):
+    with pytest.raises(ValueError, match=message):
+        LinearProgramStack(objective, matrix, relations, rhs)
