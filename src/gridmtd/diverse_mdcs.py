@@ -169,10 +169,18 @@ def build_k_dcs_program(
 
 
 def _solve(
-    g: BipartiteGraph, K: int, forbidden: frozenset[int] = frozenset()
+    g: BipartiteGraph,
+    K: int,
+    forbidden: frozenset[int] = frozenset(),
+    sizes: tuple[float, float] | None = None,
 ) -> ConfigurationSet | None:
-    """The validated family solving build_k_dcs_program(g, K, forbidden), or None."""
-    sol = solve_bilp(build_k_dcs_program(g, K, forbidden))
+    """The validated family solving build_k_dcs_program(g, K, forbidden) with
+    its common size within sizes, or None. sizes defaults to
+    (ceil(log2(n_t + 1)), inf): l sites give at most 2^l - 1 transformers
+    distinct non-empty codes (Charbit, Charon, Cohen, Hudry and Lobstein
+    2008), so no DCS is smaller."""
+    sizes = (g.n_t.bit_length(), np.inf) if sizes is None else sizes
+    sol = solve_bilp(build_k_dcs_program(g, K, forbidden), sizes)
     if sol.status != "optimal":
         return None
     chosen = sol.assignment.reshape(K, g.n_s) > 0.5
@@ -212,9 +220,9 @@ def find_kmax(g: BipartiteGraph) -> ConfigurationSet:
     whose codes are non-empty and distinct, a pattern. Column generation
     (Gilmore and Gomory) solves the packing LP, no class used more often than
     it has sites, over the patterns its class prices call in, and the packing
-    BILP over those patterns is widened only when it falls short of the LP
-    bound. Classes and sites go in name order, so renumbering g leaves the
-    family as it is."""
+    BILP over those patterns is widened, in stages, only while it falls short
+    of the LP bound. Classes and sites go in name order, so renumbering g
+    leaves the family as it is."""
     m = solve_k_dcs(g, 1).l
     heard_by = [tuple(sorted(t for t, nb in zip(g.t_ids, g.adj) if s in nb)) for s in range(g.n_s)]
     keys = sorted(set(heard_by) - {()})
@@ -238,9 +246,20 @@ def find_kmax(g: BipartiteGraph) -> ConfigurationSet:
     # by LP duality a family of v + 1 or more patterns uses only patterns with
     # gain >= v + 1 - bound, and none has more than bound
     bound = float(mult @ lp.duals) + FEAS_TOL * g.n_s
-    picks = _pack(patterns[use], mult)
-    if len(picks) < int(bound):
-        picks = max(picks, _pack(patterns[gain >= len(picks) + 1 - bound], mult), key=len)
+    picks = _pack(patterns[use], mult, int(bound))
+    # widen in stages: the other candidates join in gain order, the pool
+    # doubling each time; a stage short of all candidates wants only a
+    # packing that meets the bound, the last one any larger packing
+    extra = np.flatnonzero(~use & (gain >= len(picks) + 1 - bound))
+    pool = np.concatenate([np.flatnonzero(use), extra[np.argsort(-gain[extra], kind="stable")]])
+    size = int(use.sum())
+    while len(picks) < int(bound):
+        size *= 2
+        last = size >= len(pool)
+        least = len(picks) + 1 if last else int(bound)
+        picks = max(picks, _pack(patterns[np.sort(pool[:size])], mult, least), key=len)
+        if last:
+            break
     left = [iter(ids) for ids in sites]
     cfg = ConfigurationSet(tuple(CodeSet(frozenset(next(left[c]) for c in p)) for p in picks))
     cfg.validate(g)
@@ -254,20 +273,24 @@ def _capacity(patterns: np.ndarray, mult: np.ndarray) -> tuple[Constraint, ...]:
     return tuple(Constraint(tuple(_COEFF[r].tolist()), "<=", float(k)) for r, k in zip(uses, mult))
 
 
-def _pack(patterns: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """A largest packing of `patterns`, one binary copy per site of its smallest class."""
+def _pack(patterns: np.ndarray, mult: np.ndarray, least: int) -> np.ndarray:
+    """A largest packing of `patterns`, one binary copy per site of its
+    smallest class; none when it would hold fewer than `least`."""
     copies = np.repeat(patterns, mult[patterns].min(axis=1), axis=0)
-    sol = solve_bilp(BinaryProgram((1.0,) * len(copies), "max", _capacity(copies, mult)))
-    return copies[np.flatnonzero(sol.assignment)]
+    p = BinaryProgram((1.0,) * len(copies), "max", _capacity(copies, mult))
+    sol = solve_bilp(p, (least, np.inf))
+    return copies[np.flatnonzero(sol.assignment)] if sol.status == "optimal" else copies[:0]
 
 
 def greedy_k(g: BipartiteGraph) -> ConfigurationSet:
     """Iterated single-MDCS solves: after each solution its sites are forced
-    to zero, until the program goes infeasible or the size grows past the
-    minimum. May stop short of the true maximum K."""
+    to zero, until no DCS of the minimum size m is left. Banning sites can
+    only raise the minimum, so each later solve knows its answer is m or
+    unwanted. May stop short of the true maximum K."""
     sets = [solve_mdcs(g)]
+    m = sets[0].size
     banned = g.site_indices(sets[0].sensors)
-    while (cfg := _solve(g, 1, forbidden=banned)) is not None and cfg.l == sets[0].size:
+    while (cfg := _solve(g, 1, banned, (m, m))) is not None:
         sets.append(cfg.sets[0])
         banned |= g.site_indices(cfg.sets[0].sensors)
     cfg = ConfigurationSet(tuple(sets))

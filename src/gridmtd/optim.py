@@ -10,11 +10,19 @@ objective stalls on a degenerate vertex, so termination is guaranteed. The
 fixed rules make solves deterministic: a program gets the same bits alone or
 in a stack.
 
-Tolerances: PIVOT_TOL, an entry at most this large is zero (no pivot, no row
-update, a stall); FEAS_TOL, feasibility (an entering reduced cost, the
-phase-1 residual, a returned point's row miss, branch and bound's
-integrality and pruning); TIE_TOL, values closer than this tie (a stack's
-best member, mtd_game's best response).
+A branch-and-bound node's LP is over its free variables only: fixed columns
+move into the rhs, rows that every point of the free [0, 1] box satisfies
+drop out, and a node with no free variable is checked without an LP. The
+search stops at the first incumbent that meets the root's (rounded) bound or
+the best value the caller says is possible.
+
+Tolerances: PIVOT_TOL, an entry at most this large is zero (no row update, no
+pivot driving out a phase-1 artificial, a stall); FEAS_TOL, feasibility (an
+entering reduced cost, the phase-1 residual, a returned point's row miss,
+branch and bound's integrality, pruning and stops) and the smallest column
+entry the ratio test pivots on, so a round-off-sized entry cannot blow the
+tableau up; TIE_TOL, values closer than this tie (a stack's best member,
+mtd_game's best response).
 """
 
 from __future__ import annotations
@@ -232,7 +240,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, rows: np.ndarray) -> np.ndarr
         colv = W[at, :, enter]  # the entering column, its reduced cost last
         col = colv[:, :m]
         # NaN off the usable entries: no ratio, and never a tie
-        ratios = W[:, :m, -1] / np.where(col > PIVOT_TOL, col, np.nan)
+        ratios = W[:, :m, -1] / np.where(col > FEAS_TOL, col, np.nan)
         best = np.fmin.reduce(ratios, axis=1, initial=np.inf)
         done = colv[:, m] <= FEAS_TOL
         stop = done | (best == np.inf)
@@ -278,25 +286,26 @@ def _solve_standard(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per member k, maximize obj[k] . y subject to A[k] y <= / >= b (per
     is_ge) and y >= 0: each member's status, point and row prices (duals),
-    zero unless optimal. Rows with b < 0 are negated in place in A, is_ge, b.
-    A member infeasible in phase 1 leaves the stack; a row phase 1 finds
-    redundant stays inert, all its entries at most PIVOT_TOL."""
+    zero unless optimal. Rows with b < 0 enter the tableau negated, their
+    relation flipped; A, is_ge and b are left as they are. A member
+    infeasible in phase 1 leaves the stack; a row phase 1 finds redundant
+    stays inert, all its entries at most PIVOT_TOL."""
     B, m, n_y = A.shape
     neg = b < 0
-    if neg.any():
-        A[:, neg] *= -1.0
-        b[neg] *= -1.0
-        is_ge[neg] = ~is_ge[neg]
+    ge = is_ge ^ neg
 
-    ge_rows = np.flatnonzero(is_ge)
+    ge_rows = np.flatnonzero(ge)
     art0 = n_y + m  # artificial columns, one per >= row
     n_cols = art0 + ge_rows.size
     T = np.zeros((B, m + 1, n_cols + 1))
     T[:, :m, :n_y] = A
     T[:, :m, -1] = b
-    T[:, np.arange(m), n_y + np.arange(m)] = np.where(is_ge, -1.0, 1.0)
+    if neg.any():
+        T[:, np.flatnonzero(neg), :n_y] *= -1.0
+        T[:, np.flatnonzero(neg), -1] *= -1.0
+    T[:, np.arange(m), n_y + np.arange(m)] = np.where(ge, -1.0, 1.0)
     T[:, ge_rows, art0 + np.arange(ge_rows.size)] = 1.0
-    slack_or_art = np.where(is_ge, art0 + np.cumsum(is_ge) - 1, n_y + np.arange(m))
+    slack_or_art = np.where(ge, art0 + np.cumsum(ge) - 1, n_y + np.arange(m))
     basis = np.tile(np.append(slack_or_art, -1), (B, 1))
     rows, live = np.full(B, m), np.arange(B)
     status = np.full(B, "optimal", dtype=object)
@@ -337,7 +346,7 @@ def _solve_standard(
     # a row's price is minus its slack's reduced cost, that slack entering
     # with -1 on >= rows; negating the row negates its price
     prices, point, y = np.zeros((B, m)), np.zeros((B, n_y)), np.zeros((len(T), n_cols))
-    prices[ok] = T[~unbounded, -1, n_y:art0] * np.where(is_ge ^ neg, 1.0, -1.0)
+    prices[ok] = T[~unbounded, -1, n_y:art0] * np.where(is_ge, 1.0, -1.0)
     y[np.arange(len(T))[:, None], basis[:, :m]] = T[:, :m, -1]
     point[ok] = y[~unbounded, :n_y]
     miss = (A[ok] @ point[ok, :, None])[..., 0] - b
@@ -352,13 +361,24 @@ def _expanded(A: np.ndarray, relations, rhs) -> tuple[np.ndarray, ...]:
     src = np.repeat(np.arange(len(relations)), [1 + (r == "=") for r in relations])
     split = [ge for r in relations for ge in ((False, True) if r == "=" else (r == ">=",))]
     is_ge = np.array(split, dtype=bool)
-    return A[:, src], is_ge, np.asarray(rhs, dtype=float)[src], src
+    b = np.asarray(rhs, dtype=float)[src]
+    # without equalities A stays as it is: no copy of a large matrix
+    return A if len(src) == len(relations) else A[:, src], is_ge, b, src
 
 
 def _program_rows(p: LinearProgram | BinaryProgram):
     """_expanded for a program's constraints, as a stack of one."""
     rows = p.constraints
     return _expanded(p.matrix[None], [c.relation for c in rows], [c.rhs for c in rows])
+
+
+def _cap_rows(A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The j whose bound y_j <= width_j needs a row of its own: width_j is
+    finite and no <= row with non-negative coefficients implies it
+    (y_j <= b_i / a_ij). Its temporaries die before the LP is solved."""
+    pos = (~is_ge & (A >= 0).all(axis=-1))[..., None] & (A > 0)
+    bound = np.divide(b[:, None], A, out=np.full_like(A, np.inf), where=pos)
+    return np.flatnonzero((width < math.inf) & (bound.min(axis=(0, 1), initial=math.inf) > width))
 
 
 def _solve_box(
@@ -372,13 +392,11 @@ def _solve_box(
     than one member has lo = 0 and hi = +inf."""
     if lo.any():
         b = b - A[0] @ lo
-    pos = (~is_ge & (A >= 0).all(axis=-1))[..., None] & (A > 0)
-    bound = np.divide(b[:, None], A, out=np.full_like(A, np.inf), where=pos)
-    capped = np.flatnonzero((hi < math.inf) & (bound.min(axis=(0, 1), initial=math.inf) > hi - lo))
+    capped = _cap_rows(A, is_ge, b, hi - lo)
     caps = np.zeros((len(A), capped.size, len(lo)))
     caps[:, np.arange(capped.size), capped] = 1.0
     status, y, prices = _solve_standard(
-        np.concatenate([A, caps], axis=1),
+        np.concatenate([A, caps], axis=1) if capped.size else A,
         np.concatenate([is_ge, np.zeros(capped.size, dtype=bool)]),
         np.concatenate([b, hi[capped] - lo[capped]]),
         obj,
@@ -418,56 +436,95 @@ def solve_lp(p: LinearProgram | LinearProgramStack) -> Solution:
 # Branch and bound for binary programs
 
 
-def solve_bilp(p: BinaryProgram) -> Solution:
+def _relax_node(
+    A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray, state: np.ndarray
+) -> np.ndarray | None:
+    """The point maximizing obj . x over the node's relaxation, or None if it
+    is infeasible. state[j] is x_j's fixed value, or -1 while x_j is free in
+    [0, 1]. Fixed columns move into the rhs and drop out; so does every row
+    all points of the free box satisfy. A row no point of the box meets
+    makes the node infeasible without an LP, which checks a node with no
+    free variable directly."""
+    free = state < 0
+    x = np.maximum(state, 0).astype(float)
+    if not free.all():
+        b = b - A[:, ~free] @ x[~free]
+        A = A[:, free]
+    low, high = np.minimum(A, 0.0).sum(axis=1), np.maximum(A, 0.0).sum(axis=1)
+    if np.any(np.where(is_ge, high < b - FEAS_TOL, low > b + FEAS_TOL)):
+        return None
+    if not free.any():
+        return x
+    keep = np.where(is_ge, low < b, high > b)
+    if not keep.all():
+        A, is_ge, b = A[keep], is_ge[keep], b[keep]
+    k = int(free.sum())
+    status, y, _ = _solve_box(A[None], is_ge, b, obj[free][None], np.zeros(k), np.ones(k))
+    if status[0] == "infeasible":
+        return None
+    if status[0] != "optimal":
+        raise SolverError("binary relaxation reported unbounded")
+    x[free] = y[0]
+    return x
+
+
+def solve_bilp(p: BinaryProgram, objective_range: tuple[float, float] | None = None) -> Solution:
     """Depth-first branch and bound over LP relaxations.
 
     Branches on the most fractional variable (ties to the lowest index),
     explores the nearer integer first, and prunes against the incumbent at
     tolerance FEAS_TOL, so the first optimum found in that fixed order is the
     one returned. When the objective is integral the relaxation bound is
-    rounded, which only sharpens pruning.
+    rounded, which only sharpens pruning. The search stops at the first
+    incumbent within FEAS_TOL of the root's bound, which no solution beats.
+
+    objective_range (lo, hi), when given, is what the caller knows and
+    wants: no solution is better than its favoured end (lo for "min", hi for
+    "max"), so the first incumbent there ends the search, and solutions past
+    the other end are not wanted, so nodes that cannot reach it are pruned
+    and "infeasible" means none within the range. Neither changes a solution
+    that lies within the range.
     """
-    n = len(p.objective)
     obj = np.asarray(p.objective, dtype=float)
     internal = obj if p.sense == "max" else -obj
     integral_obj = bool(np.all(internal == np.round(internal)))
-
-    # each node relaxes to the box lo <= x <= hi; fixing a variable pins both
     A, is_ge, b, _ = _program_rows(p)
+    A = A[0]
+    lo, hi = (-math.inf, math.inf) if objective_range is None else objective_range
+    # in the maximized objective: none wanted below worst, none above best
+    worst, best = (lo, hi) if p.sense == "max" else (-hi, -lo)
 
     incumbent: np.ndarray | None = None
     incumbent_val = -math.inf
-
-    stack: list[dict[int, int]] = [{}]
+    stack = [np.full(len(obj), -1, dtype=np.int8)]
+    root = True
     while stack:
-        fixed = stack.pop()
-        lo = np.zeros(n)
-        hi = np.ones(n)
-        for j, v in fixed.items():
-            lo[j] = hi[j] = float(v)
-        status, x, _ = _solve_box(A, is_ge, b, internal[None], lo, hi)
-        status, x = status[0], x[0]
-        if status == "infeasible":
+        state = stack.pop()
+        x = _relax_node(A, is_ge, b, internal, state)
+        if x is None:
             continue
-        if status != "optimal":
-            raise SolverError("binary relaxation reported unbounded")
         bound = float(np.dot(internal, x))
         if integral_obj:
             bound = math.floor(bound + FEAS_TOL)
-        if incumbent is not None and bound <= incumbent_val + FEAS_TOL:
+        if root:
+            best, root = min(best, bound), False
+        if bound < worst - FEAS_TOL or bound <= incumbent_val + FEAS_TOL:
             continue
         frac = np.abs(x - np.round(x))
         if float(frac.max()) <= FEAS_TOL:
             x_int = np.round(x) + 0.0  # normalize negative zeros
             val = float(np.dot(internal, x_int))
-            if incumbent is None or val > incumbent_val + FEAS_TOL:
-                incumbent = x_int
-                incumbent_val = val
+            if val > incumbent_val + FEAS_TOL and val >= worst - FEAS_TOL:
+                incumbent, incumbent_val = x_int, val
+                if val >= best - FEAS_TOL:
+                    break
             continue
         j = int(np.argmax(frac))
         first = 1 if x[j] >= 0.5 else 0
-        stack.append({**fixed, j: 1 - first})
-        stack.append({**fixed, j: first})
+        for v in (1 - first, first):
+            child = state.copy()
+            child[j] = v
+            stack.append(child)
 
     if incumbent is None:
         return Solution("infeasible")

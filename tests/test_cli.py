@@ -120,10 +120,10 @@ def test_kmax_case14_default_hvts_stdout(capsys):
         "greedy\n"
         "kmax 5 l 3\n"
         "mdcs 1: 1@1-5 2@2-4 4@4-7\n"
-        "mdcs 2: 2@2-5 3@3-4 8@7-8\n"
-        "mdcs 3: 4@4-5 5@4-5 9@7-9\n"
-        "mdcs 4: 7@4-7 4@4-9 5@5-6\n"
-        "mdcs 5: 9@4-9 6@5-6 7@7-9\n"
+        "mdcs 2: 2@2-5 3@3-4 4@4-9\n"
+        "mdcs 3: 4@4-5 5@4-5 8@7-8\n"
+        "mdcs 4: 7@4-7 5@5-6 7@7-9\n"
+        "mdcs 5: 9@4-9 6@5-6 9@7-9\n"
     )
 
 
@@ -178,13 +178,13 @@ def test_experiment_case14_headline_stdout(tmp_path, capsys):
         "K=3 K_max=4 l=4\n"
         "attacker_actions K*l=12 K_max*l=16\n"
         "strategy mean std\n"
-        "urs_k 20.2736 5.3095\n"
+        "urs_k 19.9408 5.1368\n"
         "urs_kmax 21.5112 5.6167\n"
-        "sse_k 22.5981 5.6382\n"
+        "sse_k 22.5319 5.5517\n"
         "sse_kmax 23.6640 5.8480\n"
         f"csv={tmp_path / 'trials.csv'}\n"
     )
-    assert csv_sha256(tmp_path) == "73dc4607d98e954ca7b7a3b02937e1bc48c9cfecb6f8923951c1274bd9c3d496"
+    assert csv_sha256(tmp_path) == "cec4e00f53809b55d365999aeec254cf663feb65b08b1503facb1cbd497e24bf"
 
 
 def test_experiment_case14_free_miss_integer_stdout(tmp_path, capsys):
@@ -197,13 +197,13 @@ def test_experiment_case14_free_miss_integer_stdout(tmp_path, capsys):
         "K=3 K_max=4 l=4\n"
         "attacker_actions K*l=12 K_max*l=16\n"
         "strategy mean std\n"
-        "urs_k 20.0033 5.1610\n"
+        "urs_k 19.9700 5.1725\n"
         "urs_kmax 21.2625 5.3955\n"
-        "sse_k 22.0652 5.4197\n"
+        "sse_k 22.1514 5.3030\n"
         "sse_kmax 23.0239 5.5344\n"
         f"csv={tmp_path / 'trials.csv'}\n"
     )
-    assert csv_sha256(tmp_path) == "a9660cb3f6faef5a4784ae9530b888ba58e3ae848d79e511a79ce9a150cc94fc"
+    assert csv_sha256(tmp_path) == "c558d3fcfb3e6af32d52cc8ebd52c49e81e9fc2c84c8261c1a124ce7832ce6b8"
 
 
 def test_experiment_single_trial_reports_zero_std(tmp_path, capsys):

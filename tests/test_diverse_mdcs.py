@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from gridmtd import (
     BipartiteGraph,
+    CodeSet,
+    ConfigurationSet,
     InfeasibleError,
     brute_force_kmax,
     brute_force_mdcs,
@@ -17,6 +20,7 @@ from gridmtd import (
     is_dcs,
     is_feasible,
     random_bipartite,
+    solve_bilp,
     solve_k_dcs,
     solve_mdcs,
 )
@@ -141,6 +145,55 @@ def test_greedy_never_beats_optimum():
         assert greedy.K <= exact.K
         greedy.validate(g)
         exact.validate(g)
+
+
+def test_size_floor_and_cap_keep_the_dcs_solution():
+    # ceil(log2(n_t + 1)) sites are needed to give n_t transformers distinct
+    # non-empty codes: as a floor it leaves each DCS program's solution as it
+    # is. With sites banned, (m, m) keeps a solution of size m and reads
+    # "infeasible" where the minimum grew past m.
+    kept = grew = 0
+    for g in feasible_corpus(seed=61, count=30, s_lo=5, s_hi=14):
+        floor = (math.ceil(math.log2(g.n_t + 1)), math.inf)
+        for K in (1, 2):
+            p = build_k_dcs_program(g, K)
+            assert solve_bilp(p, floor) == solve_bilp(p)
+        first = solve_bilp(build_k_dcs_program(g, 1))
+        m, sites = first.objective_value, np.flatnonzero(first.assignment).tolist()
+        for banned in (sites[:1], sites):
+            p = build_k_dcs_program(g, 1, frozenset(banned))
+            plain, capped = solve_bilp(p), solve_bilp(p, (m, m))
+            if plain.status == "optimal" and plain.objective_value == m:
+                assert capped == plain
+                kept += 1
+            else:
+                assert capped.status == "infeasible"
+                grew += 1
+    assert kept and grew
+
+
+def _greedy_without_range(g: BipartiteGraph) -> ConfigurationSet:
+    """greedy_k as a loop of plain solves that stops once the size grows."""
+
+    def mdcs(banned: frozenset[int]) -> frozenset[int] | None:
+        sol = solve_bilp(build_k_dcs_program(g, 1, banned))
+        if sol.status != "optimal":
+            return None
+        return frozenset(np.flatnonzero(sol.assignment).tolist())
+
+    sets = [mdcs(frozenset())]
+    while (s := mdcs(frozenset().union(*sets))) is not None and len(s) == len(sets[0]):
+        sets.append(s)
+    return ConfigurationSet(tuple(CodeSet(g.site_names(s)) for s in sets))
+
+
+def test_greedy_matches_a_loop_without_objective_range(tiny_graph, greedy_gap_graph, case14_text):
+    from gridmtd import build_bipartite, parse_matpower
+
+    case14 = build_bipartite(parse_matpower(case14_text), ["4-7", "4-9", "5-6", "7-8", "7-9"], 2)
+    graphs = [tiny_graph, greedy_gap_graph, case14, *feasible_corpus(seed=62, count=25, s_hi=14)]
+    for g in graphs:
+        assert dump_configuration(g, greedy_k(g)) == dump_configuration(g, _greedy_without_range(g))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +479,8 @@ def test_find_kmax_widens_the_packing_when_the_generated_patterns_fall_short(mon
     # short by one pattern, and the answer must still be the maximum
     real, calls = diverse_mdcs._pack, []
 
-    def short_first(patterns, mult):
-        picks = real(patterns, mult)
+    def short_first(patterns, mult, *least):
+        picks = real(patterns, mult, *least)
         calls.append(len(picks))
         return picks[:-1] if len(calls) == 1 else picks
 

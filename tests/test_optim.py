@@ -1,6 +1,7 @@
 import itertools
 import math
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from gridmtd import (
 )
 from gridmtd import optim
 from gridmtd.optim import FEAS_TOL, TIE_TOL, LinearProgramStack
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def lp(obj, cons=(), bounds=None):
@@ -266,6 +269,25 @@ def test_bilp_matches_enumeration_up_to_twenty_variables():
         assert sol.objective_value == pytest.approx(expect, abs=1e-6)
 
 
+def test_bilp_objective_range_keeps_the_solution():
+    # a known best end stops the search at the first incumbent there and an
+    # unwanted far end prunes; neither moves a solution inside the range, and
+    # a range that leaves the optimum out reads infeasible
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        p = _random_bilp(rng)
+        plain = solve_bilp(p)
+        if plain.status != "optimal":
+            assert solve_bilp(p, (-math.inf, math.inf)).status == "infeasible"
+            continue
+        v = plain.objective_value
+        known = (v, math.inf) if p.sense == "min" else (-math.inf, v)
+        for within in (known, (v, v), (v - 3.0, v + 3.0)):
+            assert solve_bilp(p, within) == plain
+        past = (-math.inf, v - 1.0) if p.sense == "min" else (v + 1.0, math.inf)
+        assert solve_bilp(p, past).status == "infeasible"
+
+
 def test_cap_rows_left_out_where_a_packing_row_implies_them(monkeypatch):
     rows = []
     real = optim._solve_standard
@@ -273,9 +295,13 @@ def test_cap_rows_left_out_where_a_packing_row_implies_them(monkeypatch):
         optim, "_solve_standard", lambda A, *rest: rows.append(A.shape[1]) or real(A, *rest)
     )
     # x0 + x1 <= 1 bounds x0 and x1 by 1; x0 + 2 x2 <= 3 bounds x2 by 1.5 only
-    p = bilp([1.0, 2.0, 3.0], "max", [([1.0, 1.0, 0.0], "<=", 1.0), ([1.0, 0.0, 2.0], "<=", 3.0)])
-    assert solve_bilp(p).objective_value == 5.0
-    assert rows[0] == 2 + 1  # the two rows and x2's cap
+    A = np.array([[[1.0, 1.0, 0.0], [1.0, 0.0, 2.0]]])
+    status, x, _ = optim._solve_box(
+        A, np.zeros(2, dtype=bool), np.array([1.0, 3.0]), np.array([[1.0, 2.0, 3.0]]),
+        np.zeros(3), np.ones(3),
+    )
+    assert status[0] == "optimal" and x[0] @ [1.0, 2.0, 3.0] == 5.0
+    assert rows == [2 + 1]  # the two rows and x2's cap
 
 
 def test_bilp_matches_enumeration_on_packing_programs():
@@ -383,6 +409,23 @@ def test_lp_phase1_residual_keeps_the_point_on_its_rows():
     assert sol.status == "optimal"
     assert max_row_miss(p, sol.assignment) <= FEAS_TOL
     assert sol.objective_value == pytest.approx(9.0, abs=1e-6)
+
+
+def test_lp_ratio_test_skips_round_off_sized_pivots():
+    # a greedy_k node LP whose ratio test met a 1.3e-9 entry: pivoting on it
+    # grew tableau entries to 3e6 and the point missed a row
+    rows = []
+    for line in (FIXTURES / "greedy_node_lp.txt").read_text().splitlines():
+        if not line.startswith("#"):
+            relation, rhs, bits = line.split()
+            rows.append((tuple(map(float, bits)), relation, float(rhs)))
+    n = len(rows[0][0])
+    p = lp([-1.0] * n, rows, [(0.0, 1.0)] * n)
+    sol = solve_lp(p)
+    assert sol.status == "optimal"
+    assert max_row_miss(p, sol.assignment) <= FEAS_TOL
+    assert np.all((sol.assignment >= -FEAS_TOL) & (sol.assignment <= 1.0 + FEAS_TOL))
+    assert sol.objective_value == pytest.approx(-2.5, abs=1e-9)
 
 
 def test_lp_never_optimal_off_a_row_on_near_dominated_columns():
