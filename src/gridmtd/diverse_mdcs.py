@@ -15,9 +15,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from gridmtd.graph_core import BipartiteGraph, CodeSet, is_dcs, is_dcs_indices
-from gridmtd.optim import (
-    FEAS_TOL, BinaryProgram, Constraint, LinearProgram, SolverError, solve_bilp, solve_lp,
-)
+from gridmtd.optim import FEAS_TOL, BinaryProgram, LinearProgram, SolverError, solve_bilp, solve_lp
 
 __all__ = [
     "ConfigurationSet",
@@ -37,10 +35,6 @@ __all__ = [
 ]
 
 BRUTE_FORCE_SITE_LIMIT = 25
-
-# program coefficients indexed by their value -1, 0 or 1: rows taken from it
-# share three float objects instead of holding one per entry
-_COEFF = np.array([0.0, 1.0, -1.0], dtype=object)
 
 
 class InfeasibleError(Exception):
@@ -160,12 +154,13 @@ def build_k_dcs_program(
         groups.append((np.tile(np.eye(n, dtype=np.int8), K), "<=", 1.0))
     pinned = [k * n + s for s in sorted(forbidden) for k in range(K)]
     groups.append((np.eye(K * n, dtype=np.int8)[pinned], "=", 0.0))
-    cons = tuple([
-        Constraint(tuple(_COEFF[r].tolist()), rel, rhs)
-        for a, rel, rhs in groups
-        for r in a
-    ])
-    return BinaryProgram((1.0,) * n + (0.0,) * (n * (K - 1)), "min", cons)
+    return BinaryProgram(
+        (1.0,) * n + (0.0,) * (n * (K - 1)),
+        "min",
+        np.vstack([a for a, _, _ in groups]),
+        tuple(rel for a, rel, _ in groups for _ in a),
+        [rhs for a, _, rhs in groups for _ in a],
+    )
 
 
 def _solve(
@@ -237,7 +232,8 @@ def find_kmax(g: BipartiteGraph) -> ConfigurationSet:
     patterns = np.concatenate(patterns)
     use = np.arange(len(patterns)) == 0
     while True:
-        lp = solve_lp(LinearProgram((1.0,) * int(use.sum()), _capacity(patterns[use], mult)))
+        uses = _capacity(patterns[use], mult)
+        lp = solve_lp(LinearProgram(np.ones(use.sum()), uses, ("<=",) * len(mult), mult))
         gain = 1.0 - lp.duals[patterns].sum(axis=1)  # a pattern's value beyond its classes' price
         new = np.flatnonzero(~use & (gain > FEAS_TOL))
         if not new.size:
@@ -266,18 +262,20 @@ def find_kmax(g: BipartiteGraph) -> ConfigurationSet:
     return cfg
 
 
-def _capacity(patterns: np.ndarray, mult: np.ndarray) -> tuple[Constraint, ...]:
-    """One row per class: the columns (patterns) that hold it, at most its sites."""
+def _capacity(patterns: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """The packing's capacity rows, one per class of mult over the columns
+    (patterns): 1 where a pattern holds the class."""
     uses = np.zeros((len(mult), len(patterns)), dtype=np.int8)
     uses[patterns.T, np.arange(len(patterns))] = 1
-    return tuple(Constraint(tuple(_COEFF[r].tolist()), "<=", float(k)) for r, k in zip(uses, mult))
+    return uses
 
 
 def _pack(patterns: np.ndarray, mult: np.ndarray, least: int) -> np.ndarray:
     """A largest packing of `patterns`, one binary copy per site of its
     smallest class; none when it would hold fewer than `least`."""
     copies = np.repeat(patterns, mult[patterns].min(axis=1), axis=0)
-    p = BinaryProgram((1.0,) * len(copies), "max", _capacity(copies, mult))
+    uses = _capacity(copies, mult)
+    p = BinaryProgram(np.ones(len(copies)), "max", uses, ("<=",) * len(mult), mult)
     sol = solve_bilp(p, (least, np.inf))
     return copies[np.flatnonzero(sol.assignment)] if sol.status == "optimal" else copies[:0]
 

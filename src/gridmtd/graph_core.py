@@ -8,6 +8,7 @@ evaluates discriminating-code predicates on sensor subsets.
 from __future__ import annotations
 
 import io
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,6 +112,9 @@ class BipartiteGraph:
             raise ValueError("duplicate site ids")
         if set(self.t_ids) & set(self.s_ids):
             raise ValueError("transformer and site id spaces overlap")
+        for node in self.t_ids + self.s_ids:
+            if node.split() != [node]:  # the .graph format could not hold it
+                raise ValueError(f"node id {node!r} is empty or holds whitespace")
         if len(self.adj) != len(self.t_ids):
             raise ValueError("adjacency length does not match transformer count")
         for nb in self.adj:
@@ -202,8 +206,14 @@ def _matrix_rows(text: str, name: str) -> list[tuple[int, list[float]]]:
     return rows
 
 
+def _finite(value: float, what: str, lineno: int) -> float:
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be finite, got {value}", lineno)
+    return value
+
+
 def _as_int(value: float, what: str, lineno: int) -> int:
-    if value != int(value):
+    if _finite(value, what, lineno) != int(value):
         raise ParseError(f"{what} must be an integer, got {value}", lineno)
     return int(value)
 
@@ -212,10 +222,11 @@ def parse_matpower(text: str) -> PowerGrid:
     """Parse the ``mpc.bus`` and ``mpc.branch`` matrices of a MATPOWER case.
 
     Only bus column 1 (id) and branch columns 1-2 (endpoints), 9 (tap ratio)
-    and 11 (status) are consumed; everything else in the file is ignored. A
-    branch with status 0 is out of service and dropped; a row without column 11
-    counts as in service, and any status other than 0 or 1 is an error. A
-    branch with a nonzero tap ratio is flagged as a transformer branch.
+    and 11 (status) are consumed, and each must be finite; everything else in
+    the file is ignored. A branch with status 0 is out of service and dropped;
+    a row without column 11 counts as in service, and any status other than 0
+    or 1 is an error. A branch with a nonzero tap ratio is flagged as a
+    transformer branch.
     """
     bus_rows = _matrix_rows(text, "bus")
     if not bus_rows:
@@ -241,11 +252,12 @@ def parse_matpower(text: str) -> PowerGrid:
             raise ParseError(f"branch references unknown bus {f}", lineno)
         if t not in bus_set:
             raise ParseError(f"branch references unknown bus {t}", lineno)
+        tap = _finite(row[8], "branch tap ratio", lineno)
         status = row[10] if len(row) >= 11 else 1.0
         if status not in (0.0, 1.0):
             raise ParseError(f"branch status must be 0 or 1, got {status}", lineno)
         if status == 1.0:
-            branches.append(Branch(f, t, row[8]))
+            branches.append(Branch(f, t, tap))
 
     transformer = tuple(i for i, br in enumerate(branches) if br.tap_ratio != 0.0)
     return PowerGrid(tuple(buses), tuple(branches), transformer)

@@ -23,7 +23,7 @@ import numpy as np
 
 from gridmtd.diverse_mdcs import ConfigurationSet
 from gridmtd.graph_core import BipartiteGraph, CodeSet
-from gridmtd.optim import FEAS_TOL, TIE_TOL, LinearProgramStack, SolverError, solve_lp
+from gridmtd.optim import FEAS_TOL, TIE_TOL, LinearProgram, SolverError, solve_lp
 
 __all__ = [
     "UtilityProfile",
@@ -233,7 +233,7 @@ def solve_sse(game: GameMatrix) -> SseSolution:
     # every other live jp, plus the simplex row (with x >= 0 it caps x at 1)
     cols = am[:, live].T
     gaps = (cols[:, None] - cols[None, :])[~np.eye(L, dtype=bool)].reshape(L, L - 1, K)
-    sol = solve_lp(LinearProgramStack(
+    sol = solve_lp(LinearProgram(
         dm[:, live].T,
         np.concatenate([np.ones((L, 1, K)), gaps], axis=1),
         ("=",) + (">=",) * (L - 1),

@@ -1,17 +1,20 @@
 """Linear and binary integer programming on dense tableaus.
 
 Two-phase primal simplex plus a depth-first branch-and-bound wrapper for
-binary programs. The one simplex core pivots a stack of same-shape tableaus
-(B, m+1, n+1) one array step at a time, each member with its own pivot
-choices, stall count and iteration cap: a LinearProgram or branch-and-bound
-node is a stack of one, a LinearProgramStack one of B. Pivoting uses the
+binary programs. A program holds checked arrays: a float objective and
+constraint matrix, one relation per row and a rhs. The one simplex core
+pivots a stack of same-shape tableaus (B, m+1, n+1) one array step at a
+time, each member with its own pivot choices, stall count and iteration cap:
+a LinearProgram of one objective or a branch-and-bound node is a stack of
+one, a LinearProgram of B objectives a stack of B. Pivoting uses the
 largest-reduced-cost rule and falls back to Bland's rule whenever the
 objective stalls on a degenerate vertex, so termination is guaranteed. The
 fixed rules make solves deterministic: a program gets the same bits alone or
 in a stack.
 
-A branch-and-bound node's LP is over its free variables only: fixed columns
-move into the rhs, rows that every point of the free [0, 1] box satisfies
+A branch-and-bound node's LP is over its free variables only, in the [0, 1]
+box, where a bound that no <= row implies adds a row: fixed columns move
+into the rhs, rows that every point of the free [0, 1] box satisfies
 drop out, and a node with no free variable is checked without an LP. The
 search stops at the first incumbent that meets the root's (rounded) bound or
 the best value the caller says is possible.
@@ -29,14 +32,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Constraint",
     "LinearProgram",
-    "LinearProgramStack",
     "BinaryProgram",
     "Solution",
     "SolverError",
@@ -59,111 +60,72 @@ class SolverError(RuntimeError):
     """Internal solver failure (iteration cap, inconsistent state)."""
 
 
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple[float, ...]
-    relation: str  # one of <=, =, >=
-    rhs: float
-
-
-def _check_finite(values, what: str) -> None:
-    arr = np.asarray(values, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains NaN or infinite coefficients")
-
-
-def _check_rows(matrix, relations, rhs) -> None:
+def _check_program(p, stacks: bool) -> None:
+    """Store p's objective, constraints and rhs as read-only C-ordered float
+    arrays and its relations as a tuple, once they are checked: objective
+    (n,), constraints (m, n), rhs (m,) and one relation per row, or with
+    stacks also objective (B, n) and constraints (B, m, n)."""
+    obj, A, rhs = (np.array(v, float, order="C") for v in (p.objective, p.constraints, p.rhs))
+    relations = tuple(p.relations)
+    if obj.shape[-1:] in ((), (0,)):
+        raise ValueError("program has no variables")
+    if not np.all(np.isfinite(obj)):
+        raise ValueError("objective contains NaN or infinite coefficients")
+    stack, n = stacks and obj.ndim == 2, obj.shape[-1]
+    if not stack and A.shape[-1:] != (n,):
+        raise ValueError("constraint width does not match variable count")
+    if A.shape != obj.shape[:-1] + (len(relations), n) or rhs.shape != (len(relations),) \
+            or obj.ndim != 1 + stack or 0 in obj.shape:
+        raise ValueError(
+            "stack is not objective (B, n), constraints (B, m, n), rhs (m,), B, n >= 1" if stack
+            else "program is not objective (n,), constraints (m, n), rhs (m,)"
+        )
     for r in relations:
         if r not in _RELATIONS:
             raise ValueError(f"unknown relation {r!r}")
-    _check_finite(matrix, "constraint")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("constraint contains NaN or infinite coefficients")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("constraint bound must be finite")
+    for name, value in (("objective", obj), ("constraints", A), ("rhs", rhs)):
+        value.flags.writeable = False
+        object.__setattr__(p, name, value)
+    object.__setattr__(p, "relations", relations)
 
 
-def _check_constraints(constraints, n: int) -> np.ndarray:
-    """The constraint rows as an (m, n) float array, once they are checked."""
-    if any(len(c.coeffs) != n for c in constraints):
-        raise ValueError("constraint width does not match variable count")
-    rows = np.array([c.coeffs for c in constraints], dtype=float).reshape(-1, n)
-    _check_rows(rows, [c.relation for c in constraints], [c.rhs for c in constraints])
-    return rows
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize objective . x subject to the constraints and variable bounds.
+    """maximize objective . x subject to constraints x (relations) rhs, x >= 0.
 
-    Each bound is (lo, hi) with lo finite and hi finite or +inf; the default
-    is (0, +inf) for every variable.
+    objective (n,) with constraints (m, n) is one program; objective (B, n)
+    with constraints (B, m, n) is a stack of B programs sharing relations and
+    rhs, which solve_lp solves as one. A single program is a stack of one.
     """
 
-    objective: tuple[float, ...]
-    constraints: tuple[Constraint, ...] = ()
-    bounds: tuple[tuple[float, float], ...] = ()
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)  # the rows, (m, n)
+    objective: np.ndarray  # (n,) or (B, n)
+    constraints: np.ndarray  # (m, n) or (B, m, n)
+    relations: tuple[str, ...]  # (m,), each <=, = or >=
+    rhs: np.ndarray  # (m,)
 
     def __post_init__(self):
-        n = len(self.objective)
-        if n == 0:
-            raise ValueError("program has no variables")
-        _check_finite(self.objective, "objective")
-        object.__setattr__(self, "matrix", _check_constraints(self.constraints, n))
-        bounds = self.bounds if self.bounds else tuple((0.0, math.inf) for _ in range(n))
-        if len(bounds) != n:
-            raise ValueError("bounds length does not match variable count")
-        for lo, hi in bounds:
-            if not math.isfinite(lo):
-                raise ValueError(f"variable lower bound must be finite, got {lo}")
-            if math.isnan(hi):
-                raise ValueError("variable bounds must not be NaN")
-            if lo > hi:
-                raise ValueError(f"variable bound [{lo}, {hi}] is empty")
-        object.__setattr__(self, "bounds", tuple((float(l), float(h)) for l, h in bounds))
+        _check_program(self, stacks=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryProgram:
-    """Optimize objective . x over x in {0,1}^n subject to the constraints."""
+    """Optimize objective . x over x in {0,1}^n subject to constraints x
+    (relations) rhs."""
 
-    objective: tuple[float, ...]
+    objective: np.ndarray  # (n,)
     sense: str  # "min" or "max"
-    constraints: tuple[Constraint, ...] = ()
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)  # the rows, (m, n)
+    constraints: np.ndarray  # (m, n)
+    relations: tuple[str, ...]  # (m,), each <=, = or >=
+    rhs: np.ndarray  # (m,)
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        if len(self.objective) == 0:
-            raise ValueError("program has no variables")
-        _check_finite(self.objective, "objective")
-        n = len(self.objective)
-        object.__setattr__(self, "matrix", _check_constraints(self.constraints, n))
-
-
-@dataclass(frozen=True, eq=False)
-class LinearProgramStack:
-    """B programs over the same n variables x >= 0, solved in one call:
-    program k maximizes objective[k] . x subject to matrix[k] x (relations)
-    rhs, the relations and rhs shared by all."""
-
-    objective: np.ndarray  # (B, n)
-    matrix: np.ndarray  # (B, m, n)
-    relations: tuple[str, ...]  # (m,)
-    rhs: np.ndarray  # (m,)
-
-    def __post_init__(self):
-        obj = np.ascontiguousarray(self.objective, dtype=float)
-        matrix, rhs = np.asarray(self.matrix, dtype=float), np.asarray(self.rhs, dtype=float)
-        m = len(self.relations)
-        shaped = obj.ndim == 2 and 0 not in obj.shape and rhs.shape == (m,)
-        if not shaped or matrix.shape != (len(obj), m, obj.shape[1]):
-            raise ValueError("stack is not objective (B, n), matrix (B, m, n), rhs (m,), B, n >= 1")
-        _check_finite(obj, "objective")
-        _check_rows(matrix, self.relations, rhs)
-        object.__setattr__(self, "relations", tuple(self.relations))
-        for name, value in (("objective", obj), ("matrix", matrix), ("rhs", rhs)):
-            object.__setattr__(self, name, value)
+        _check_program(self, stacks=False)
 
 
 @dataclass(frozen=True)
@@ -348,7 +310,7 @@ def _solve_standard(
     prices, point, y = np.zeros((B, m)), np.zeros((B, n_y)), np.zeros((len(T), n_cols))
     prices[ok] = T[~unbounded, -1, n_y:art0] * np.where(is_ge, 1.0, -1.0)
     y[np.arange(len(T))[:, None], basis[:, :m]] = T[:, :m, -1]
-    point[ok] = y[~unbounded, :n_y]
+    point[ok] = y[~unbounded, :n_y] + 0.0  # normalize negative zeros
     miss = (A[ok] @ point[ok, :, None])[..., 0] - b
     if np.any(np.where(is_ge, -miss, miss) > FEAS_TOL):
         raise SolverError("simplex point misses a constraint row by more than FEAS_TOL")
@@ -357,54 +319,37 @@ def _solve_standard(
 
 def _expanded(A: np.ndarray, relations, rhs) -> tuple[np.ndarray, ...]:
     """(A, is_ge, b, source row) with every equality row turned into a <= / >=
-    pair; A keeps its leading batch axis."""
+    pair; A (m, n) or a stack (B, m, n)."""
     src = np.repeat(np.arange(len(relations)), [1 + (r == "=") for r in relations])
     split = [ge for r in relations for ge in ((False, True) if r == "=" else (r == ">=",))]
     is_ge = np.array(split, dtype=bool)
-    b = np.asarray(rhs, dtype=float)[src]
     # without equalities A stays as it is: no copy of a large matrix
-    return A if len(src) == len(relations) else A[:, src], is_ge, b, src
-
-
-def _program_rows(p: LinearProgram | BinaryProgram):
-    """_expanded for a program's constraints, as a stack of one."""
-    rows = p.constraints
-    return _expanded(p.matrix[None], [c.relation for c in rows], [c.rhs for c in rows])
-
-
-def _cap_rows(A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """The j whose bound y_j <= width_j needs a row of its own: width_j is
-    finite and no <= row with non-negative coefficients implies it
-    (y_j <= b_i / a_ij). Its temporaries die before the LP is solved."""
-    pos = (~is_ge & (A >= 0).all(axis=-1))[..., None] & (A > 0)
-    bound = np.divide(b[:, None], A, out=np.full_like(A, np.inf), where=pos)
-    return np.flatnonzero((width < math.inf) & (bound.min(axis=(0, 1), initial=math.inf) > width))
+    return A if len(src) == len(relations) else A[..., src, :], is_ge, rhs[src], src
 
 
 def _solve_box(
-    A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray,
-    lo: np.ndarray, hi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each member k of the stack, maximize obj[k] . x subject to
-    A[k] x <= / >= b (per is_ge) and lo <= x <= hi, lo finite: x = lo + y
-    with y >= 0, plus a row y <= hi - lo per finite hi unless a <= row with
-    non-negative coefficients implies it (y_j <= b_i / a_ij). A stack of more
-    than one member has lo = 0 and hi = +inf."""
-    if lo.any():
-        b = b - A[0] @ lo
-    capped = _cap_rows(A, is_ge, b, hi - lo)
-    caps = np.zeros((len(A), capped.size, len(lo)))
+    A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each member k of the stack, maximize obj[k] . x subject to A[k] x
+    <= / >= b (per is_ge) and 0 <= x <= 1: status and point. x_j <= 1 gets a
+    row of its own unless a <= row with non-negative coefficients implies it
+    (x_j <= b_i / a_ij <= 1)."""
+    pos = (~is_ge & (A >= 0).all(axis=-1))[..., None] & (A > 0)
+    bound = np.divide(b[:, None], A, out=np.full_like(A, np.inf), where=pos)
+    capped = np.flatnonzero(bound.min(axis=(0, 1), initial=math.inf) > 1.0)
+    caps = np.zeros((len(A), capped.size, A.shape[2]))
     caps[:, np.arange(capped.size), capped] = 1.0
-    status, y, prices = _solve_standard(
+    del pos, bound  # gone before the LP is solved
+    status, x, _ = _solve_standard(
         np.concatenate([A, caps], axis=1) if capped.size else A,
         np.concatenate([is_ge, np.zeros(capped.size, dtype=bool)]),
-        np.concatenate([b, hi[capped] - lo[capped]]),
+        np.concatenate([b, np.ones(capped.size)]),
         obj,
     )
-    return status, lo + y, prices[:, : len(b)]
+    return status, x
 
 
-def solve_lp(p: LinearProgram | LinearProgramStack) -> Solution:
+def solve_lp(p: LinearProgram) -> Solution:
     """Maximize the objective; status is optimal, infeasible or unbounded.
 
     A stack maximizes over the union of its members: unbounded if any member
@@ -412,14 +357,11 @@ def solve_lp(p: LinearProgram | LinearProgramStack) -> Solution:
     best so far gives way only to a value above it by more than TIE_TOL. index
     names the winner, whose solution is the one it gets alone.
     """
-    if isinstance(p, LinearProgram):
-        obj, (lo, hi) = np.asarray(p.objective, dtype=float)[None], np.array(p.bounds).T
-        A, is_ge, b, src = _program_rows(p)
-    else:
-        n = p.objective.shape[1]
-        obj, lo, hi = p.objective, np.zeros(n), np.full(n, math.inf)
-        A, is_ge, b, src = _expanded(p.matrix, p.relations, p.rhs)
-    status, x, prices = _solve_box(A, is_ge, b, obj, lo, hi)
+    obj = p.objective.reshape(-1, p.objective.shape[-1])  # (B, n)
+    A, is_ge, b, src = _expanded(
+        p.constraints.reshape(len(obj), *p.constraints.shape[-2:]), p.relations, p.rhs
+    )
+    status, x, prices = _solve_standard(A, is_ge, b, obj)
     best: tuple[float, int] | None = None
     for k in np.flatnonzero(status == "optimal"):
         value = float(np.dot(obj[k], x[k]))
@@ -458,8 +400,7 @@ def _relax_node(
     keep = np.where(is_ge, low < b, high > b)
     if not keep.all():
         A, is_ge, b = A[keep], is_ge[keep], b[keep]
-    k = int(free.sum())
-    status, y, _ = _solve_box(A[None], is_ge, b, obj[free][None], np.zeros(k), np.ones(k))
+    status, y = _solve_box(A[None], is_ge, b, obj[free][None])
     if status[0] == "infeasible":
         return None
     if status[0] != "optimal":
@@ -485,11 +426,10 @@ def solve_bilp(p: BinaryProgram, objective_range: tuple[float, float] | None = N
     and "infeasible" means none within the range. Neither changes a solution
     that lies within the range.
     """
-    obj = np.asarray(p.objective, dtype=float)
+    obj = p.objective
     internal = obj if p.sense == "max" else -obj
     integral_obj = bool(np.all(internal == np.round(internal)))
-    A, is_ge, b, _ = _program_rows(p)
-    A = A[0]
+    A, is_ge, b, _ = _expanded(p.constraints, p.relations, p.rhs)
     lo, hi = (-math.inf, math.inf) if objective_range is None else objective_range
     # in the maximized objective: none wanted below worst, none above best
     worst, best = (lo, hi) if p.sense == "max" else (-hi, -lo)

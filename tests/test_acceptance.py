@@ -2,7 +2,6 @@
 line with its measured evidence (visible under pytest -s / on failure)."""
 
 import itertools
-import math
 import time
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 
 from gridmtd import (
     BinaryProgram,
-    Constraint,
     LinearProgram,
     brute_force_kmax,
     brute_force_mdcs,
@@ -113,14 +111,14 @@ def _binary_matrix(n_vars: int) -> np.ndarray:
 
 def _encoding_feasible(prog: BinaryProgram, X: np.ndarray) -> np.ndarray:
     ok = np.ones(len(X), dtype=bool)
-    for c in prog.constraints:
-        lhs = X @ np.asarray(c.coeffs)
-        if c.relation == "<=":
-            ok &= lhs <= c.rhs + 1e-9
-        elif c.relation == ">=":
-            ok &= lhs >= c.rhs - 1e-9
+    for coeffs, relation, rhs in zip(prog.constraints, prog.relations, prog.rhs):
+        lhs = X @ coeffs
+        if relation == "<=":
+            ok &= lhs <= rhs + 1e-9
+        elif relation == ">=":
+            ok &= lhs >= rhs - 1e-9
         else:
-            ok &= np.abs(lhs - c.rhs) <= 1e-9
+            ok &= np.abs(lhs - rhs) <= 1e-9
     return ok
 
 
@@ -226,11 +224,7 @@ def _random_program(rng) -> BinaryProgram:
         b = rng.integers(-5, 11, size=m).astype(float)
     c = rng.integers(-9, 10, size=n).astype(float)
     sense = "min" if rng.integers(0, 2) == 0 else "max"
-    return BinaryProgram(
-        tuple(c),
-        sense,
-        tuple(Constraint(tuple(A[i]), rels[i], float(b[i])) for i in range(m)),
-    )
+    return BinaryProgram(c, sense, A, tuple(rels), b)
 
 
 def _enumerated_optimum(p: BinaryProgram):
@@ -238,7 +232,7 @@ def _enumerated_optimum(p: BinaryProgram):
     feas = _encoding_feasible(p, X)
     if not feas.any():
         return None
-    vals = X[feas] @ np.asarray(p.objective)
+    vals = X[feas] @ p.objective
     return float(vals.min() if p.sense == "min" else vals.max())
 
 
@@ -256,13 +250,9 @@ def test_criterion_9_lp_bilp_engine():
             assert sol.status == "optimal"
             assert sol.objective_value == pytest.approx(expect, abs=1e-6)
 
-    contradiction = LinearProgram(
-        (1.0,),
-        (Constraint((1.0,), "<=", 0.0), Constraint((1.0,), ">=", 1.0)),
-        ((0.0, math.inf),),
-    )
+    contradiction = LinearProgram((1.0,), [[1.0], [1.0]], ("<=", ">="), [0.0, 1.0])
     assert solve_lp(contradiction).status == "infeasible"
-    free_ray = LinearProgram((1.0,), (), ((0.0, math.inf),))
+    free_ray = LinearProgram((1.0,), np.zeros((0, 1)), (), [])
     assert solve_lp(free_ray).status == "unbounded"
 
     for _ in range(50):

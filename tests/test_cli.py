@@ -62,6 +62,15 @@ def test_build_graph_malformed_input(tmp_path, capsys):
     assert "duplicate" in err
 
 
+def test_build_graph_non_finite_bus_id_exit_2(tmp_path, capsys, case14_text):
+    case = tmp_path / "case14_inf.m"
+    case.write_text(case14_text.replace("\n\t2\t", "\n\tinf\t", 1))
+    code, out, err = run(capsys, "build-graph", "--input", str(case), "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "line 15: bus id must be finite, got inf" in err
+
+
 def test_build_graph_rejects_out_of_service_hvt(tmp_path, capsys, case14_text):
     case = tmp_path / "case14_off.m"
     case.write_text(with_branch_status(case14_text, (7, 8), "0"))

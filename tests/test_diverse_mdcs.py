@@ -26,7 +26,7 @@ from gridmtd import (
 )
 from gridmtd import diverse_mdcs
 from gridmtd.diverse_mdcs import BRUTE_FORCE_SITE_LIMIT
-from gridmtd.optim import BinaryProgram, Constraint
+from gridmtd.optim import BinaryProgram
 from conftest import feasible_corpus
 
 
@@ -301,9 +301,9 @@ def test_linearized_disjointness_matches_quadratic(tiny_graph):
     K, n = 2, tiny_graph.n_s
     prog = build_k_dcs_program(tiny_graph, K)
     pair_rows = [
-        c
-        for c in prog.constraints
-        if c.relation == "<=" and c.rhs == 1.0 and sum(c.coeffs) == 2.0
+        (coeffs, rhs)
+        for coeffs, relation, rhs in zip(prog.constraints, prog.relations, prog.rhs)
+        if relation == "<=" and rhs == 1.0 and sum(coeffs) == 2.0
     ]
     assert len(pair_rows) == n  # one row per site for K=2
     for bits in itertools.product((0, 1), repeat=n * K):
@@ -313,7 +313,7 @@ def test_linearized_disjointness_matches_quadratic(tiny_graph):
             continue
         l = sizes.pop()
         linear_ok = all(
-            sum(a * x for a, x in zip(c.coeffs, bits)) <= c.rhs for c in pair_rows
+            sum(a * x for a, x in zip(coeffs, bits)) <= rhs for coeffs, rhs in pair_rows
         )
         quad_ok = all(
             sum((xa - xb) ** 2 for xa, xb in zip(blocks[i], blocks[j])) == 2 * l
@@ -336,7 +336,7 @@ def reference_k_dcs_program(g, K, forbidden=frozenset()):
         coeffs = [0.0] * nv
         for j, a in entries.items():
             coeffs[j] = a
-        cons.append(Constraint(tuple(coeffs), rel, rhs))
+        cons.append((coeffs, rel, rhs))
 
     for k in range(K):
         for nb in g.adj:
@@ -357,7 +357,8 @@ def reference_k_dcs_program(g, K, forbidden=frozenset()):
     objective = [0.0] * nv
     for s in range(n):
         objective[var(0, s)] = 1.0
-    return BinaryProgram(tuple(objective), "min", tuple(cons))
+    coeffs, relations, rhs = zip(*cons)
+    return BinaryProgram(objective, "min", coeffs, relations, rhs)
 
 
 def test_program_matches_reference(tiny_graph, greedy_gap_graph, case14_text):
@@ -370,7 +371,12 @@ def test_program_matches_reference(tiny_graph, greedy_gap_graph, case14_text):
         for K in (1, 2, 3, 4):
             for forbidden in (frozenset(), frozenset(s for s in (0, 3, 5) if s < g.n_s)):
                 prog = build_k_dcs_program(g, K, forbidden)
-                assert prog == reference_k_dcs_program(g, K, forbidden)
+                ref = reference_k_dcs_program(g, K, forbidden)
+                assert prog.sense == ref.sense and prog.relations == ref.relations
+                for field in ("objective", "constraints", "rhs"):
+                    a, b = getattr(prog, field), getattr(ref, field)
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
 
 
 def test_disjointness_is_one_capacity_row_per_site(tiny_graph, case14_text):
@@ -385,13 +391,13 @@ def test_disjointness_is_one_capacity_row_per_site(tiny_graph, case14_text):
         per_block = g.n_t + g.n_t * (g.n_t - 1) // 2
         for K in (1, 2, 3, 4):
             prog = build_k_dcs_program(g, K)
-            le = [c for c in prog.constraints if c.relation == "<="]
-            assert len(prog.constraints) == K * per_block + (K - 1) + len(le)
-            assert len(le) == (n if K > 1 else 0)
-            for s, c in enumerate(le):
-                support = {j for j, a in enumerate(c.coeffs) if a != 0.0}
+            le = np.array(prog.relations) == "<="
+            assert len(prog.constraints) == K * per_block + (K - 1) + le.sum()
+            assert le.sum() == (n if K > 1 else 0)
+            for s, (coeffs, rhs) in enumerate(zip(prog.constraints[le], prog.rhs[le])):
+                support = {j for j, a in enumerate(coeffs) if a != 0.0}
                 assert support == {k * n + s for k in range(K)}
-                assert all(c.coeffs[j] == 1.0 for j in support) and c.rhs == 1.0
+                assert all(coeffs[j] == 1.0 for j in support) and rhs == 1.0
 
 
 def test_dump_format(tiny_graph):
@@ -451,9 +457,9 @@ def highs_k_dcs_feasible(g: BipartiteGraph, K: int, size: int) -> bool:
     size fixed at `size`."""
     opt = pytest.importorskip("scipy.optimize")
     p = build_k_dcs_program(g, K)
-    rows = np.array([c.coeffs for c in p.constraints] + [p.objective], dtype=float)
-    rel = np.array([c.relation for c in p.constraints] + ["="])
-    rhs = np.array([c.rhs for c in p.constraints] + [float(size)])
+    rows = np.vstack([p.constraints, p.objective])
+    rel = np.array(p.relations + ("=",))
+    rhs = np.append(p.rhs, float(size))
     lb = np.where(rel == "<=", -np.inf, rhs)
     ub = np.where(rel == ">=", np.inf, rhs)
     n = len(p.objective)

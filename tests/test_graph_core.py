@@ -101,6 +101,37 @@ def test_parse_branch_status_must_be_0_or_1(case14_text):
     assert len(parse_matpower(text).branches) == 1
 
 
+def mini_case(bus="2", f="1", t="2", tap="0", status="1") -> str:
+    """Two buses and one branch; the arguments fill the consumed columns."""
+    branch = f"{f} {t} 0 0 0 0 0 0 {tap} 0 {status}"
+    return f"mpc.bus = [\n 1 3;\n {bus} 1;\n];\nmpc.branch = [\n {branch};\n];\n"
+
+
+@pytest.mark.parametrize(
+    "column, message",
+    [
+        ({"bus": "inf"}, "line 3: bus id must be finite, got inf"),
+        ({"bus": "nan"}, "line 3: bus id must be finite, got nan"),
+        ({"f": "-inf"}, "line 6: branch from-bus must be finite, got -inf"),
+        ({"t": "nan"}, "line 6: branch to-bus must be finite, got nan"),
+        ({"tap": "inf"}, "line 6: branch tap ratio must be finite, got inf"),
+        ({"tap": "nan"}, "line 6: branch tap ratio must be finite, got nan"),
+        ({"tap": "nan", "status": "0"}, "line 6: branch tap ratio must be finite, got nan"),
+        ({"status": "nan"}, "line 6: branch status must be 0 or 1, got nan"),
+    ],
+    ids=["bus-inf", "bus-nan", "from-inf", "to-nan", "tap-inf", "tap-nan", "off-tap-nan", "status-nan"],
+)
+def test_parse_rejects_non_finite_consumed_values(column, message):
+    with pytest.raises(ParseError, match=message):
+        parse_matpower(mini_case(**column))
+
+
+def test_parse_leaves_other_columns_alone():
+    text = "mpc.bus = [\n 1 3 inf nan;\n 2 1;\n];\nmpc.branch = [\n 1 2 nan inf 0 0 0 0 0 0 1 -inf;\n];\n"
+    grid = parse_matpower(text)
+    assert grid.buses == (1, 2) and grid.branches == (Branch(1, 2, 0.0),)
+
+
 def test_parse_malformed_row_reports_line():
     text = "mpc.bus = [\n 1 3 0 0;\n oops;\n];\nmpc.branch = [\n 1 1 0 0 0 0 0 0 0;\n];\n"
     with pytest.raises(ParseError, match="line 3"):
@@ -252,6 +283,14 @@ def test_save_load_round_trip(n_t, n_s, density, seed, hops):
     buf = io.StringIO()
     save_graph(g, buf)
     assert load_graph(io.StringIO(buf.getvalue())) == g
+
+
+@pytest.mark.parametrize("bad", ["", "t 1", "s\t1", "a\nb", "x\u2028y"])
+@pytest.mark.parametrize("side", ["t", "s"])
+def test_graph_rejects_ids_the_text_format_cannot_hold(bad, side):
+    t_ids, s_ids = (bad,) if side == "t" else ("t1",), (bad,) if side == "s" else ("s1",)
+    with pytest.raises(ValueError, match="empty or holds whitespace"):
+        BipartiteGraph(t_ids, s_ids, (frozenset({0}),))
 
 
 def test_save_load_round_trip_on_file(tmp_path, tiny_graph):

@@ -9,7 +9,6 @@ from gridmtd import (
     BipartiteGraph,
     CodeSet,
     ConfigurationSet,
-    Constraint,
     GameMatrix,
     LinearProgram,
     SolverError,
@@ -279,9 +278,9 @@ def full_lp(game, j):
     other action: maximize the defender's value of j over the simplex."""
     am = game.attacker_payoffs
     gaps = np.delete(am[:, [j]] - am, j, axis=1).T
-    simplex = Constraint((1.0,) * game.n_defender, "=", 1.0)
-    cons = tuple([simplex] + [Constraint(tuple(row), ">=", 0.0) for row in gaps])
-    return LinearProgram(tuple(game.defender_payoffs[:, j]), cons)
+    rows = [np.ones(game.n_defender)] + list(gaps)
+    relations = ("=",) + (">=",) * len(gaps)
+    return LinearProgram(game.defender_payoffs[:, j], rows, relations, [1.0] + [0.0] * len(gaps))
 
 
 def reference_sse(game):

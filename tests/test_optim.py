@@ -9,30 +9,36 @@ from hypothesis import given, settings, strategies as st
 
 from gridmtd import (
     BinaryProgram,
-    Constraint,
     LinearProgram,
     solve_bilp,
     solve_lp,
 )
 from gridmtd import optim
-from gridmtd.optim import FEAS_TOL, TIE_TOL, LinearProgramStack
+from gridmtd.optim import FEAS_TOL, TIE_TOL
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def lp(obj, cons=(), bounds=None):
-    n = len(obj)
-    return LinearProgram(
-        tuple(obj),
-        tuple(Constraint(tuple(c), r, b) for c, r, b in cons),
-        tuple(bounds) if bounds else tuple((0.0, math.inf) for _ in range(n)),
+def rows(n, cons):
+    """(constraints, relations, rhs) of (coefficients, relation, rhs) rows."""
+    return (
+        np.array([c for c, _, _ in cons], dtype=float).reshape(-1, n),
+        tuple(r for _, r, _ in cons),
+        [b for _, _, b in cons],
     )
+
+
+def lp(obj, cons=()):
+    return LinearProgram(obj, *rows(len(obj), cons))
 
 
 def bilp(obj, sense, cons=()):
-    return BinaryProgram(
-        tuple(obj), sense, tuple(Constraint(tuple(c), r, b) for c, r, b in cons)
-    )
+    return BinaryProgram(obj, sense, *rows(len(obj), cons))
+
+
+def caps(n, hi):
+    """The rows x_j <= hi, one per variable."""
+    return [(row, "<=", hi) for row in np.eye(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +46,7 @@ def bilp(obj, sense, cons=()):
 
 
 def test_lp_single_constraint():
-    sol = solve_lp(lp([1.0], [([1.0], "<=", 3.0)], [(0.0, 10.0)]))
+    sol = solve_lp(lp([1.0], [([1.0], "<=", 3.0)] + caps(1, 10.0)))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
     assert sol.assignment[0] == pytest.approx(3.0, abs=1e-9)
@@ -63,34 +69,20 @@ def test_lp_unbounded():
 
 
 def test_lp_equality_and_negative_values():
-    # maximize -x + y with x + y = 2, y <= 3, x >= -5: the cap on y sets x = -1
-    sol = solve_lp(
-        lp(
-            [-1.0, 1.0],
-            [([1.0, 1.0], "=", 2.0), ([0.0, 1.0], "<=", 3.0)],
-            [(-5.0, math.inf), (0.0, math.inf)],
-        )
-    )
-    assert sol.status == "optimal"
-    assert sol.assignment == pytest.approx([-1.0, 3.0], abs=1e-8)
-    assert sol.objective_value == pytest.approx(4.0, abs=1e-8)
+    # maximize -x + y with x + y = 2, y <= 3, x >= -5: the cap on y sets x = -1.
+    # Over x' = x + 5 >= 0 that is maximize -x' + y + 5 with x' + y = 7
+    def solve(y_cap):
+        sol = solve_lp(lp([-1.0, 1.0], [([1.0, 1.0], "=", 7.0), ([0.0, 1.0], "<=", y_cap)]))
+        assert sol.status == "optimal"
+        return sol.assignment - [5.0, 0.0], sol.objective_value + 5.0
+
+    x, value = solve(3.0)
+    assert x == pytest.approx([-1.0, 3.0], abs=1e-8)
+    assert value == pytest.approx(4.0, abs=1e-8)
     # with y <= 10 the lower bound x >= -5 binds instead
-    sol = solve_lp(
-        lp(
-            [-1.0, 1.0],
-            [([1.0, 1.0], "=", 2.0), ([0.0, 1.0], "<=", 10.0)],
-            [(-5.0, math.inf), (0.0, math.inf)],
-        )
-    )
-    assert sol.assignment == pytest.approx([-5.0, 7.0], abs=1e-8)
-    assert sol.objective_value == pytest.approx(12.0, abs=1e-8)
-
-
-def test_lp_rejects_unbounded_below():
-    with pytest.raises(ValueError, match="lower bound must be finite"):
-        lp([1.0], bounds=[(-math.inf, 4.0)])
-    with pytest.raises(ValueError, match="lower bound must be finite"):
-        lp([1.0, 1.0], bounds=[(0.0, 1.0), (-math.inf, math.inf)])
+    x, value = solve(10.0)
+    assert x == pytest.approx([-5.0, 7.0], abs=1e-8)
+    assert value == pytest.approx(12.0, abs=1e-8)
 
 
 def test_lp_rejects_nan_and_inf():
@@ -98,27 +90,38 @@ def test_lp_rejects_nan_and_inf():
         lp([float("nan")])
     with pytest.raises(ValueError):
         lp([1.0], [([float("inf")], "<=", 1.0)])
-    with pytest.raises(ValueError):
-        LinearProgram((1.0,), (), ((2.0, 1.0),))  # empty bound interval
 
 
 @pytest.mark.parametrize("make", [LinearProgram, partial(BinaryProgram, sense="max")], ids=["lp", "bilp"])
 @pytest.mark.parametrize(
     "bad, message",
     [
-        (Constraint((1.0,), "<=", 1.0), "width"),
-        (Constraint((1.0, 1.0), "<", 1.0), "unknown relation"),
-        (Constraint((1.0, math.nan), "<=", 1.0), "NaN or infinite"),
-        (Constraint((math.inf, 1.0), "=", 1.0), "NaN or infinite"),
-        (Constraint((1.0, 1.0), "<=", math.nan), "bound must be finite"),
-        (Constraint((1.0, 1.0), ">=", -math.inf), "bound must be finite"),
+        (([[1.0], [1.0]], ("<=", "<="), [1.0, 1.0]), "width"),
+        (([[1.0, 1.0], [1.0, 1.0]], ("<=", "<"), [1.0, 1.0]), "unknown relation"),
+        (([[1.0, 1.0], [1.0, math.nan]], ("<=", "<="), [1.0, 1.0]), "NaN or infinite"),
+        (([[1.0, 1.0], [math.inf, 1.0]], ("<=", "="), [1.0, 1.0]), "NaN or infinite"),
+        (([[1.0, 1.0], [1.0, 1.0]], ("<=", "<="), [1.0, math.nan]), "bound must be finite"),
+        (([[1.0, 1.0], [1.0, 1.0]], ("<=", ">="), [1.0, -math.inf]), "bound must be finite"),
+        (([[1.0, 1.0], [1.0, 1.0]], ("<=",), [1.0, 1.0]), "program is not"),
+        (([[1.0, 1.0], [1.0, 1.0]], ("<=", "<="), [1.0]), "program is not"),
     ],
 )
 def test_programs_reject_malformed_constraints(make, bad, message):
     # a well-formed row first: every row is checked, not only the first
-    ok = Constraint((1.0, 1.0), "<=", 1.0)
+    constraints, relations, rhs = bad
     with pytest.raises(ValueError, match=message):
-        make((1.0, 1.0), constraints=(ok, bad))
+        make(objective=(1.0, 1.0), constraints=constraints, relations=relations, rhs=rhs)
+
+
+@pytest.mark.parametrize("make", [LinearProgram, partial(BinaryProgram, sense="max")], ids=["lp", "bilp"])
+def test_programs_reject_an_empty_objective(make):
+    with pytest.raises(ValueError, match="no variables"):
+        make(objective=(), constraints=np.zeros((1, 0)), relations=("<=",), rhs=[1.0])
+
+
+def test_binary_program_rejects_a_stack():
+    with pytest.raises(ValueError, match="program is not"):
+        BinaryProgram([[1.0, 1.0]], "max", [[[1.0, 1.0]]], ("<=",), [1.0])
 
 
 def test_lp_feasibility_of_reported_optimum():
@@ -129,7 +132,7 @@ def test_lp_feasibility_of_reported_optimum():
         A = rng.integers(-4, 5, size=(m, n)).astype(float)
         b = rng.integers(0, 9, size=m).astype(float)
         c = rng.integers(-4, 5, size=n).astype(float)
-        p = lp(c, [(A[i], "<=", b[i]) for i in range(m)], [(0.0, 5.0)] * n)
+        p = lp(c, [(A[i], "<=", b[i]) for i in range(m)] + caps(n, 5.0))
         sol = solve_lp(p)
         assert sol.status == "optimal"  # origin is feasible, box is bounded
         assert np.all(A @ sol.assignment <= b + 1e-6)
@@ -145,7 +148,7 @@ def test_lp_weak_duality_spot_check():
         A = rng.integers(-4, 5, size=(m, n)).astype(float)
         b = rng.integers(0, 9, size=m).astype(float)
         c = rng.integers(-4, 5, size=n).astype(float)
-        p = lp(c, [(A[i], "<=", b[i]) for i in range(m)], [(0.0, 5.0)] * n)
+        p = lp(c, [(A[i], "<=", b[i]) for i in range(m)] + caps(n, 5.0))
         sol = solve_lp(p)
         samples = rng.uniform(0.0, 5.0, size=(200, n))
         feas = np.all(samples @ A.T <= b + 1e-12, axis=1)
@@ -223,17 +226,17 @@ def _enumerate_optimum(p: BinaryProgram):
     n = len(p.objective)
     X = np.array(list(itertools.product((0, 1), repeat=n)), dtype=float)
     feas = np.ones(len(X), dtype=bool)
-    for c in p.constraints:
-        lhs = X @ np.asarray(c.coeffs)
-        if c.relation == "<=":
-            feas &= lhs <= c.rhs + 1e-9
-        elif c.relation == ">=":
-            feas &= lhs >= c.rhs - 1e-9
+    for coeffs, relation, rhs in zip(p.constraints, p.relations, p.rhs):
+        lhs = X @ coeffs
+        if relation == "<=":
+            feas &= lhs <= rhs + 1e-9
+        elif relation == ">=":
+            feas &= lhs >= rhs - 1e-9
         else:
-            feas &= np.abs(lhs - c.rhs) <= 1e-9
+            feas &= np.abs(lhs - rhs) <= 1e-9
     if not feas.any():
         return None
-    vals = X[feas] @ np.asarray(p.objective)
+    vals = X[feas] @ p.objective
     return float(vals.min() if p.sense == "min" else vals.max())
 
 
@@ -296,9 +299,8 @@ def test_cap_rows_left_out_where_a_packing_row_implies_them(monkeypatch):
     )
     # x0 + x1 <= 1 bounds x0 and x1 by 1; x0 + 2 x2 <= 3 bounds x2 by 1.5 only
     A = np.array([[[1.0, 1.0, 0.0], [1.0, 0.0, 2.0]]])
-    status, x, _ = optim._solve_box(
-        A, np.zeros(2, dtype=bool), np.array([1.0, 3.0]), np.array([[1.0, 2.0, 3.0]]),
-        np.zeros(3), np.ones(3),
+    status, x = optim._solve_box(
+        A, np.zeros(2, dtype=bool), np.array([1.0, 3.0]), np.array([[1.0, 2.0, 3.0]])
     )
     assert status[0] == "optimal" and x[0] @ [1.0, 2.0, 3.0] == 5.0
     assert rows == [2 + 1]  # the two rows and x2's cap
@@ -325,10 +327,12 @@ def test_bilp_matches_enumeration_on_packing_programs():
 def test_bilp_relaxation_bounds_minimum(seed):
     rng = np.random.default_rng(seed)
     p = _random_bilp(rng)
+    n = len(p.objective)
     relaxed = LinearProgram(
-        tuple(-v for v in p.objective) if p.sense == "min" else p.objective,
-        p.constraints,
-        tuple((0.0, 1.0) for _ in p.objective),
+        -p.objective if p.sense == "min" else p.objective,
+        np.vstack([p.constraints, np.eye(n)]),
+        p.relations + ("<=",) * n,
+        np.append(p.rhs, np.ones(n)),
     )
     lp_sol = solve_lp(relaxed)
     bilp_sol = solve_bilp(p)
@@ -347,7 +351,7 @@ def test_solver_determinism():
         a = solve_bilp(p)
         b = solve_bilp(p)
         assert a == b
-    q = lp([1.0, 2.0], [([1.0, 1.0], "<=", 1.5)], [(0.0, 1.0)] * 2)
+    q = lp([1.0, 2.0], [([1.0, 1.0], "<=", 1.5)] + caps(2, 1.0))
     assert solve_lp(q) == solve_lp(q)
 
 
@@ -377,7 +381,7 @@ def test_lp_against_scipy_reference():
         A = rng.integers(-5, 6, size=(m, n)).astype(float)
         b = rng.integers(-3, 10, size=m).astype(float)
         c = rng.integers(-6, 7, size=n).astype(float)
-        p = lp(c, [(A[i], "<=", b[i]) for i in range(m)], [(0.0, 4.0)] * n)
+        p = lp(c, [(A[i], "<=", b[i]) for i in range(m)] + caps(n, 4.0))
         ours = solve_lp(p)
         ref = scipy_opt.linprog(-c, A_ub=A, b_ub=b, bounds=[(0, 4)] * n, method="highs")
         if ours.status == "infeasible":
@@ -392,12 +396,12 @@ def test_lp_against_scipy_reference():
 def max_row_miss(p, x):
     """How far x lies outside the program's worst-satisfied row."""
     miss = 0.0
-    for c in p.constraints:
-        lhs = float(np.dot(c.coeffs, x))
-        if c.relation in ("<=", "="):
-            miss = max(miss, lhs - c.rhs)
-        if c.relation in (">=", "="):
-            miss = max(miss, c.rhs - lhs)
+    for coeffs, relation, rhs in zip(p.constraints, p.relations, p.rhs):
+        lhs = float(np.dot(coeffs, x))
+        if relation in ("<=", "="):
+            miss = max(miss, lhs - rhs)
+        if relation in (">=", "="):
+            miss = max(miss, rhs - lhs)
     return miss
 
 
@@ -413,19 +417,21 @@ def test_lp_phase1_residual_keeps_the_point_on_its_rows():
 
 def test_lp_ratio_test_skips_round_off_sized_pivots():
     # a greedy_k node LP whose ratio test met a 1.3e-9 entry: pivoting on it
-    # grew tableau entries to 3e6 and the point missed a row
-    rows = []
+    # grew tableau entries to 3e6 and the point missed a row; solved as a
+    # node is, in the [0, 1] box
+    cons = []
     for line in (FIXTURES / "greedy_node_lp.txt").read_text().splitlines():
         if not line.startswith("#"):
             relation, rhs, bits = line.split()
-            rows.append((tuple(map(float, bits)), relation, float(rhs)))
-    n = len(rows[0][0])
-    p = lp([-1.0] * n, rows, [(0.0, 1.0)] * n)
-    sol = solve_lp(p)
-    assert sol.status == "optimal"
-    assert max_row_miss(p, sol.assignment) <= FEAS_TOL
-    assert np.all((sol.assignment >= -FEAS_TOL) & (sol.assignment <= 1.0 + FEAS_TOL))
-    assert sol.objective_value == pytest.approx(-2.5, abs=1e-9)
+            cons.append((tuple(map(float, bits)), relation, float(rhs)))
+    n = len(cons[0][0])
+    p = lp([-1.0] * n, cons)
+    A, is_ge, b, _ = optim._expanded(p.constraints, p.relations, p.rhs)
+    status, x = optim._solve_box(A[None], is_ge, b, p.objective[None])
+    assert status[0] == "optimal"
+    assert max_row_miss(p, x[0]) <= FEAS_TOL
+    assert np.all((x[0] >= -FEAS_TOL) & (x[0] <= 1.0 + FEAS_TOL))
+    assert p.objective @ x[0] == pytest.approx(-2.5, abs=1e-9)
 
 
 def test_lp_never_optimal_off_a_row_on_near_dominated_columns():
@@ -542,15 +548,14 @@ def test_lp_stack_members_match_their_solves_alone(monkeypatch, stall_limit):
         singles = [alone(o, a, relations, rhs) for o, a in zip(obj, matrix)]
         # every member, inside the stack core, gets the bits it gets alone
         A, is_ge, b, _ = optim._expanded(matrix, relations, rhs)
-        n = obj.shape[1]
-        status, x, _ = optim._solve_box(A, is_ge, b, obj, np.zeros(n), np.full(n, math.inf))
+        status, x, _ = optim._solve_standard(A, is_ge, b, obj)
         for k, single in enumerate(singles):
             statuses.add(single.status)
             assert status[k] == single.status
             if single.status == "optimal":
                 assert x[k].tobytes() == single.assignment.tobytes()
         # and the union's pick is the sequential rule's, with that member's solution
-        union = solve_lp(LinearProgramStack(obj, matrix, relations, rhs))
+        union = solve_lp(LinearProgram(obj, matrix, relations, rhs))
         expect, k = sequential_pick(singles)
         assert union.status == expect
         if expect == "optimal":
@@ -571,7 +576,7 @@ def test_lp_stack_member_keeps_its_own_entering_rule(monkeypatch):
     rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]]
     matrix = np.array([rows + [[1.0, -1.0, 0.0]], rows + [[0.0, 0.0, 0.0]]])
     A, is_ge, b, _ = optim._expanded(matrix, relations, rhs)
-    status, x, _ = optim._solve_box(A, is_ge, b, obj, np.zeros(3), np.full(3, math.inf))
+    status, x, _ = optim._solve_standard(A, is_ge, b, obj)
     assert x[1].tolist() == [1.0, 0.0, 1.0]
     for k in range(2):
         assert x[k].tobytes() == alone(obj[k], matrix[k], relations, rhs).assignment.tobytes()
@@ -583,7 +588,7 @@ def test_lp_stack_tie_goes_to_the_first_member():
     rows = np.array([[[1.0, 1.0]]] * 2)
     for nudge, winner in ((0.5, 0), (2.0, 1)):
         obj = np.array([[1.0, 0.0], [1.0 + nudge * TIE_TOL, 0.0]])
-        sol = solve_lp(LinearProgramStack(obj, rows, ("<=",), [1.0]))
+        sol = solve_lp(LinearProgram(obj, rows, ("<=",), [1.0]))
         assert (sol.status, sol.index) == ("optimal", winner)
 
 
@@ -598,8 +603,10 @@ def test_lp_stack_tie_goes_to_the_first_member():
         ([[1.0, 1.0]], [[[1.0, 1.0]]], ("<=", ">="), [1.0, 0.0], "stack is not"),
         ([[1.0, 1.0]], [[[1.0, 1.0]]], ("<=",), [1.0, 0.0], "stack is not"),
         (np.zeros((0, 2)), np.zeros((0, 1, 2)), ("<=",), [1.0], "stack is not"),
+        ([[1.0, 1.0]], [[1.0, 1.0]], ("<=",), [1.0], "stack is not"),
+        (np.ones((1, 1, 2)), np.ones((1, 1, 1, 2)), ("<=",), [1.0], "program is not"),
     ],
 )
 def test_lp_stack_rejects_malformed_input(objective, matrix, relations, rhs, message):
     with pytest.raises(ValueError, match=message):
-        LinearProgramStack(objective, matrix, relations, rhs)
+        LinearProgram(objective, matrix, relations, rhs)
