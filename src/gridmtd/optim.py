@@ -15,14 +15,19 @@ in a stack.
 A branch-and-bound node's LP is over its free variables only, in the [0, 1]
 box, where a bound that no <= row implies adds a row: fixed columns move
 into the rhs, rows that every point of the free [0, 1] box satisfies
-drop out, and a node with no free variable is checked without an LP. The
-search stops at the first incumbent that meets the root's (rounded) bound or
-the best value the caller says is possible.
+drop out, and a node with no free variable is checked without an LP. A node
+whose maximized objective has no positive entry, such as a min-cost cover,
+is solved through its LP's dual, which starts from a feasible slack basis
+and so needs no phase 1; the dual's row prices are the node's point. Any
+other node's LP is solved as it stands. The search stops at the first
+incumbent that meets the root's (rounded) bound or the best value the
+caller says is possible.
 
 Tolerances: PIVOT_TOL, an entry at most this large is zero (no row update, no
 pivot driving out a phase-1 artificial, a stall); FEAS_TOL, feasibility (an
 entering reduced cost, the phase-1 residual, a returned point's row miss,
-branch and bound's integrality, pruning and stops) and the smallest column
+a node point's row and [0, 1] box miss, whichever side solved it, branch
+and bound's integrality, pruning and stops) and the smallest column
 entry the ratio test pivots on, so a round-off-sized entry cannot blow the
 tableau up; TIE_TOL, values closer than this tie (a stack's best member,
 mtd_game's best response).
@@ -327,26 +332,43 @@ def _expanded(A: np.ndarray, relations, rhs) -> tuple[np.ndarray, ...]:
     return A if len(src) == len(relations) else A[..., src, :], is_ge, rhs[src], src
 
 
-def _solve_box(
-    A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each member k of the stack, maximize obj[k] . x subject to A[k] x
-    <= / >= b (per is_ge) and 0 <= x <= 1: status and point. x_j <= 1 gets a
-    row of its own unless a <= row with non-negative coefficients implies it
-    (x_j <= b_i / a_ij <= 1)."""
-    pos = (~is_ge & (A >= 0).all(axis=-1))[..., None] & (A > 0)
+def _solve_box(A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray) -> np.ndarray | None:
+    """The point maximizing obj . x subject to A x <= / >= b (per is_ge) and
+    0 <= x <= 1, checked against every row and the box, or None if there is
+    none. x_j <= 1 gets a row of its own unless a <= row with non-negative
+    coefficients implies it (x_j <= b_i / a_ij <= 1).
+
+    An objective with a positive entry is solved as it stands. One with none
+    is solved through its dual: with every row in <= form, signs s (-1 on >=
+    rows), maximize -(s b) . u subject to -(s A)^T u <= -obj, u >= 0, whose
+    rhs is non-negative, so it starts from its slack basis with no phase 1.
+    Its row prices are the point, and an unbounded dual is an infeasible
+    node."""
+    pos = (~is_ge & (A >= 0).all(axis=1))[:, None] & (A > 0)
     bound = np.divide(b[:, None], A, out=np.full_like(A, np.inf), where=pos)
-    capped = np.flatnonzero(bound.min(axis=(0, 1), initial=math.inf) > 1.0)
-    caps = np.zeros((len(A), capped.size, A.shape[2]))
-    caps[:, np.arange(capped.size), capped] = 1.0
+    capped = np.flatnonzero(bound.min(axis=0, initial=math.inf) > 1.0)
     del pos, bound  # gone before the LP is solved
-    status, x, _ = _solve_standard(
-        np.concatenate([A, caps], axis=1) if capped.size else A,
-        np.concatenate([is_ge, np.zeros(capped.size, dtype=bool)]),
-        np.concatenate([b, np.ones(capped.size)]),
-        obj,
-    )
-    return status, x
+    if capped.size:
+        caps = np.zeros((capped.size, len(obj)))
+        caps[np.arange(capped.size), capped] = 1.0
+        A = np.vstack([A, caps])
+        is_ge, b = np.append(is_ge, np.zeros(capped.size, dtype=bool)), np.append(b, np.ones(capped.size))
+    if (obj > 0).any():
+        status, x, _ = _solve_standard(A[None], is_ge, b, obj[None])
+        if status[0] == "unbounded":
+            raise SolverError("binary relaxation reported unbounded")
+    else:
+        minus_s = np.where(is_ge, 1.0, -1.0)
+        status, _, x = _solve_standard(
+            (A.T * minus_s)[None], np.zeros(len(obj), dtype=bool), -obj, (b * minus_s)[None]
+        )
+    if status[0] != "optimal":
+        return None
+    x = x[0] + 0.0  # normalize negative zeros
+    miss = A @ x - b
+    if np.any(np.where(is_ge, -miss, miss) > FEAS_TOL) or np.any((x < -FEAS_TOL) | (x > 1.0 + FEAS_TOL)):
+        raise SolverError("node point misses a row or the [0, 1] box by more than FEAS_TOL")
+    return x
 
 
 def solve_lp(p: LinearProgram) -> Solution:
@@ -400,12 +422,10 @@ def _relax_node(
     keep = np.where(is_ge, low < b, high > b)
     if not keep.all():
         A, is_ge, b = A[keep], is_ge[keep], b[keep]
-    status, y = _solve_box(A[None], is_ge, b, obj[free][None])
-    if status[0] == "infeasible":
+    y = _solve_box(A, is_ge, b, obj[free])
+    if y is None:
         return None
-    if status[0] != "optimal":
-        raise SolverError("binary relaxation reported unbounded")
-    x[free] = y[0]
+    x[free] = y
     return x
 
 

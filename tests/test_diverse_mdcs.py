@@ -24,7 +24,7 @@ from gridmtd import (
     solve_k_dcs,
     solve_mdcs,
 )
-from gridmtd import diverse_mdcs
+from gridmtd import diverse_mdcs, optim
 from gridmtd.diverse_mdcs import BRUTE_FORCE_SITE_LIMIT
 from gridmtd.optim import BinaryProgram
 from conftest import feasible_corpus
@@ -495,3 +495,38 @@ def test_find_kmax_widens_the_packing_when_the_generated_patterns_fall_short(mon
         calls.clear()
         assert find_kmax(g).K == brute_force_kmax(g).K
         assert len(calls) == 2
+
+
+def test_dcs_nodes_solve_their_dual_and_packing_nodes_their_primal(monkeypatch):
+    # a DCS program minimizes a non-negative cost, so every node LP goes to
+    # _solve_standard as its dual, all <= rows over a non-negative rhs: no
+    # artificial, no phase 1; the packing maximizes a positive count, so its
+    # nodes go as they stand, the node objective itself
+    real, calls = optim._solve_standard, []
+
+    def recorded(A, is_ge, b, obj):
+        calls.append((A, is_ge, b, obj))
+        return real(A, is_ge, b, obj)
+
+    monkeypatch.setattr(optim, "_solve_standard", recorded)
+    for g in feasible_corpus(seed=1954, count=8, s_lo=8, s_hi=14):
+        for K in (1, 2):
+            calls.clear()
+            solve_bilp(build_k_dcs_program(g, K))
+            assert calls
+            for A, is_ge, b, obj in calls:
+                assert not is_ge.any() and np.all(b >= 0)
+    real_pack, packs = diverse_mdcs._pack, []
+
+    def pack(*args):
+        calls.clear()
+        picks = real_pack(*args)
+        packs.extend(calls)
+        return picks
+
+    monkeypatch.setattr(diverse_mdcs, "_pack", pack)
+    for g in twin_rich_corpus(seed=13, count=6, s_lo=10, s_hi=18):
+        find_kmax(g)
+    assert packs
+    for A, is_ge, b, obj in packs:
+        assert A.shape[2] == obj.shape[1] and np.all(obj == 1.0)

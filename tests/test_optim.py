@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -298,11 +299,9 @@ def test_cap_rows_left_out_where_a_packing_row_implies_them(monkeypatch):
         optim, "_solve_standard", lambda A, *rest: rows.append(A.shape[1]) or real(A, *rest)
     )
     # x0 + x1 <= 1 bounds x0 and x1 by 1; x0 + 2 x2 <= 3 bounds x2 by 1.5 only
-    A = np.array([[[1.0, 1.0, 0.0], [1.0, 0.0, 2.0]]])
-    status, x = optim._solve_box(
-        A, np.zeros(2, dtype=bool), np.array([1.0, 3.0]), np.array([[1.0, 2.0, 3.0]])
-    )
-    assert status[0] == "optimal" and x[0] @ [1.0, 2.0, 3.0] == 5.0
+    A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 2.0]])
+    x = optim._solve_box(A, np.zeros(2, dtype=bool), np.array([1.0, 3.0]), np.array([1.0, 2.0, 3.0]))
+    assert x @ [1.0, 2.0, 3.0] == 5.0
     assert rows == [2 + 1]  # the two rows and x2's cap
 
 
@@ -417,8 +416,9 @@ def test_lp_phase1_residual_keeps_the_point_on_its_rows():
 
 def test_lp_ratio_test_skips_round_off_sized_pivots():
     # a greedy_k node LP whose ratio test met a 1.3e-9 entry: pivoting on it
-    # grew tableau entries to 3e6 and the point missed a row; solved as a
-    # node is, in the [0, 1] box
+    # grew tableau entries to 3e6 and the point missed a row; solved as it
+    # stands with its cap rows, where the ratio test met that entry, and as a
+    # node is, through its dual, in the [0, 1] box
     cons = []
     for line in (FIXTURES / "greedy_node_lp.txt").read_text().splitlines():
         if not line.startswith("#"):
@@ -427,11 +427,76 @@ def test_lp_ratio_test_skips_round_off_sized_pivots():
     n = len(cons[0][0])
     p = lp([-1.0] * n, cons)
     A, is_ge, b, _ = optim._expanded(p.constraints, p.relations, p.rhs)
-    status, x = optim._solve_box(A[None], is_ge, b, p.objective[None])
+    # as the node had it: a cap row on each variable outside the x_j <= 0 rows
+    cap = np.eye(n)[~(A[~is_ge] > 0).any(axis=0)]
+    k = len(cap)
+    status, primal, _ = optim._solve_standard(
+        np.vstack([A, cap])[None], np.append(is_ge, [False] * k), np.append(b, [1.0] * k), p.objective[None]
+    )
     assert status[0] == "optimal"
-    assert max_row_miss(p, x[0]) <= FEAS_TOL
-    assert np.all((x[0] >= -FEAS_TOL) & (x[0] <= 1.0 + FEAS_TOL))
-    assert p.objective @ x[0] == pytest.approx(-2.5, abs=1e-9)
+    for x in (primal[0], optim._solve_box(A, is_ge, b, p.objective)):
+        assert max_row_miss(p, x) <= FEAS_TOL
+        assert np.all((x >= -FEAS_TOL) & (x <= 1.0 + FEAS_TOL))
+        assert p.objective @ x == pytest.approx(-2.5, abs=1e-9)
+
+
+def _random_node_lp(rng, family, positive):
+    """(A, relations, b, obj) of a branch-and-bound node's LP: 0/1 covering
+    rows, non-negative covering rows, mixed rows and signs with rhs <= 0
+    among them, covering beside packing rows whose caps some imply, or a
+    covering row and its contradiction. obj has a positive entry when
+    `positive`, else none."""
+    n, m = int(rng.integers(2, 11)), int(rng.integers(1, 7))
+    if family == 0:
+        A, rel, b = (rng.random((m, n)) < 0.4) * 1.0, [">="] * m, rng.integers(0, 3, m)
+    elif family == 1:
+        A = rng.uniform(0.0, 3.0, (m, n)) * (rng.random((m, n)) < 0.6)
+        rel, b = [">="] * m, rng.uniform(-1.0, 4.0, m)
+    elif family == 2:
+        A, rel = rng.integers(-2, 3, (m, n)) * 1.0, list(rng.choice(["<=", "=", ">="], m))
+        b = rng.integers(-3, 3, m)
+    elif family == 3:
+        cover = (rng.random((m, n)) < 0.4) * 1.0
+        pack = (rng.random((m, n)) < 0.4) * rng.integers(1, 3, (m, n))
+        A, rel = np.vstack([cover, pack]), [">="] * m + ["<="] * m
+        b = np.concatenate([np.ones(m), rng.integers(1, 4, m)])
+    else:
+        row = (rng.random(n) < 0.6) * rng.integers(1, 3, n)
+        r = float(rng.integers(1, row.sum() + 1)) if row.any() else 1.0
+        extra = (rng.random((m, n)) < 0.4) * 1.0
+        A, rel = np.vstack([row, row, extra]), [">=", "<="] + [">="] * m
+        b = np.concatenate([[r, r - rng.uniform(0.5, 1.0)], np.ones(m)])
+    if positive:
+        obj = rng.integers(-3, 4, n) * 1.0
+        obj[rng.integers(n)] = rng.integers(1, 4)
+    else:
+        obj = -rng.integers(0, 4, n) * 1.0
+    return A * 1.0, tuple(rel), np.asarray(b, float), obj
+
+
+def test_node_lp_matches_highs_on_both_solve_sides():
+    # a node objective with no positive entry is solved through its dual,
+    # any other as it stands; both must give HiGHS's status and value at a
+    # point on the node's rows and in the [0, 1] box
+    opt = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(1954)
+    seen = Counter()
+    for i in range(200):
+        A, rel, b, obj = _random_node_lp(rng, i // 2 % 5, positive=i % 2 == 1)
+        p = lp(obj, [(A[k], rel[k], b[k]) for k in range(len(rel))])
+        A, is_ge, b, _ = optim._expanded(p.constraints, p.relations, p.rhs)
+        x = optim._solve_box(A, is_ge, b, obj)
+        s = np.where(is_ge, -1.0, 1.0)
+        ref = opt.linprog(-obj, A_ub=A * s[:, None], b_ub=b * s, bounds=(0, 1), method="highs")
+        assert ref.status in (0, 2), ref.message
+        assert (x is not None) == (ref.status == 0)
+        if x is not None:
+            assert obj @ x == pytest.approx(-ref.fun, abs=1e-6)
+            assert max_row_miss(p, x) <= FEAS_TOL
+            assert np.all((x >= -FEAS_TOL) & (x <= 1.0 + FEAS_TOL))
+        seen[bool((obj > 0).any()), x is not None] += 1
+    # each side meets at least 15 feasible and 15 infeasible nodes
+    assert min(seen[side, feasible] for side in (False, True) for feasible in (False, True)) >= 15
 
 
 def test_lp_never_optimal_off_a_row_on_near_dominated_columns():
