@@ -96,7 +96,10 @@ class ConfigurationSet:
 
 def check_feasible(g: BipartiteGraph) -> None:
     """Reject graphs with no DCS at all: a transformer nobody can hear, or a
-    pair with identical neighborhoods (empty symmetric difference)."""
+    pair with identical neighborhoods (empty symmetric difference). A graph
+    with no transformers is malformed input, a ValueError."""
+    if not g.n_t:
+        raise ValueError("graph has no transformers")
     for ti, nb in enumerate(g.adj):
         if not nb:
             tid = g.t_ids[ti]
@@ -125,13 +128,10 @@ def is_feasible(g: BipartiteGraph) -> bool:
 # Encoding
 
 
-def build_k_dcs_program(
-    g: BipartiteGraph,
-    K: int,
-    forbidden: frozenset[int] = frozenset(),
-) -> BinaryProgram:
+def build_k_dcs_program(g: BipartiteGraph, K: int) -> BinaryProgram:
     """Binary program over x[k*n+s]: K equal-size, pairwise-disjoint DCSs of
-    minimum common size.
+    minimum common size, the paper's K-DCS program and nothing more; a
+    caller that wants sites left out builds it on the graph without them.
 
     Disjointness is one capacity row per site, sum_k x_ks <= 1, which on
     binary points matches requiring blocks to share no site and implies every
@@ -152,8 +152,6 @@ def build_k_dcs_program(
         size[np.arange(K - 1), np.arange(1, K)] = 1
         groups.append((size.reshape(K - 1, K * n), "=", 0.0))
         groups.append((np.tile(np.eye(n, dtype=np.int8), K), "<=", 1.0))
-    pinned = [k * n + s for s in sorted(forbidden) for k in range(K)]
-    groups.append((np.eye(K * n, dtype=np.int8)[pinned], "=", 0.0))
     return BinaryProgram(
         (1.0,) * n + (0.0,) * (n * (K - 1)),
         "min",
@@ -164,18 +162,14 @@ def build_k_dcs_program(
 
 
 def _solve(
-    g: BipartiteGraph,
-    K: int,
-    forbidden: frozenset[int] = frozenset(),
-    sizes: tuple[float, float] | None = None,
+    g: BipartiteGraph, K: int, sizes: tuple[float, float] | None = None
 ) -> ConfigurationSet | None:
-    """The validated family solving build_k_dcs_program(g, K, forbidden) with
-    its common size within sizes, or None. sizes defaults to
-    (ceil(log2(n_t + 1)), inf): l sites give at most 2^l - 1 transformers
-    distinct non-empty codes (Charbit, Charon, Cohen, Hudry and Lobstein
-    2008), so no DCS is smaller."""
+    """The validated family solving build_k_dcs_program(g, K) with its common
+    size within sizes, or None. sizes defaults to (ceil(log2(n_t + 1)), inf):
+    l sites give at most 2^l - 1 transformers distinct non-empty codes
+    (Charbit, Charon, Cohen, Hudry and Lobstein 2008), so no DCS is smaller."""
     sizes = (g.n_t.bit_length(), np.inf) if sizes is None else sizes
-    sol = solve_bilp(build_k_dcs_program(g, K, forbidden), sizes)
+    sol = solve_bilp(build_k_dcs_program(g, K), sizes)
     if sol.status != "optimal":
         return None
     chosen = sol.assignment.reshape(K, g.n_s) > 0.5
@@ -281,16 +275,21 @@ def _pack(patterns: np.ndarray, mult: np.ndarray, least: int) -> np.ndarray:
 
 
 def greedy_k(g: BipartiteGraph) -> ConfigurationSet:
-    """Iterated single-MDCS solves: after each solution its sites are forced
-    to zero, until no DCS of the minimum size m is left. Banning sites can
-    only raise the minimum, so each later solve knows its answer is m or
-    unwanted. May stop short of the true maximum K."""
+    """The paper's greedy method: find an MDCS, of size m, take its sites out
+    of the graph and solve again, while a DCS of size m is left. Taking sites
+    out can only raise the minimum, so each later solve wants size m only.
+    Site names carry over, so each set is a DCS of g. May stop short of the
+    true maximum K."""
     sets = [solve_mdcs(g)]
-    m = sets[0].size
-    banned = g.site_indices(sets[0].sensors)
-    while (cfg := _solve(g, 1, banned, (m, m))) is not None:
+    m, rest = sets[0].size, g
+    while True:
+        left = [s for s, sid in enumerate(rest.s_ids) if sid not in sets[-1].sensors]
+        index = {s: i for i, s in enumerate(left)}
+        adj = tuple(frozenset(index[s] for s in nb if s in index) for nb in rest.adj)
+        rest = BipartiteGraph(rest.t_ids, tuple(rest.s_ids[s] for s in left), adj, rest.hop_limit)
+        if len(left) < m or (cfg := _solve(rest, 1, (m, m))) is None:
+            break
         sets.append(cfg.sets[0])
-        banned |= g.site_indices(cfg.sets[0].sensors)
     cfg = ConfigurationSet(tuple(sets))
     cfg.validate(g)
     return cfg

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gridmtd
 from gridmtd.cli import main
 from conftest import DATA, FIXTURES, with_branch_status
@@ -101,6 +103,16 @@ def test_kmax_identical_neighborhoods_exit_3(capsys):
     )
     assert code == 3
     assert "t1" in err and "t2" in err
+
+
+@pytest.mark.parametrize("text", ["s s1\ns s2\n", ""], ids=["sites-only", "empty"])
+def test_kmax_graph_without_transformers_exit_2(tmp_path, capsys, text):
+    src = tmp_path / "no_transformers.graph"
+    src.write_text(text)
+    code, out, err = run(capsys, "kmax", "--input", str(src))
+    assert code == 2
+    assert out == ""
+    assert "graph has no transformers" in err
 
 
 def test_kmax_stdout_deterministic(capsys):

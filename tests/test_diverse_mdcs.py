@@ -26,6 +26,7 @@ from gridmtd import (
 )
 from gridmtd import diverse_mdcs, optim
 from gridmtd.diverse_mdcs import BRUTE_FORCE_SITE_LIMIT
+from gridmtd.graph_core import is_dcs_indices
 from gridmtd.optim import BinaryProgram
 from conftest import feasible_corpus
 
@@ -37,6 +38,12 @@ def graph(adj: dict[str, set[str]], sites: list[str]) -> BipartiteGraph:
         tuple(sites),
         tuple(frozenset(s_index[s] for s in nb) for nb in adj.values()),
     )
+
+
+def without(g: BipartiteGraph, used: frozenset[str]) -> BipartiteGraph:
+    """g with the sites named in `used` taken out, the rest in graph order."""
+    adj = {t: {g.s_ids[s] for s in nb} - used for t, nb in zip(g.t_ids, g.adj)}
+    return graph(adj, [s for s in g.s_ids if s not in used])
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +124,9 @@ def test_oversized_k_is_fast_infeasible(tiny_graph):
 
 
 def test_greedy_tiny(tiny_graph):
+    # the two sets use every site, so greedy stops with no residual program
     cfg = greedy_k(tiny_graph)
-    assert cfg.K in (1, 2) and cfg.K <= 2
-    assert cfg.l == 2
+    assert dump_configuration(tiny_graph, cfg) == "kmax 2 l 2\nmdcs 1: s1 s2\nmdcs 2: s3 s4\n"
     cfg.validate(tiny_graph)
 
 
@@ -147,11 +154,25 @@ def test_greedy_never_beats_optimum():
         exact.validate(g)
 
 
+def test_greedy_leaves_no_dcs_of_size_m():
+    # each set is a size-m DCS of g disjoint from the earlier ones, and no m
+    # of the sites left over form a DCS, checked by exhaustive search on g
+    for g in feasible_corpus(seed=63, count=30, s_lo=6, s_hi=BRUTE_FORCE_SITE_LIMIT):
+        cfg = greedy_k(g)
+        m = brute_force_mdcs(g).size
+        used: set[str] = set()
+        for cs in cfg.sets:
+            assert cs.size == m and is_dcs(g, cs.sensors) and not cs.sensors & used
+            used |= cs.sensors
+        left = [s for s in range(g.n_s) if g.s_ids[s] not in used]
+        assert not any(is_dcs_indices(g, frozenset(c)) for c in itertools.combinations(left, m))
+
+
 def test_size_floor_and_cap_keep_the_dcs_solution():
     # ceil(log2(n_t + 1)) sites are needed to give n_t transformers distinct
     # non-empty codes: as a floor it leaves each DCS program's solution as it
-    # is. With sites banned, (m, m) keeps a solution of size m and reads
-    # "infeasible" where the minimum grew past m.
+    # is. With sites taken out of the graph, (m, m) keeps a solution of size
+    # m and reads "infeasible" where the minimum grew past m.
     kept = grew = 0
     for g in feasible_corpus(seed=61, count=30, s_lo=5, s_hi=14):
         floor = (math.ceil(math.log2(g.n_t + 1)), math.inf)
@@ -159,9 +180,9 @@ def test_size_floor_and_cap_keep_the_dcs_solution():
             p = build_k_dcs_program(g, K)
             assert solve_bilp(p, floor) == solve_bilp(p)
         first = solve_bilp(build_k_dcs_program(g, 1))
-        m, sites = first.objective_value, np.flatnonzero(first.assignment).tolist()
+        m, sites = first.objective_value, [g.s_ids[s] for s in np.flatnonzero(first.assignment)]
         for banned in (sites[:1], sites):
-            p = build_k_dcs_program(g, 1, frozenset(banned))
+            p = build_k_dcs_program(without(g, frozenset(banned)), 1)
             plain, capped = solve_bilp(p), solve_bilp(p, (m, m))
             if plain.status == "optimal" and plain.objective_value == m:
                 assert capped == plain
@@ -173,18 +194,21 @@ def test_size_floor_and_cap_keep_the_dcs_solution():
 
 
 def _greedy_without_range(g: BipartiteGraph) -> ConfigurationSet:
-    """greedy_k as a loop of plain solves that stops once the size grows."""
+    """greedy_k as a loop of plain solves on the graph without the sites
+    already chosen, built afresh from g, that stops once the size grows."""
 
-    def mdcs(banned: frozenset[int]) -> frozenset[int] | None:
-        sol = solve_bilp(build_k_dcs_program(g, 1, banned))
+    def mdcs(rest: BipartiteGraph) -> frozenset[str] | None:
+        if not rest.n_s:
+            return None
+        sol = solve_bilp(build_k_dcs_program(rest, 1))
         if sol.status != "optimal":
             return None
-        return frozenset(np.flatnonzero(sol.assignment).tolist())
+        return rest.site_names(np.flatnonzero(sol.assignment).tolist())
 
-    sets = [mdcs(frozenset())]
-    while (s := mdcs(frozenset().union(*sets))) is not None and len(s) == len(sets[0]):
+    sets = [mdcs(g)]
+    while (s := mdcs(without(g, frozenset().union(*sets)))) is not None and len(s) == len(sets[0]):
         sets.append(s)
-    return ConfigurationSet(tuple(CodeSet(g.site_names(s)) for s in sets))
+    return ConfigurationSet(tuple(CodeSet(s) for s in sets))
 
 
 def test_greedy_matches_a_loop_without_objective_range(tiny_graph, greedy_gap_graph, case14_text):
@@ -322,7 +346,7 @@ def test_linearized_disjointness_matches_quadratic(tiny_graph):
         assert linear_ok == quad_ok
 
 
-def reference_k_dcs_program(g, K, forbidden=frozenset()):
+def reference_k_dcs_program(g, K):
     """build_k_dcs_program written row by row, one coefficient dict per row."""
     n = g.n_s
     nv = n * K
@@ -351,9 +375,6 @@ def reference_k_dcs_program(g, K, forbidden=frozenset()):
             row(entries, "=", 0.0)
         for s in range(n):
             row({var(k, s): 1.0 for k in range(K)}, "<=", 1.0)
-    for s in sorted(forbidden):
-        for k in range(K):
-            row({var(k, s): 1.0}, "=", 0.0)
     objective = [0.0] * nv
     for s in range(n):
         objective[var(0, s)] = 1.0
@@ -369,14 +390,13 @@ def test_program_matches_reference(tiny_graph, greedy_gap_graph, case14_text):
     graphs = [case14, tiny_graph, greedy_gap_graph] + feasible_corpus(seed=101, count=40)
     for g in graphs:
         for K in (1, 2, 3, 4):
-            for forbidden in (frozenset(), frozenset(s for s in (0, 3, 5) if s < g.n_s)):
-                prog = build_k_dcs_program(g, K, forbidden)
-                ref = reference_k_dcs_program(g, K, forbidden)
-                assert prog.sense == ref.sense and prog.relations == ref.relations
-                for field in ("objective", "constraints", "rhs"):
-                    a, b = getattr(prog, field), getattr(ref, field)
-                    assert a.dtype == b.dtype and a.shape == b.shape
-                    assert a.tobytes() == b.tobytes()
+            prog = build_k_dcs_program(g, K)
+            ref = reference_k_dcs_program(g, K)
+            assert prog.sense == ref.sense and prog.relations == ref.relations
+            for field in ("objective", "constraints", "rhs"):
+                a, b = getattr(prog, field), getattr(ref, field)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
 
 def test_disjointness_is_one_capacity_row_per_site(tiny_graph, case14_text):
