@@ -5,8 +5,9 @@ configuration; the attacker observes the mix and knocks out one sensor site.
 Payoffs follow residual identifiability: the defender collects the utility of
 every transformer still uniquely identified, the attacker collects the rest
 minus the attack cost. The optimal commitment is found by one LP per attacker
-action that no other action strictly dominates, all of a game's LPs solved as
-one stack in a single solve_lp call.
+action that no other action strictly dominates; solve_sse takes a sequence
+of games and solves the LPs of all of them that share a shape as one stack
+in a single solve_lp call, so run_trials solves a batch of trials at once.
 
 Tolerances, both from optim: dominance uses the LP's feasibility tolerance
 FEAS_TOL, since a column another beats by more than FEAS_TOL in every row
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 UTILITY_RANGE = (0.0, 10.0)
+_BATCH_TRIALS = 8  # run_trials' trials per solve_sse call, so memory does not grow with their count
 
 
 @dataclass(frozen=True)
@@ -210,39 +212,50 @@ def _live_columns(am: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~beats.any(axis=0))
 
 
-def solve_sse(game: GameMatrix) -> SseSolution:
-    """Strong Stackelberg commitment via one LP per attacker action: maximize
-    defender expectation over mixes keeping that action a best response; the
-    best feasible action wins, ties (within TIE_TOL) to the defender then to
-    the lowest index.
+def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
+    """Strong Stackelberg commitment of each game via one LP per attacker
+    action: maximize defender expectation over mixes keeping that action a
+    best response; the best feasible action wins, ties (within TIE_TOL) to
+    the defender then to the lowest index.
 
     An action that another beats by more than FEAS_TOL in every defender row
     gets no LP: its LP is infeasible at that tolerance, so it cannot win. The
     remaining LPs keep only the rows against the other remaining actions; a
     dropped row is implied by the row against a remaining action that
-    dominates the dropped one. They share their relations and right-hand
-    sides, so all of them are solved as one stack.
+    dominates the dropped one. The LPs of all games with equal defender and
+    live action counts share relations and right-hand sides, so they are
+    solved as one stack, each with the bits it gets alone.
     """
-    K, A = game.n_defender, game.n_attacker
-    if K < 1 or A < 1:
-        raise ValueError("degenerate game shape")
-    dm, am = game.defender_payoffs, game.attacker_payoffs
-    live = _live_columns(am)
-    L = live.size
-    # LP k keeps live[k] a best response: am[:, live[k]] - am[:, jp] >= 0 for
-    # every other live jp, plus the simplex row (with x >= 0 it caps x at 1)
-    cols = am[:, live].T
-    gaps = (cols[:, None] - cols[None, :])[~np.eye(L, dtype=bool)].reshape(L, L - 1, K)
-    sol = solve_lp(LinearProgram(
-        dm[:, live].T,
-        np.concatenate([np.ones((L, 1, K)), gaps], axis=1),
-        ("=",) + (">=",) * (L - 1),
-        np.r_[1.0, np.zeros(L - 1)],
-    ))
-    if sol.status != "optimal":
-        raise SolverError("no attacker action admitted a feasible best-response region")
-    j, mix = int(live[sol.index]), sol.assignment
-    return SseSolution(mix, j, sol.objective_value, float(np.dot(mix, am[:, j])))
+    lives, groups, out = [], {}, [None] * len(games)
+    for i, game in enumerate(games):
+        if game.n_defender < 1 or game.n_attacker < 1:
+            raise ValueError("degenerate game shape")
+        lives.append(_live_columns(game.attacker_payoffs))
+        groups.setdefault((game.n_defender, lives[-1].size), []).append(i)
+    for (K, L), members in groups.items():
+        # LP k of a game keeps live[k] a best response: am[:, live[k]] - am[:, jp] >= 0
+        # for every other live jp, plus the simplex row (with x >= 0 it caps x at 1)
+        cols, B = np.stack([games[i].attacker_payoffs[:, lives[i]].T for i in members]), len(members) * L
+        sol = solve_lp(LinearProgram(
+            np.concatenate([games[i].defender_payoffs[:, lives[i]].T for i in members]),
+            np.concatenate([
+                np.ones((B, 1, K)),
+                (cols[:, :, None] - cols[:, None])[:, ~np.eye(L, dtype=bool)].reshape(B, L - 1, K),
+            ], axis=1),
+            ("=",) + (">=",) * (L - 1),
+            np.r_[1.0, np.zeros(L - 1)],
+        ))
+        values = sol.objective_value.tolist()
+        for g, i in enumerate(members):
+            best = None
+            for k in range(g * L, (g + 1) * L):
+                if sol.statuses[k] == "optimal" and (best is None or values[k] > values[best] + TIE_TOL):
+                    best = k
+            if best is None or "unbounded" in sol.statuses[g * L : (g + 1) * L]:
+                raise SolverError("no attacker action admitted a feasible best-response region")
+            j, mix = int(lives[i][best - g * L]), sol.assignment[best]
+            out[i] = SseSolution(mix, j, values[best], float(np.dot(mix, games[i].attacker_payoffs[:, j])))
+    return out
 
 
 def best_response(game: GameMatrix, mix: np.ndarray) -> tuple[int, float, float]:
@@ -340,22 +353,20 @@ def run_trials(
     """Each trial draws a fresh utility profile and reports the defender value
     of URS and SSE play on the greedy (K) and optimal (K_max) configurations.
     Trials are sub-seeded independently, so results do not depend on execution
-    order."""
+    order; each batch of _BATCH_TRIALS trials solves a family's games in one
+    solve_sse call."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     config_greedy.validate(g)
     config_opt.validate(g)
 
-    def one(trial: int) -> tuple[float, float, float, float]:
-        u = random_profile(g, trial_rng(seed, trial), integer_utilities)
-        game_k = build_game(g, config_greedy, u, cost_on_miss)
-        game_kmax = build_game(g, config_opt, u, cost_on_miss)
-        return (
-            urs_value(game_k),
-            urs_value(game_kmax),
-            solve_sse(game_k).defender_value,
-            solve_sse(game_kmax).defender_value,
-        )
-
-    rows = [one(i) for i in range(n_trials)]
+    rows = []
+    for first in range(0, n_trials, _BATCH_TRIALS):
+        batch = range(first, min(first + _BATCH_TRIALS, n_trials))
+        profiles = [random_profile(g, trial_rng(seed, trial), integer_utilities) for trial in batch]
+        families = [[build_game(g, cfg, u, cost_on_miss) for u in profiles]
+                    for cfg in (config_greedy, config_opt)]
+        urs = [[urs_value(game) for game in games] for games in families]
+        sse = [[s.defender_value for s in solve_sse(games)] for games in families]
+        rows += zip(*urs, *sse)
     return TrialReport(np.array(rows, dtype=float), seed)

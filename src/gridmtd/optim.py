@@ -6,11 +6,13 @@ constraint matrix, one relation per row and a rhs. The one simplex core
 pivots a stack of same-shape tableaus (B, m+1, n+1) one array step at a
 time, each member with its own pivot choices, stall count and iteration cap:
 a LinearProgram of one objective or a branch-and-bound node is a stack of
-one, a LinearProgram of B objectives a stack of B. Pivoting uses the
-largest-reduced-cost rule and falls back to Bland's rule whenever the
-objective stalls on a degenerate vertex, so termination is guaranteed. The
-fixed rules make solves deterministic: a program gets the same bits alone or
-in a stack.
+one, a LinearProgram of B objectives a stack of B, solved in chunks whose
+tableaus fit _STACK_BYTES. Pivots update rows in place, and a member that is
+done is swapped behind those still going, so no stack is copied. Pivoting
+uses the largest-reduced-cost rule and falls back to Bland's rule whenever
+the objective stalls on a degenerate vertex, so termination is guaranteed.
+The fixed rules make solves deterministic: a program gets the same bits
+alone or in a stack.
 
 A branch-and-bound node's LP is over its free variables only, in the [0, 1]
 box, where a bound that no <= row implies adds a row: fixed columns move
@@ -29,8 +31,8 @@ entering reduced cost, the phase-1 residual, a returned point's row miss,
 a node point's row and [0, 1] box miss, whichever side solved it, branch
 and bound's integrality, pruning and stops) and the smallest column
 entry the ratio test pivots on, so a round-off-sized entry cannot blow the
-tableau up; TIE_TOL, values closer than this tie (a stack's best member,
-mtd_game's best response).
+tableau up; TIE_TOL, values closer than this tie, which only mtd_game
+applies (its SSE winner and best response).
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-6
 TIE_TOL = 1e-9
 _STALL_LIMIT = 100  # degenerate pivots tolerated before switching to Bland
+_STACK_BYTES = 1 << 18  # solve_lp's cap on one simplex stack's tableau bytes
 
 _RELATIONS = ("<=", "=", ">=")
 
@@ -135,11 +138,11 @@ class BinaryProgram:
 
 @dataclass(frozen=True)
 class Solution:
-    status: str  # optimal | infeasible | unbounded
-    assignment: np.ndarray | None = None
-    objective_value: float | None = None
+    status: str  # optimal | infeasible | unbounded; a stack's is its union's
+    assignment: np.ndarray | None = None  # a stack's: (B, n)
+    objective_value: float | np.ndarray | None = None  # a stack's: (B,)
     duals: np.ndarray | None = None  # solve_lp: d optimum / d rhs, per constraint
-    index: int | None = None  # solve_lp: the winning member of a stack
+    statuses: tuple[str, ...] | None = None  # solve_lp on a stack: each member's status
 
     def __eq__(self, other):
         if not isinstance(other, Solution):
@@ -163,72 +166,79 @@ def _pivot(
     """Pivot member b of the C-contiguous stack T on column cols[b], flat row
     r[b] (row i of member b is row b * M + i of T as (B * M, N); basis, (B, M)
     with an unused objective slot, numbers alike). colv[b], that column as it
-    stands, is spent. Rows with an entry of at most PIVOT_TOL stay untouched."""
+    stands, is spent. In place, each row with an entry above PIVOT_TOL loses
+    that entry times its member's pivot row; the other rows stay untouched."""
     B, M, N = T.shape
     flat = T.reshape(B * M, N)
     prow = flat.take(r, axis=0) / colv.take(r)[:, None]
     flat[r] = prow
     colv.put(r, 0.0)
-    touched = (np.abs(colv) > PIVOT_TOL).ravel().nonzero()[0]
-    if touched.size:
-        # a stack of one broadcasts its pivot row
-        prows = prow if B == 1 else prow.take(touched // M, axis=0)
-        flat[touched] -= colv.take(touched)[:, None] * prows
+    touched = (np.abs(colv) > PIVOT_TOL)[:, :, None]
+    np.subtract(T, colv[:, :, None] * prow[:, None], out=T, where=touched)
     basis.put(r, cols)
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _to_front(keep: np.ndarray, *stacks: np.ndarray) -> int:
+    """Among the first len(keep) members of every stack, swap those keep
+    marks ahead of the others; return how many it marks."""
+    n = int(np.count_nonzero(keep))
+    out = (~keep[:n]).nonzero()[0]
+    if out.size:
+        # the i-th of out swaps with the i-th from last of the marked behind
+        into = np.concatenate([out, n + keep[n:].nonzero()[0]])
+        for x in stacks:
+            x[into] = x[into[::-1]]
+    return n
+
+
+def _run_simplex(T: np.ndarray, basis: np.ndarray, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Iterate each member to optimality from a feasible rhs column, the last
-    row holding reduced costs for maximization; return which members are
-    unbounded. rows[b] counts member b's live rows, for its iteration cap.
+    row holding reduced costs for maximization; return which members, at
+    their places on return, are unbounded. rows[b] counts member b's live
+    rows, for its iteration cap.
 
     Entering column: largest reduced cost, ties to the lowest index; after
     _STALL_LIMIT pivots without objective progress, Bland's lowest improving
     index until progress resumes. Leaving row: minimum ratio, ties to lowest
-    basis index. A member that is done leaves the working stack W.
+    basis index. A member that is done is swapped behind those still going,
+    in T, basis, rows and ids alike, so the working stack is a leading view
+    of T and only swapped members are copied.
     """
-    m = basis.shape[1] - 1
-    unbounded = np.zeros(len(T), dtype=bool)
-    if not len(T):
-        return unbounded
-    members, W, Wb, at = np.arange(len(T)), T, basis, np.arange(len(T))  # members: W's rows in T
-    base = at * T.shape[1]  # each member's first flat row
-    caps = 50_000 + 200 * (rows + 1 + T.shape[2])
-    cap = caps.min()
+    B, M, N = T.shape
+    m = M - 1
+    unbounded = np.zeros(B, dtype=bool)
+    at, base = np.arange(B), np.arange(B) * M  # base: each member's first flat row
     floor = T[:, -1, -1] - PIVOT_TOL  # the negated objective falling below this is progress
-    since = np.zeros(len(T), dtype=int)  # iterations before the last progress
+    since = np.zeros(B, dtype=int)  # iterations before the last progress
+    W, Wb, n, cap = T, basis, B, 50_000 + 200 * (rows.min(initial=0) + 1 + N)
     for it in itertools.count():
         if it >= cap:
             raise SolverError("simplex iteration cap exceeded")
         reduced = W[:, -1, :-1]
         enter = reduced.argmax(axis=1)
-        if it >= _STALL_LIMIT and it - since.min() >= _STALL_LIMIT:
-            enter = np.where(it - since >= _STALL_LIMIT, (reduced > FEAS_TOL).argmax(axis=1), enter)
-        colv = W[at, :, enter]  # the entering column, its reduced cost last
+        if it >= _STALL_LIMIT and it - since[:n].min() >= _STALL_LIMIT:
+            enter = np.where(it - since[:n] >= _STALL_LIMIT, (reduced > FEAS_TOL).argmax(axis=1), enter)
+        colv = W[at[:n], :, enter]  # the entering column, its reduced cost last
         col = colv[:, :m]
         # NaN off the usable entries: no ratio, and never a tie
         ratios = W[:, :m, -1] / np.where(col > FEAS_TOL, col, np.nan)
         best = np.fmin.reduce(ratios, axis=1, initial=np.inf)
+        ties = ratios <= (best + PIVOT_TOL)[:, None]
         done = colv[:, m] <= FEAS_TOL
         stop = done | (best == np.inf)
         if np.count_nonzero(stop):
-            unbounded[members[stop & ~done]] = True
-            if W is not T:
-                T[members[stop]], basis[members[stop]] = W[stop], Wb[stop]
-            go = ~stop
-            members, W, Wb, caps = members[go], W[go], Wb[go], caps[go]
-            floor, since = floor[go], since[go]
-            if not len(W):
-                return unbounded
-            at, base, cap = at[: len(W)], base[: len(W)], caps.min()
-            enter, colv, ratios, best = enter[go], colv[go], ratios[go], best[go]
-        ties = ratios <= (best + PIVOT_TOL)[:, None]
-        _pivot(W, Wb, base + np.where(ties, Wb[:, :m], W.shape[2]).argmin(axis=1), enter, colv)
+            unbounded[:n] = stop & ~done
+            n = _to_front(~stop, T, basis, rows, ids, unbounded, floor, since, enter, colv, ties)
+            W, Wb, enter, colv, ties = T[:n], basis[:n], enter[:n], colv[:n], ties[:n]
+            cap = 50_000 + 200 * (rows[:n].min(initial=0) + 1 + N)
+        if not n:
+            return unbounded
+        _pivot(W, Wb, base[:n] + np.where(ties, Wb[:, :m], N).argmin(axis=1), enter, colv)
         # W[:, -1, -1] stores the negated objective; any decrease is progress
         value = W[:, -1, -1]
-        progress = value < floor
-        np.copyto(floor, value - PIVOT_TOL, where=progress)
-        np.copyto(since, it + 1, where=progress)
+        progress = value < floor[:n]
+        np.copyto(floor[:n], value - PIVOT_TOL, where=progress)
+        np.copyto(since[:n], it + 1, where=progress)
     raise AssertionError("unreachable")
 
 
@@ -254,9 +264,9 @@ def _solve_standard(
     """Per member k, maximize obj[k] . y subject to A[k] y <= / >= b (per
     is_ge) and y >= 0: each member's status, point and row prices (duals),
     zero unless optimal. Rows with b < 0 enter the tableau negated, their
-    relation flipped; A, is_ge and b are left as they are. A member
-    infeasible in phase 1 leaves the stack; a row phase 1 finds redundant
-    stays inert, all its entries at most PIVOT_TOL."""
+    relation flipped; A, is_ge and b are left as they are. Infeasible members
+    go behind the others, which phase 2 solves alone; a row phase 1 finds
+    redundant stays inert, all its entries at most PIVOT_TOL."""
     B, m, n_y = A.shape
     neg = b < 0
     ge = is_ge ^ neg
@@ -274,47 +284,46 @@ def _solve_standard(
     T[:, ge_rows, art0 + np.arange(ge_rows.size)] = 1.0
     slack_or_art = np.where(ge, art0 + np.cumsum(ge) - 1, n_y + np.arange(m))
     basis = np.tile(np.append(slack_or_art, -1), (B, 1))
-    rows, live = np.full(B, m), np.arange(B)
-    status = np.full(B, "optimal", dtype=object)
+    rows, ids, n = np.full(B, m), np.arange(B), B  # ids: the member at each place
+    status = np.full(B, "infeasible", dtype=object)
 
     if ge_rows.size:
         # phase 1: maximize minus the artificial sum; reduced costs start as
         # the column sums over the artificial-basis rows
         T[:, -1] = T[:, ge_rows].sum(axis=1)
         T[:, -1, art0:-1] = 0.0
-        if _run_simplex(T, basis, rows).any():
+        if _run_simplex(T, basis, rows, ids).any():
             raise SolverError("phase-1 simplex reported unbounded")
-        feasible = ~(T[:, -1, -1] > FEAS_TOL)
-        status[~feasible] = "infeasible"
-        T, basis, rows, live = T[feasible], basis[feasible], rows[feasible], live[feasible]
+        n = _to_front(~(T[:, -1, -1] > FEAS_TOL), T, basis, rows, ids)
         # drive leftover artificials out of the basis; a row with nothing to
         # pivot on is redundant and goes inert
-        for i in np.flatnonzero((basis >= art0).any(axis=0)):
-            k = np.flatnonzero(basis[:, i] >= art0)
+        for i in np.flatnonzero((basis[:n] >= art0).any(axis=0)):
+            art = basis[:n, i] >= art0
             # accept phase 1's residual on this row, at most FEAS_TOL, so
             # the pivot leaves the point where it is
-            T[k, i, -1] = 0.0
-            nonzero = np.abs(T[k, i, :art0]) > PIVOT_TOL
+            T[:n, i, -1][art] = 0.0
+            nonzero = np.abs(T[:n, i, :art0]) > PIVOT_TOL
             has = nonzero.any(axis=1)
-            rows[k[~has]] -= 1
-            k, cols = k[has], nonzero[has].argmax(axis=1)
-            sub, sub_basis, r = T[k], basis[k], np.arange(i, k.size * (m + 1), m + 1)
-            _pivot(sub, sub_basis, r, cols, sub[np.arange(k.size), :, cols])
-            T[k], basis[k] = sub, sub_basis
+            rows[:n][art & ~has] -= 1
+            # the members to pivot go first, so they pivot in place
+            k = _to_front(art & has, T, basis, rows, ids, nonzero)
+            cols = nonzero[:k].argmax(axis=1)
+            _pivot(T[:k], basis[:k], np.arange(i, k * (m + 1), m + 1), cols, T[np.arange(k), :, cols])
         # zeroed artificial columns have reduced cost 0 and never enter again
         T[:, :, art0:-1] = 0.0
 
+    T, basis, rows, ids = T[:n], basis[:n], rows[:n], ids[:n]  # phase 2: the feasible members
     T[:, -1] = 0.0
-    T[:, -1, :n_y] = obj[live]
+    T[:, -1, :n_y] = obj[ids]
     _price_out(T, basis)
-    unbounded = _run_simplex(T, basis, rows)
-    status[live[unbounded]] = "unbounded"
-    ok = live[~unbounded]
+    unbounded = _run_simplex(T, basis, rows, ids)
+    status[ids] = np.where(unbounded, "unbounded", "optimal")
+    ok = ids[~unbounded]
     # a row's price is minus its slack's reduced cost, that slack entering
     # with -1 on >= rows; negating the row negates its price
-    prices, point, y = np.zeros((B, m)), np.zeros((B, n_y)), np.zeros((len(T), n_cols))
+    prices, point, y = np.zeros((B, m)), np.zeros((B, n_y)), np.zeros((n, n_cols))
     prices[ok] = T[~unbounded, -1, n_y:art0] * np.where(is_ge, 1.0, -1.0)
-    y[np.arange(len(T))[:, None], basis[:, :m]] = T[:, :m, -1]
+    y[np.arange(n)[:, None], basis[:, :m]] = T[:, :m, -1]
     point[ok] = y[~unbounded, :n_y] + 0.0  # normalize negative zeros
     miss = (A[ok] @ point[ok, :, None])[..., 0] - b
     if np.any(np.where(is_ge, -miss, miss) > FEAS_TOL):
@@ -374,26 +383,31 @@ def _solve_box(A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray)
 def solve_lp(p: LinearProgram) -> Solution:
     """Maximize the objective; status is optimal, infeasible or unbounded.
 
-    A stack maximizes over the union of its members: unbounded if any member
-    is, infeasible if none is feasible; else, scanning members in order, the
-    best so far gives way only to a value above it by more than TIE_TOL. index
-    names the winner, whose solution is the one it gets alone.
+    A stack's solution holds each member's solution alone: statuses, points
+    (B, n), values (B,), NaN unless optimal, and duals (B, m). Its status is
+    the union's: unbounded if any member is, else optimal if any is, else
+    infeasible.
     """
     obj = p.objective.reshape(-1, p.objective.shape[-1])  # (B, n)
-    A, is_ge, b, src = _expanded(
-        p.constraints.reshape(len(obj), *p.constraints.shape[-2:]), p.relations, p.rhs
-    )
-    status, x, prices = _solve_standard(A, is_ge, b, obj)
-    best: tuple[float, int] | None = None
-    for k in np.flatnonzero(status == "optimal"):
-        value = float(np.dot(obj[k], x[k]))
-        if best is None or value > best[0] + TIE_TOL:
-            best = (value, int(k))
-    if best is None or (status == "unbounded").any():
-        return Solution("unbounded" if (status == "unbounded").any() else "infeasible")
-    value, k = best
+    A = p.constraints.reshape(len(obj), *p.constraints.shape[-2:])
+    m = len(p.relations) + p.relations.count("=")  # rows once equalities split
+    step = max(1, _STACK_BYTES // (8 * (m + 1) * (obj.shape[1] + 2 * m + 1)))
+    parts = []
+    for i in range(0, len(obj), step):
+        Ai, is_ge, b, src = _expanded(A[i : i + step], p.relations, p.rhs)
+        parts.append(_solve_standard(Ai, is_ge, b, obj[i : i + step]))
+    status, x, prices = (np.concatenate(v) for v in zip(*parts))
+    statuses = tuple(status)
+    value = np.array([np.dot(o, y) if s == "optimal" else math.nan for s, o, y in zip(statuses, obj, x)])
     # an equality's price is the sum of its <= and >= halves
-    return Solution("optimal", x[k], value, np.bincount(src, prices[k]), k)
+    duals = np.zeros((len(obj), len(p.relations)))
+    np.add.at(duals, (slice(None), src), prices)
+    if p.objective.ndim == 2:
+        union = next((s for s in ("unbounded", "optimal") if s in statuses), "infeasible")
+        return Solution(union, x, value, duals, statuses)
+    if statuses[0] != "optimal":
+        return Solution(statuses[0])
+    return Solution("optimal", x[0], float(value[0]), duals[0])
 
 
 # ---------------------------------------------------------------------------

@@ -183,11 +183,11 @@ def test_criterion_7_hand_derived_sse_fixture():
     u = UtilityProfile(
         {"t1": 10.0, "t2": 5.0}, {"s1": 2.0, "s2": 0.0, "s3": 0.0, "s4": 0.0}
     )
-    sse = solve_sse(build_game(tiny, cfg, u))
+    sse = solve_sse([build_game(tiny, cfg, u)])[0]
     assert sse.defender_mix == pytest.approx([0.6, 0.4], abs=1e-6)
     assert sse.defender_value == pytest.approx(11.0, abs=1e-6)
     u0 = UtilityProfile({"t1": 10.0, "t2": 5.0}, {s: 0.0 for s in tiny.s_ids})
-    sse0 = solve_sse(build_game(tiny, cfg, u0))
+    sse0 = solve_sse([build_game(tiny, cfg, u0)])[0]
     assert sse0.defender_value == pytest.approx(10.0, abs=1e-6)
     report(7, "mix (0.6, 0.4), value 11; zero-cost value 10, all within 1e-6")
 
@@ -199,7 +199,7 @@ def test_criterion_8_sse_dominates_urs():
         cfg = greedy_k(g)
         cfg.validate(g)
         game = build_game(g, cfg, random_profile(g, rng))
-        assert solve_sse(game).defender_value >= urs_value(game) - 1e-6
+        assert solve_sse([game])[0].defender_value >= urs_value(game) - 1e-6
     report(8, "SSE value >= URS value on 200/200 random games")
 
 

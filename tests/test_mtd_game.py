@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from gridmtd import (
     solve_sse,
     urs_value,
 )
-from gridmtd.mtd_game import _live_columns, format_value, trial_rng
+from gridmtd.mtd_game import _BATCH_TRIALS, _live_columns, format_value, trial_rng
 from gridmtd.optim import FEAS_TOL, TIE_TOL
 from conftest import feasible_corpus
 
@@ -181,7 +183,7 @@ def test_payoff_matrix_matches_direct_calls():
 
 def test_sse_hand_fixture(tiny_graph, tiny_config, tiny_profile):
     game = build_game(tiny_graph, tiny_config, tiny_profile)
-    sse = solve_sse(game)
+    sse = solve_sse([game])[0]
     assert sse.defender_mix == pytest.approx([0.6, 0.4], abs=1e-6)
     assert game.attacker_actions[sse.attacker_response] == "s3"
     assert sse.defender_value == pytest.approx(11.0, abs=1e-6)
@@ -190,7 +192,7 @@ def test_sse_hand_fixture(tiny_graph, tiny_config, tiny_profile):
 def test_sse_all_costs_zero(tiny_graph, tiny_config):
     u = zero_cost_profile(tiny_graph, {"t1": 10.0, "t2": 5.0})
     game = build_game(tiny_graph, tiny_config, u)
-    sse = solve_sse(game)
+    sse = solve_sse([game])[0]
     assert sse.defender_value == pytest.approx(10.0, abs=1e-6)
     assert sse.defender_mix == pytest.approx([0.5, 0.5], abs=1e-6)
 
@@ -199,7 +201,7 @@ def test_sse_single_action(tiny_graph):
     cfg = ConfigurationSet((CodeSet(frozenset({"s1", "s2"})),))
     u = zero_cost_profile(tiny_graph, {"t1": 10.0, "t2": 5.0})
     game = build_game(tiny_graph, cfg, u)
-    sse = solve_sse(game)
+    sse = solve_sse([game])[0]
     assert sse.defender_mix == pytest.approx([1.0], abs=1e-9)
     j, att_val, dfd_val = best_response(game, np.array([1.0]))
     assert sse.defender_value == pytest.approx(dfd_val, abs=1e-6)
@@ -217,7 +219,7 @@ def test_urs_equals_sse_for_single_action(tiny_graph):
     cfg = ConfigurationSet((CodeSet(frozenset({"s3", "s4"})),))
     u = zero_cost_profile(tiny_graph, {"t1": 3.0, "t2": 9.0})
     game = build_game(tiny_graph, cfg, u)
-    assert urs_value(game) == pytest.approx(solve_sse(game).defender_value, abs=1e-6)
+    assert urs_value(game) == pytest.approx(solve_sse([game])[0].defender_value, abs=1e-6)
 
 
 def test_sse_best_response_certificate_and_dominance():
@@ -225,7 +227,7 @@ def test_sse_best_response_certificate_and_dominance():
         cfg = greedy_k(g)
         u = random_profile(g, np.random.default_rng(1000 + i))
         game = build_game(g, cfg, u)
-        sse = solve_sse(game)
+        sse = solve_sse([game])[0]
         att = sse.defender_mix @ game.attacker_payoffs
         assert att[sse.attacker_response] >= att.max() - 1e-6
         assert sse.defender_value >= urs_value(game) - 1e-6
@@ -265,7 +267,7 @@ def test_sse_matches_breakpoint_oracle_on_two_set_games():
             continue
         u = random_profile(g, np.random.default_rng(4000 + i))
         game = build_game(g, cfg, u)
-        sse = solve_sse(game)
+        sse = solve_sse([game])[0]
         assert sse.defender_value == pytest.approx(
             _sse_two_action_oracle(game), abs=1e-6
         )
@@ -302,7 +304,7 @@ def reference_sse(game):
 def assert_pruning_exact(game):
     """solve_sse agrees with reference_sse, and every action it prunes has an
     infeasible full LP. Returns the number of pruned actions."""
-    sse = solve_sse(game)
+    sse = solve_sse([game])[0]
     response, value = reference_sse(game)
     assert sse.attacker_response == response
     assert sse.defender_value == pytest.approx(value, abs=1e-9)
@@ -349,6 +351,97 @@ def test_sse_pruning_margin_is_feas_tol():
     assert assert_pruning_exact(game) == 1
 
 
+def sequential_pick(game):
+    """solve_sse's rule with each of the game's live LPs solved alone: the
+    first optimal action that no later one beats by more than TIE_TOL."""
+    am, live = game.attacker_payoffs, _live_columns(game.attacker_payoffs)
+    best = None
+    for j in live:
+        gaps = am[:, [j]] - am[:, [jp for jp in live if jp != j]]
+        rows = [np.ones(game.n_defender)] + list(gaps.T)
+        sol = solve_lp(LinearProgram(
+            game.defender_payoffs[:, j], rows, ("=",) + (">=",) * gaps.shape[1], [1.0] + [0.0] * gaps.shape[1]
+        ))
+        if sol.status == "optimal" and (best is None or sol.objective_value > best[1] + TIE_TOL):
+            best = (int(j), sol.objective_value, sol.assignment)
+    return best
+
+
+def test_sse_tie_goes_to_the_lowest_action():
+    # action 1 pays the defender more than action 0 by half TIE_TOL: a tie,
+    # so action 0 wins; by twice TIE_TOL action 1 wins itself
+    sets = (CodeSet(frozenset({"a"})), CodeSet(frozenset({"b"})))
+    for nudge, winner in ((0.5, 0), (2.0, 1)):
+        dm = np.array([[1.0, 1.0 + nudge * TIE_TOL], [0.0, 0.0]])
+        game = GameMatrix(sets, ("s0", "s1"), dm, np.zeros((2, 2)))
+        assert solve_sse([game])[0].attacker_response == winner
+    # games with a near twin of action 0, solved as one stack, pick what
+    # their LPs solved one at a time pick
+    rng = np.random.default_rng(41)
+    games = []
+    for t in range(60):
+        K, A = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        am, dm = rng.integers(-3, 4, size=(2, K, A)).astype(float)
+        am[:, -1] = am[:, 0]
+        dm[:, -1] = dm[:, 0] * (1 + rng.choice([0.2, 0.5, 2.0]) * TIE_TOL) + (t % 2) * TIE_TOL
+        sets = tuple(CodeSet(frozenset({f"d{k}"})) for k in range(K))
+        games.append(GameMatrix(sets, tuple(f"s{j}" for j in range(A)), dm, am))
+    for game, sse in zip(games, solve_sse(games)):
+        j, value, mix = sequential_pick(game)
+        assert (sse.attacker_response, sse.defender_value) == (j, value)
+        assert sse.defender_mix.tobytes() == mix.tobytes()
+
+
+@pytest.fixture(scope="module")
+def case14_families():
+    text = (Path(__file__).parent.parent / "data" / "case14.m").read_text()
+    g = build_bipartite(parse_matpower(text), ["4-7", "4-9", "5-6", "7-8", "7-9"])
+    return g, greedy_k(g), find_kmax(g)
+
+
+def assert_same_sse(a, b):
+    assert a.defender_mix.tobytes() == b.defender_mix.tobytes()
+    assert (a.attacker_response, a.defender_value, a.attacker_value) == (
+        b.attacker_response, b.defender_value, b.attacker_value
+    )
+
+
+def test_batched_sse_equals_solo_sse(case14_families):
+    # run_trials stacks the LPs of many trials' games; every row must equal
+    # its two games solved alone, bit for bit, with batches mixing live counts
+    g, greedy, optimal = case14_families
+    n, mixed = 2 * _BATCH_TRIALS + 3, 0
+    for seed, cost_on_miss, integer_utilities in itertools.product((1, 2, 3), (True, False), (True, False)):
+        rep = run_trials(g, greedy, optimal, n, seed, cost_on_miss, integer_utilities)
+        batch = []
+        for trial in range(n):
+            u = random_profile(g, trial_rng(seed, trial), integer_utilities)
+            games = [build_game(g, cfg, u, cost_on_miss) for cfg in (greedy, optimal)]
+            alone = [solve_sse([game])[0] for game in games]
+            assert rep.values[trial].tolist() == [urs_value(x) for x in games] + [s.defender_value for s in alone]
+            batch.append(games[1])
+            if len(batch) == _BATCH_TRIALS:
+                mixed += len({_live_columns(x.attacker_payoffs).size for x in batch}) > 1
+                for a, b in zip(solve_sse(batch), (solve_sse([x])[0] for x in batch)):
+                    assert_same_sse(a, b)
+                batch = []
+    assert mixed > 0
+
+
+def test_batched_sse_matches_reference_on_corpus():
+    games = []
+    for i, g in enumerate(feasible_corpus(seed=67, count=20, s_lo=4, s_hi=10)):
+        u = random_profile(g, np.random.default_rng(i), integer_utilities=i % 2 == 1)
+        for cfg, cost_on_miss in itertools.product((find_kmax(g), greedy_k(g)), (True, False)):
+            games.append(build_game(g, cfg, u, cost_on_miss))
+    assert len({(x.n_defender, _live_columns(x.attacker_payoffs).size) for x in games}) > 3
+    for game, sse in zip(games, solve_sse(games)):
+        assert_same_sse(sse, solve_sse([game])[0])
+        response, value = reference_sse(game)
+        assert sse.attacker_response == response
+        assert sse.defender_value == pytest.approx(value, abs=1e-9)
+
+
 def test_attack_futility_bound(tiny_graph, tiny_config):
     # an attack never raises the defender above the untouched value
     u = zero_cost_profile(tiny_graph, {"t1": 7.0, "t2": 3.0})
@@ -378,7 +471,7 @@ def test_zero_utilities_zero_game(tiny_graph, tiny_config):
     )
     game = build_game(tiny_graph, tiny_config, u)
     assert np.all(game.defender_payoffs == 0.0)
-    assert solve_sse(game).defender_value == pytest.approx(0.0, abs=1e-9)
+    assert solve_sse([game])[0].defender_value == pytest.approx(0.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +505,25 @@ def test_run_trials_single_trial_replayable(tiny_graph):
     expect = (
         urs_value(build_game(tiny_graph, greedy, u)),
         urs_value(build_game(tiny_graph, optimal, u)),
-        solve_sse(build_game(tiny_graph, greedy, u)).defender_value,
-        solve_sse(build_game(tiny_graph, optimal, u)).defender_value,
+        solve_sse([build_game(tiny_graph, greedy, u)])[0].defender_value,
+        solve_sse([build_game(tiny_graph, optimal, u)])[0].defender_value,
     )
     assert rep.values[0] == pytest.approx(expect, abs=1e-12)
     assert np.all(rep.stds() == 0.0)
+
+
+def test_run_trials_memory_does_not_grow_with_trials(case14_families):
+    g, greedy, optimal = case14_families
+    run_trials(g, greedy, optimal, 2, seed=1)  # first-call allocations out of the way
+    peaks = []
+    for n in (40, 400):
+        tracemalloc.start()
+        try:
+            run_trials(g, greedy, optimal, n, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 0.5e6
 
 
 def test_run_trials_rejects_zero_trials(tiny_graph):
@@ -465,4 +572,4 @@ def test_sse_dominates_urs_random_games(seed):
     cfg = greedy_k(g)
     u = random_profile(g, rng)
     game = build_game(g, cfg, u)
-    assert solve_sse(game).defender_value >= urs_value(game) - 1e-6
+    assert solve_sse([game])[0].defender_value >= urs_value(game) - 1e-6

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -563,20 +564,6 @@ def alone(obj, matrix, relations, rhs):
     return solve_lp(lp(obj, [(row, rel, b) for row, rel, b in zip(matrix, relations, rhs)]))
 
 
-def sequential_pick(solutions):
-    """The union of separately solved members: unbounded if any is, else the
-    first optimal member that no later one beats by more than TIE_TOL."""
-    if any(s.status == "unbounded" for s in solutions):
-        return "unbounded", None
-    best = None
-    for k, s in enumerate(solutions):
-        if s.status == "optimal" and (
-            best is None or s.objective_value > solutions[best].objective_value + TIE_TOL
-        ):
-            best = k
-    return ("infeasible", None) if best is None else ("optimal", best)
-
-
 def random_stacks(rng, count):
     """Stacks mixing optimal, infeasible and unbounded members, with zero-rhs
     >= rows; one holds the Beale cycling instance, one the phase-1 residual LP,
@@ -619,15 +606,18 @@ def test_lp_stack_members_match_their_solves_alone(monkeypatch, stall_limit):
             assert status[k] == single.status
             if single.status == "optimal":
                 assert x[k].tobytes() == single.assignment.tobytes()
-        # and the union's pick is the sequential rule's, with that member's solution
-        union = solve_lp(LinearProgram(obj, matrix, relations, rhs))
-        expect, k = sequential_pick(singles)
-        assert union.status == expect
-        if expect == "optimal":
-            assert union.index == k
-            assert union.assignment.tobytes() == singles[k].assignment.tobytes()
-            assert union.objective_value == singles[k].objective_value
-            assert union.duals.tobytes() == singles[k].duals.tobytes()
+        # and solve_lp on the stack returns each member's solution alone
+        stack = solve_lp(LinearProgram(obj, matrix, relations, rhs))
+        assert stack.statuses == tuple(single.status for single in singles)
+        for k, single in enumerate(singles):
+            if single.status == "optimal":
+                assert stack.assignment[k].tobytes() == single.assignment.tobytes()
+                assert stack.objective_value[k] == single.objective_value
+                assert stack.duals[k].tobytes() == single.duals.tobytes()
+            else:
+                assert math.isnan(stack.objective_value[k])
+        union = next((s for s in ("unbounded", "optimal") if s in stack.statuses), "infeasible")
+        assert stack.status == union
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
@@ -647,14 +637,36 @@ def test_lp_stack_member_keeps_its_own_entering_rule(monkeypatch):
         assert x[k].tobytes() == alone(obj[k], matrix[k], relations, rhs).assignment.tobytes()
 
 
-def test_lp_stack_tie_goes_to_the_first_member():
-    # the second member's value beats the first by half TIE_TOL: a tie, so
-    # the first member wins; by twice TIE_TOL it wins itself
-    rows = np.array([[[1.0, 1.0]]] * 2)
-    for nudge, winner in ((0.5, 0), (2.0, 1)):
-        obj = np.array([[1.0, 0.0], [1.0 + nudge * TIE_TOL, 0.0]])
-        sol = solve_lp(LinearProgram(obj, rows, ("<=",), [1.0]))
-        assert (sol.status, sol.index) == ("optimal", winner)
+def test_pivot_allocates_at_most_one_tableau():
+    # the touched rows are updated in place, through one product array the
+    # size of the tableau, not through gathered copies of those rows (numpy's
+    # broadcasting buffers, a fixed 128 KB or so, are the rest)
+    rng = np.random.default_rng(5)
+    B, M, N = 8, 64, 512
+    T = rng.standard_normal((B, M, N))
+    basis, cols = np.tile(np.arange(M), (B, 1)), rng.integers(0, N - 1, size=B)
+    colv = T[np.arange(B), :, cols]
+    tracemalloc.start()
+    try:
+        optim._pivot(T, basis, np.arange(B) * M + rng.integers(0, M - 1, size=B), cols, colv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * T.nbytes
+
+
+def test_lp_stack_chunks_match_one_stack(monkeypatch):
+    # a stack split into chunks of one member each solves to the same bits
+    rng = np.random.default_rng(43)
+    stacks = list(random_stacks(rng, 30))
+    whole = [solve_lp(LinearProgram(*stack)) for stack in stacks]
+    monkeypatch.setattr(optim, "_STACK_BYTES", 1)
+    for stack, one in zip(stacks, whole):
+        chunked = solve_lp(LinearProgram(*stack))
+        assert (chunked.status, chunked.statuses) == (one.status, one.statuses)
+        for a, b in ((chunked.assignment, one.assignment), (chunked.objective_value, one.objective_value),
+                     (chunked.duals, one.duals)):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize(
