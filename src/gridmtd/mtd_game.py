@@ -8,6 +8,8 @@ minus the attack cost. The optimal commitment is found by one LP per attacker
 action that no other action strictly dominates; solve_sse takes a sequence
 of games and solves the LPs of all of them that share a shape as one stack
 in a single solve_lp call, so run_trials solves a batch of trials at once.
+Which transformers stay identified under each attack is found once per
+(graph, configuration); build_game sums only the payoffs per utility draw.
 
 Tolerances, both from optim: dominance uses the LP's feasibility tolerance
 FEAS_TOL, since a column another beats by more than FEAS_TOL in every row
@@ -18,6 +20,7 @@ values use TIE_TOL.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -175,6 +178,18 @@ def attacker_payoff(
     return gained - _cost(u, attacked)
 
 
+@lru_cache(maxsize=8)
+def _frame(g: BipartiteGraph, config: ConfigurationSet) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Attacker actions, (K, A, |T|) _identified flags and (K, A) hit mask of
+    config on g, which no utility draw changes; arrays read-only."""
+    site_idx = sorted(g.site_indices(config.all_sites()))
+    sets = [g.site_indices(cs.sensors) for cs in config.sets]
+    flags = _identified(g, sets, site_idx)
+    hit = np.array([[s in st for s in site_idx] for st in sets])
+    flags.flags.writeable = hit.flags.writeable = False
+    return tuple(g.s_ids[s] for s in site_idx), flags, hit
+
+
 def build_game(
     g: BipartiteGraph,
     config: ConfigurationSet,
@@ -187,15 +202,10 @@ def build_game(
     graph order; disjointness makes that exactly K*l actions.
     """
     util = np.array([_utility(u, tid) for tid in g.t_ids])
-    site_idx = sorted(g.site_indices(config.all_sites()))
-    attacker_actions = tuple(g.s_ids[s] for s in site_idx)
+    attacker_actions, flags, hit = _frame(g, config)
     cost = np.array([_cost(u, sid) for sid in attacker_actions])
     if len(attacker_actions) != config.K * config.l:
         raise ValueError("configuration sets overlap; attacker action count broken")
-
-    sets = [g.site_indices(cs.sensors) for cs in config.sets]
-    flags = _identified(g, sets, site_idx)
-    hit = np.array([[s in st for s in site_idx] for st in sets])
     dm = _sum_by_transformer(flags, util)
     am = _sum_by_transformer(~flags, util) - (cost if cost_on_miss else hit * cost)
     return GameMatrix(config.sets, attacker_actions, dm, am)

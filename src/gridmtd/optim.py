@@ -7,10 +7,12 @@ pivots a stack of same-shape tableaus (B, m+1, n+1) one array step at a
 time, each member with its own pivot choices, stall count and iteration cap:
 a LinearProgram of one objective or a branch-and-bound node is a stack of
 one, a LinearProgram of B objectives a stack of B, solved in chunks whose
-tableaus fit _STACK_BYTES. Pivots update rows in place, and a member that is
-done is swapped behind those still going, so no stack is copied. Pivoting
-uses the largest-reduced-cost rule and falls back to Bland's rule whenever
-the objective stalls on a degenerate vertex, so termination is guaranteed.
+tableaus, at their real width, fit _STACK_BYTES. Only a row whose rhs lies
+on its relation's wrong side of 0 gets a phase-1 artificial. Pivots update
+rows in place, and a member that is done is swapped behind those still
+going, so no stack is copied. Pivoting uses the largest-reduced-cost rule
+and falls back to Bland's rule whenever the objective stalls on a
+degenerate vertex, so termination is guaranteed.
 The fixed rules make solves deterministic: a program gets the same bits
 alone or in a stack.
 
@@ -263,23 +265,23 @@ def _solve_standard(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per member k, maximize obj[k] . y subject to A[k] y <= / >= b (per
     is_ge) and y >= 0: each member's status, point and row prices (duals),
-    zero unless optimal. Rows with b < 0 enter the tableau negated, their
-    relation flipped; A, is_ge and b are left as they are. Infeasible members
-    go behind the others, which phase 2 solves alone; a row phase 1 finds
-    redundant stays inert, all its entries at most PIVOT_TOL."""
+    zero unless optimal. Rows with b < 0 or >= rows with b = 0 enter the
+    tableau negated, relation flipped, so only >= rows with b > 0 and <= rows
+    with b < 0 get artificials; A, is_ge and b are left as they are.
+    Infeasible members go behind the others, which phase 2 solves alone; a
+    row phase 1 finds redundant stays inert, all its entries at most PIVOT_TOL."""
     B, m, n_y = A.shape
-    neg = b < 0
-    ge = is_ge ^ neg
+    flip = (b < 0) | (is_ge & (b == 0))
+    ge = is_ge ^ flip
 
     ge_rows = np.flatnonzero(ge)
-    art0 = n_y + m  # artificial columns, one per >= row
+    art0 = n_y + m  # artificial columns, one per >= row once rows are flipped
     n_cols = art0 + ge_rows.size
     T = np.zeros((B, m + 1, n_cols + 1))
     T[:, :m, :n_y] = A
-    T[:, :m, -1] = b
-    if neg.any():
-        T[:, np.flatnonzero(neg), :n_y] *= -1.0
-        T[:, np.flatnonzero(neg), -1] *= -1.0
+    T[:, :m, -1] = np.abs(b)
+    if flip.any():
+        T[:, np.flatnonzero(flip), :n_y] *= -1.0
     T[:, np.arange(m), n_y + np.arange(m)] = np.where(ge, -1.0, 1.0)
     T[:, ge_rows, art0 + np.arange(ge_rows.size)] = 1.0
     slack_or_art = np.where(ge, art0 + np.cumsum(ge) - 1, n_y + np.arange(m))
@@ -391,7 +393,9 @@ def solve_lp(p: LinearProgram) -> Solution:
     obj = p.objective.reshape(-1, p.objective.shape[-1])  # (B, n)
     A = p.constraints.reshape(len(obj), *p.constraints.shape[-2:])
     m = len(p.relations) + p.relations.count("=")  # rows once equalities split
-    step = max(1, _STACK_BYTES // (8 * (m + 1) * (obj.shape[1] + 2 * m + 1)))
+    rel = np.array(p.relations)  # _solve_standard's artificials: rhs on the relation's wrong side of 0
+    arts = np.count_nonzero(np.where(rel == "=", p.rhs != 0, p.rhs * np.where(rel == ">=", 1, -1) > 0))
+    step = max(1, _STACK_BYTES // (8 * (m + 1) * (obj.shape[1] + m + arts + 1)))
     parts = []
     for i in range(0, len(obj), step):
         Ai, is_ge, b, src = _expanded(A[i : i + step], p.relations, p.rhs)

@@ -33,6 +33,7 @@ from gridmtd import (
     solve_sse,
     urs_value,
 )
+from gridmtd import mtd_game
 from gridmtd.mtd_game import _BATCH_TRIALS, _live_columns, format_value, trial_rng
 from gridmtd.optim import FEAS_TOL, TIE_TOL
 from conftest import feasible_corpus
@@ -175,6 +176,63 @@ def test_payoff_matrix_matches_direct_calls():
                     assert defender_payoff(g, active, sid, u) == d
                     assert attacker_payoff(g, active, sid, u, com) == a
     assert checked >= 50
+
+
+def reference_build_game(g, config, u, cost_on_miss=True):
+    """build_game as it was before its frame was cached: every array from
+    scratch on each call."""
+    util = np.array([mtd_game._utility(u, tid) for tid in g.t_ids])
+    site_idx = sorted(g.site_indices(config.all_sites()))
+    attacker_actions = tuple(g.s_ids[s] for s in site_idx)
+    cost = np.array([mtd_game._cost(u, sid) for sid in attacker_actions])
+    sets = [g.site_indices(cs.sensors) for cs in config.sets]
+    flags = mtd_game._identified(g, sets, site_idx)
+    hit = np.array([[s in st for s in site_idx] for st in sets])
+    dm = mtd_game._sum_by_transformer(flags, util)
+    am = mtd_game._sum_by_transformer(~flags, util) - (cost if cost_on_miss else hit * cost)
+    return GameMatrix(config.sets, attacker_actions, dm, am)
+
+
+def assert_same_game(a, b):
+    assert (a.defender_actions, a.attacker_actions) == (b.defender_actions, b.attacker_actions)
+    for x, y in ((a.defender_payoffs, b.defender_payoffs), (a.attacker_payoffs, b.attacker_payoffs)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_cached_frames_give_the_reference_games(case14_families):
+    g, greedy, optimal = case14_families
+    for cfg, cost_on_miss, integer_utilities in itertools.product(
+        (greedy, optimal), (True, False), (True, False)
+    ):
+        for trial in range(6):
+            u = random_profile(g, trial_rng(7, trial), integer_utilities)
+            assert_same_game(build_game(g, cfg, u, cost_on_miss), reference_build_game(g, cfg, u, cost_on_miss))
+    for i, g in enumerate(feasible_corpus(seed=71, count=30, s_lo=4, s_hi=10)):
+        u = random_profile(g, np.random.default_rng(i), integer_utilities=i % 2 == 1)
+        for cfg, cost_on_miss in itertools.product((find_kmax(g), greedy_k(g)), (True, False)):
+            assert_same_game(build_game(g, cfg, u, cost_on_miss), reference_build_game(g, cfg, u, cost_on_miss))
+    # the cache is bounded, so a long run cannot pile up frames
+    assert 1 <= mtd_game._frame.cache_info().maxsize <= 64
+
+
+def test_cached_frame_arrays_are_read_only(tiny_graph, tiny_config):
+    _, flags, hit = mtd_game._frame(tiny_graph, tiny_config)
+    for a in (flags, hit):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = not a[(0,) * a.ndim]
+
+
+def test_frames_follow_the_adjacency_not_the_ids():
+    # two graphs with the same ids and configuration but other edges
+    ids = (("t1", "t2"), ("s1", "s2", "s3", "s4"))
+    graphs = [BipartiteGraph(*ids, (frozenset({0, 2}), frozenset({1, 3}))),
+              BipartiteGraph(*ids, (frozenset({0, 1, 2}), frozenset({1, 3})))]
+    cfg = ConfigurationSet((CodeSet(frozenset({"s1", "s2"})), CodeSet(frozenset({"s3", "s4"}))))
+    u = UtilityProfile({"t1": 10.0, "t2": 5.0}, {"s1": 1.0, "s2": 2.0, "s3": 3.0, "s4": 4.0})
+    games = [build_game(g, cfg, u) for g in graphs]
+    for g, game in zip(graphs, games):
+        assert_same_game(game, reference_build_game(g, cfg, u))
+    assert games[0].defender_payoffs.tobytes() != games[1].defender_payoffs.tobytes()
 
 
 # ---------------------------------------------------------------------------

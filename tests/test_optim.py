@@ -393,6 +393,78 @@ def test_lp_against_scipy_reference():
     assert agreements == 100
 
 
+def test_lp_mixed_rows_match_highs_with_a_dual_certificate():
+    # rows of every relation with negative, zero and positive rhs: a >= row
+    # at 0 enters negated with a slack, and only rows with their rhs on the
+    # relation's wrong side of 0 get phase-1 artificials
+    opt = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(3002)
+    seen = Counter()
+    for _ in range(200):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        A = rng.integers(-5, 6, size=(m, n)).astype(float)
+        rels = np.array(["<=", ">=", "="])[rng.integers(0, 3, size=m)]
+        b = rng.integers(-3, 6, size=m) * (rng.random(m) < 0.6) * 1.0
+        c = rng.integers(-6, 7, size=n).astype(float)
+        ours = solve_lp(lp(c, [(A[i], rels[i], b[i]) for i in range(m)] + caps(n, 4.0)))
+        s = np.where(rels == ">=", -1.0, 1.0)[:, None]
+        ub, eq = rels != "=", rels == "="
+        ref = opt.linprog(-c, A_ub=(A * s)[ub], b_ub=(b * s[:, 0])[ub], A_eq=A[eq], b_eq=b[eq],
+                          bounds=[(0, 4)] * n, method="highs")
+        assert ref.status in (0, 2), ref.message
+        assert ours.status == ("optimal" if ref.status == 0 else "infeasible")
+        seen[ours.status, bool(((rels == ">=") & (b == 0)).any())] += 1
+        if ref.status == 0:
+            assert ours.objective_value == pytest.approx(-ref.fun, abs=1e-6)
+            y, rows = ours.duals, np.vstack([A, np.eye(n)])
+            kinds = np.append(rels, ["<="] * n)
+            assert (y[kinds == "<="] >= -1e-9).all() and (y[kinds == ">="] <= 1e-9).all()
+            assert (rows.T @ y >= c - 1e-6).all()
+            assert np.append(b, [4.0] * n) @ y == pytest.approx(ours.objective_value, abs=1e-6)
+    # both statuses, each with and without a >= row at rhs 0
+    assert min(seen[status, zero] for status in ("optimal", "infeasible") for zero in (False, True)) >= 10
+
+
+def phase_tableaus(monkeypatch):
+    """Record the tableau shape of every _run_simplex call."""
+    shapes, run = [], optim._run_simplex
+
+    def record(T, *args):
+        shapes.append(T.shape)
+        return run(T, *args)
+
+    monkeypatch.setattr(optim, "_run_simplex", record)
+    return shapes
+
+
+def test_only_rows_with_rhs_against_their_relation_get_artificials(monkeypatch):
+    # the = row's >= half is the one row that needs an artificial: phase 1's
+    # tableau has n + 5 slack + 1 artificial + 1 rhs columns, and a stack of
+    # such programs is chunked by that width
+    shapes = phase_tableaus(monkeypatch)
+    n = 3
+    cons = [([1.0] * n, "=", 1.0), ([1.0, -2.0, 0.0], ">=", 0.0), ([0.0, 1.0, -1.0], ">=", 0.0),
+            ([2.0, 1.0, 1.0], "<=", 2.0)]
+    sol = solve_lp(lp([1.0, 2.0, 3.0], cons))
+    assert sol.status == "optimal"
+    assert shapes == [(1, 6, n + 5 + 1 + 1)] * 2
+    chunks, solve = [], optim._solve_standard
+    monkeypatch.setattr(optim, "_solve_standard", lambda A, *args: chunks.append(len(A)) or solve(A, *args))
+    monkeypatch.setattr(optim, "_STACK_BYTES", 8 * 6 * (n + 5 + 1 + 1) * 4)
+    matrix, relations, rhs = rows(n, cons)
+    solve_lp(LinearProgram(np.ones((10, n)), np.tile(matrix, (10, 1, 1)), relations, rhs))
+    assert chunks == [4, 4, 2]
+
+
+def test_zero_rhs_ge_rows_run_no_phase_1(monkeypatch):
+    shapes = phase_tableaus(monkeypatch)
+    cons = [([1.0, -1.0, 0.0], ">=", 0.0), ([0.0, 1.0, -3.0], ">=", 0.0), ([1.0, 1.0, 1.0], "<=", 6.0),
+            ([-1.0, 0.0, 0.0], "<=", 0.0)]
+    sol = solve_lp(lp([1.0, 1.0, 1.0], cons))
+    assert sol.status == "optimal" and sol.objective_value == pytest.approx(6.0)
+    assert shapes == [(1, 5, 3 + 4 + 1)]  # phase 2 alone, and no artificial column
+
+
 def max_row_miss(p, x):
     """How far x lies outside the program's worst-satisfied row."""
     miss = 0.0
