@@ -10,7 +10,7 @@ validate the solvers on small graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -205,25 +205,28 @@ def solve_k_dcs(g: BipartiteGraph, K: int) -> ConfigurationSet:
 def find_kmax(g: BipartiteGraph) -> ConfigurationSet:
     """Largest family of pairwise-disjoint minimum DCSs, packed from patterns
     over twin classes (sites heard by the same transformers). A minimum DCS,
-    of size m from the DCS program, holds one site from each of m classes
-    whose codes are non-empty and distinct, a pattern. Column generation
-    (Gilmore and Gomory) solves the packing LP, no class used more often than
-    it has sites, over the patterns its class prices call in, and the packing
-    BILP over those patterns is widened, in stages, only while it falls short
-    of the LP bound. Classes and sites go in name order, so renumbering g
-    leaves the family as it is."""
-    m = solve_k_dcs(g, 1).l
+    of size m, holds one site from each of m classes whose codes are
+    non-empty and distinct, a pattern. Column generation (Gilmore and
+    Gomory) solves the packing LP, no class used more often than it has
+    sites, over the patterns its class prices call in, and the packing BILP
+    over those patterns is widened, in stages, only while it falls short of
+    the LP bound. Classes and sites go in name order, so renumbering g
+    leaves the family as it is.
+
+    m is the log2 floor, ceil(log2(n_t + 1)), below which no DCS exists,
+    when some pattern has that size; else it comes from the DCS program.
+    The patterns at the floor are enumerated first only when floor + n_t is
+    at most the class count: m <= n_t (Bondy 1972), so C(classes, floor)
+    is then at most C(classes, m), the enumeration the answer needs anyway."""
+    check_feasible(g)
     heard_by = [tuple(sorted(t for t, nb in zip(g.t_ids, g.adj) if s in nb)) for s in range(g.n_s)]
     keys = sorted(set(heard_by) - {()})
     sites = [sorted(sid for sid, h in zip(g.s_ids, heard_by) if h == k) for k in keys]
     mult = np.array([len(ids) for ids in sites])
-    heard = np.array([np.isin(g.t_ids, k) for k in keys], dtype=np.int64 if m < 63 else object)
-    subsets, patterns = combinations(range(len(keys)), m), []
-    while (idx := np.array(list(islice(subsets, 1024)))).size:  # about a thousand at a time
-        # bit j of a transformer's code is set when the pattern's j-th class hears it
-        codes = np.sort(sum(heard[idx[:, j]] << j for j in range(m)), axis=1)
-        patterns.append(idx[(codes[:, 0] > 0) & (np.diff(codes, axis=1) != 0).all(axis=1)])
-    patterns = np.concatenate(patterns)
+    floor = g.n_t.bit_length()
+    patterns = _patterns(g, keys, floor) if floor + g.n_t <= len(keys) else ()
+    if not len(patterns):
+        patterns = _patterns(g, keys, solve_k_dcs(g, 1).l)
     use = np.arange(len(patterns)) == 0
     while True:
         uses = _capacity(patterns[use], mult)
@@ -254,6 +257,18 @@ def find_kmax(g: BipartiteGraph) -> ConfigurationSet:
     cfg = ConfigurationSet(tuple(CodeSet(frozenset(next(left[c]) for c in p)) for p in picks))
     cfg.validate(g)
     return cfg
+
+
+def _patterns(g: BipartiteGraph, keys: list[tuple], m: int) -> np.ndarray:
+    """The size-m patterns over classes keys, in lexicographic order."""
+    heard = np.array([np.isin(g.t_ids, k) for k in keys], dtype=np.int64 if m < 63 else object)
+    subsets, patterns = combinations(range(len(keys)), m), []
+    # about a thousand at a time
+    while (idx := np.fromiter(chain.from_iterable(islice(subsets, 1024)), int).reshape(-1, m)).size:
+        # bit j of a transformer's code is set when the pattern's j-th class hears it
+        codes = np.sort(sum(heard[idx[:, j]] << j for j in range(m)), axis=1)
+        patterns.append(idx[(codes[:, 0] > 0) & (np.diff(codes, axis=1) != 0).all(axis=1)])
+    return np.concatenate(patterns)
 
 
 def _capacity(patterns: np.ndarray, mult: np.ndarray) -> np.ndarray:

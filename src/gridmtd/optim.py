@@ -5,9 +5,10 @@ binary programs. A program holds checked arrays: a float objective and
 constraint matrix, one relation per row and a rhs. The one simplex core
 pivots a stack of same-shape tableaus (B, m+1, n+1) one array step at a
 time, each member with its own pivot choices, stall count and iteration cap:
-a LinearProgram of one objective or a branch-and-bound node is a stack of
-one, a LinearProgram of B objectives a stack of B, solved in chunks whose
-tableaus, at their real width, fit _STACK_BYTES. Only a row whose rhs lies
+a LinearProgram of one objective or a DCS node's dual is a stack of one,
+a LinearProgram of B objectives a stack of B, solved in chunks whose
+tableaus, at their real width, fit _STACK_BYTES; a box node (below) pivots
+with the same in-place step on a stack of one. Only a row whose rhs lies
 on its relation's wrong side of 0 gets a phase-1 artificial. Pivots update
 rows in place, and a member that is done is swapped behind those still
 going, so no stack is copied. Pivoting uses the largest-reduced-cost rule
@@ -16,25 +17,49 @@ degenerate vertex, so termination is guaranteed.
 The fixed rules make solves deterministic: a program gets the same bits
 alone or in a stack.
 
-A branch-and-bound node's LP is over its free variables only, in the [0, 1]
-box, where a bound that no <= row implies adds a row: fixed columns move
-into the rhs, rows that every point of the free [0, 1] box satisfies
-drop out, and a node with no free variable is checked without an LP. A node
-whose maximized objective has no positive entry, such as a min-cost cover,
-is solved through its LP's dual, which starts from a feasible slack basis
-and so needs no phase 1; the dual's row prices are the node's point. Any
-other node's LP is solved as it stands. The search stops at the first
-incumbent that meets the root's (rounded) bound or the best value the
-caller says is possible.
+Branch and bound solves its node LPs, each in the [0, 1] box, on one of
+two paths, by the sign of the maximized objective.
+
+A node whose maximized objective has no positive entry, such as a min-cost
+cover (every DCS program), has an LP over its free variables only: fixed
+columns move into the rhs, rows that every point of the free box satisfies
+drop out, a node with no free variable is checked without an LP, and a
+bound that no <= row implies adds a row. The LP is solved through its dual,
+which starts from a feasible slack basis and so needs no phase 1; the
+dual's row prices are the node's point.
+
+Any other node, such as a packing, is a bounded-variable simplex tableau
+(_BoxTableau) over every variable, x <= 1 held in the ratio tests, so it
+has no cap row and no artificial. The root starts from the slack basis: by
+primal simplex when x = 0 meets every row, else by dual simplex with each
+variable at the bound its cost favours, a dual feasible start. Each child
+restarts by dual simplex from its parent's final basis, the branched
+variable held: on the tableau itself when the parent was the node solved
+last, else on one rebuilt from the stored basis and bound flags, so no
+tableau is kept per pending node. Dual simplex works on costs perturbed by
+a fixed, index-derived amount of about _PERTURB, which ends the stalls of
+degenerate packings, and abandons a node once that objective, plus the sum
+of the perturbations and of what nonbasic columns could still add, falls
+below the value pruning needs: that sum bounds the node's LP from above,
+so no node pruning would keep is lost. Primal passes on the perturbed and
+then on the true costs follow, the last a clean-up that gives the point
+and the bound. Either pivot rule falls back to Bland's after _STALL_LIMIT
+pivots without progress.
+
+The search stops at the first incumbent that meets the root's (rounded)
+bound or the best value the caller says is possible.
 
 Tolerances: PIVOT_TOL, an entry at most this large is zero (no row update, no
-pivot driving out a phase-1 artificial, a stall); FEAS_TOL, feasibility (an
-entering reduced cost, the phase-1 residual, a returned point's row miss,
-a node point's row and [0, 1] box miss, whichever side solved it, branch
-and bound's integrality, pruning and stops) and the smallest column
-entry the ratio test pivots on, so a round-off-sized entry cannot blow the
-tableau up; TIE_TOL, values closer than this tie, which only mtd_game
-applies (its SSE winner and best response).
+pivot driving out a phase-1 artificial, a stall), ratios within it tie, and
+a box node's primal pass on perturbed costs enters a reduced cost above it;
+FEAS_TOL, feasibility (an entering reduced cost on true costs, the
+phase-1 residual, a box node's basic variable outside its bounds, a
+returned point's row miss, a node point's row and [0, 1] box miss,
+whichever path solved it, branch and bound's integrality, pruning and
+stops) and the smallest entry either ratio test pivots on, so a
+round-off-sized entry cannot blow the tableau up; TIE_TOL, values closer
+than this tie, which only mtd_game applies (its SSE winner and best
+response).
 """
 
 from __future__ import annotations
@@ -62,6 +87,8 @@ FEAS_TOL = 1e-6
 TIE_TOL = 1e-9
 _STALL_LIMIT = 100  # degenerate pivots tolerated before switching to Bland
 _STACK_BYTES = 1 << 18  # solve_lp's cap on one simplex stack's tableau bytes
+_PERTURB = 1e-7  # scale of _BoxTableau's working-cost perturbation
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # spreads the perturbation over [1, 2) * _PERTURB
 
 _RELATIONS = ("<=", "=", ">=")
 
@@ -343,18 +370,29 @@ def _expanded(A: np.ndarray, relations, rhs) -> tuple[np.ndarray, ...]:
     return A if len(src) == len(relations) else A[..., src, :], is_ge, rhs[src], src
 
 
+def _checked(A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x, once it meets every row and the [0, 1] box to within FEAS_TOL."""
+    miss = A @ x - b
+    if np.any(np.where(is_ge, -miss, miss) > FEAS_TOL) or np.any((x < -FEAS_TOL) | (x > 1.0 + FEAS_TOL)):
+        raise SolverError("node point misses a row or the [0, 1] box by more than FEAS_TOL")
+    return x
+
+
 def _solve_box(A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray) -> np.ndarray | None:
     """The point maximizing obj . x subject to A x <= / >= b (per is_ge) and
     0 <= x <= 1, checked against every row and the box, or None if there is
-    none. x_j <= 1 gets a row of its own unless a <= row with non-negative
-    coefficients implies it (x_j <= b_i / a_ij <= 1).
+    none.
 
-    An objective with a positive entry is solved as it stands. One with none
-    is solved through its dual: with every row in <= form, signs s (-1 on >=
-    rows), maximize -(s b) . u subject to -(s A)^T u <= -obj, u >= 0, whose
-    rhs is non-negative, so it starts from its slack basis with no phase 1.
-    Its row prices are the point, and an unbounded dual is an infeasible
-    node."""
+    An objective with a positive entry is a _BoxTableau root. One with none
+    is solved through its dual: x_j <= 1 gets a row of its own unless a <=
+    row with non-negative coefficients implies it (x_j <= b_i / a_ij <= 1);
+    with every row in <= form, signs s (-1 on >= rows), maximize -(s b) . u
+    subject to -(s A)^T u <= -obj, u >= 0, whose rhs is non-negative, so it
+    starts from its slack basis with no phase 1. Its row prices are the
+    point, and an unbounded dual is an infeasible node."""
+    if (obj > 0).any():
+        box = _BoxTableau(A, is_ge, b, obj)
+        return box.solve(np.full(len(obj), -1, dtype=np.int8), box.root(), -math.inf)
     pos = (~is_ge & (A >= 0).all(axis=1))[:, None] & (A > 0)
     bound = np.divide(b[:, None], A, out=np.full_like(A, np.inf), where=pos)
     capped = np.flatnonzero(bound.min(axis=0, initial=math.inf) > 1.0)
@@ -364,22 +402,182 @@ def _solve_box(A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray)
         caps[np.arange(capped.size), capped] = 1.0
         A = np.vstack([A, caps])
         is_ge, b = np.append(is_ge, np.zeros(capped.size, dtype=bool)), np.append(b, np.ones(capped.size))
-    if (obj > 0).any():
-        status, x, _ = _solve_standard(A[None], is_ge, b, obj[None])
-        if status[0] == "unbounded":
-            raise SolverError("binary relaxation reported unbounded")
-    else:
-        minus_s = np.where(is_ge, 1.0, -1.0)
-        status, _, x = _solve_standard(
-            (A.T * minus_s)[None], np.zeros(len(obj), dtype=bool), -obj, (b * minus_s)[None]
-        )
+    minus_s = np.where(is_ge, 1.0, -1.0)
+    status, _, x = _solve_standard(
+        (A.T * minus_s)[None], np.zeros(len(obj), dtype=bool), -obj, (b * minus_s)[None]
+    )
     if status[0] != "optimal":
         return None
-    x = x[0] + 0.0  # normalize negative zeros
-    miss = A @ x - b
-    if np.any(np.where(is_ge, -miss, miss) > FEAS_TOL) or np.any((x < -FEAS_TOL) | (x > 1.0 + FEAS_TOL)):
-        raise SolverError("node point misses a row or the [0, 1] box by more than FEAS_TOL")
-    return x
+    return _checked(A, is_ge, b, x[0] + 0.0)  # + 0.0 normalizes negative zeros
+
+
+class _BoxTableau:
+    """maximize obj . x subject to A x <= / >= b (per is_ge) and 0 <= x <= 1
+    as one bounded-variable simplex tableau (Dantzig 1955) that branch and
+    bound carries from node to node (Lemke 1954), as the module docstring
+    describes. Each row enters in <= form with a slack. A variable at its
+    upper bound is flipped (x_j -> 1 - x_j: its column negated, the rhs less
+    that column), so every nonbasic variable sits at 0. Two objective rows
+    follow the m constraint rows: the working costs obj + eps and the true
+    costs. A node's state holds x_j at 0 or 1 (-1 while free): a held
+    variable keeps its value and never enters.
+    """
+
+    def __init__(self, A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray):
+        self.A, self.is_ge, self.b, self.obj = A, is_ge, b, obj
+        self.m, self.n = A.shape
+        self.s = np.where(is_ge, -1.0, 1.0)  # each row's sign in <= form
+        self.eps = -_PERTURB * (1.0 + np.arange(1, self.n + 1) * _GOLDEN % 1.0)
+        self.upper = np.append(np.ones(self.n), np.full(self.m, np.inf))
+        self.cap = 50_000 + 200 * (2 * self.m + self.n + 2)  # the simplex core's, per pass
+        self.solved = 0  # nodes solved; the last one's final tableau is self.T
+
+    def root(self) -> tuple:
+        """The root's start: the slack basis; where x = 0 misses a row, each
+        x_j at the bound its working cost favours, which is dual feasible."""
+        flip = np.zeros(self.n + self.m, dtype=bool)
+        if np.any(self.b * self.s < 0):
+            flip[: self.n] = self.obj + self.eps > 0
+        return None, np.arange(self.n, self.n + self.m), flip
+
+    def start(self) -> tuple:
+        """The start a child of the node solved last takes."""
+        return self.solved, self.basis[0, : self.m].copy(), self.flip.copy()
+
+    def _load(self, basis: np.ndarray, flip: np.ndarray) -> None:
+        """Build the tableau of basis under flip from the program: the slack
+        tableau, then each basic x_k pivoted in on the row, among those whose
+        slack leaves, with the largest entry."""
+        m, n = self.m, self.n
+        self.T = None  # the old tableau goes before the new one is built
+        T = np.zeros((1, m + 2, n + m + 1))
+        rows = T[0, :m]
+        rows[:, :n] = self.A
+        rows[:, :n] *= self.s[:, None]
+        rows[:, -1] = self.b * self.s - rows[:, :n][:, flip[:n]].sum(axis=1)
+        rows[:, :n][:, flip[:n]] *= -1.0
+        rows[:, n:-1] = np.eye(m)
+        for i, cost in ((m, self.obj + self.eps), (m + 1, self.obj)):
+            T[0, i, :n] = np.where(flip[:n], -cost, cost)
+            T[0, i, -1] = -cost[flip[:n]].sum()
+        self.T, self.basis, self.flip = T, np.append(np.arange(n, n + m), [-1, -1])[None], flip.copy()
+        leaves = np.ones(m, dtype=bool)
+        leaves[basis[basis >= n] - n] = False
+        for k in basis[basis < n]:
+            r = int(np.where(leaves, np.abs(rows[:, k]), -1.0).argmax())
+            leaves[r] = False
+            _pivot(T, self.basis, np.array([r]), np.array([k]), T[:, :, k].copy())
+
+    def _flip(self, k: int) -> None:
+        """Move nonbasic x_k to its other bound, where it sits at 0 again."""
+        T = self.T[0]
+        T[:, -1] -= T[:, k]
+        T[:, k] *= -1.0
+        self.flip[k] ^= True
+
+    def _exchange(self, r: int, k: int, to: float) -> None:
+        """Pivot x_k in at row r; the leaving variable goes to `to`, 0 or 1."""
+        leaving = int(self.basis[0, r])
+        _pivot(self.T, self.basis, np.array([r]), np.array([k]), self.T[:, :, k].copy())
+        if to == 1.0:
+            self._flip(leaving)
+
+    def _bounds(self, hold: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each basic variable's bounds as the tableau has it, and the columns
+        that may enter: free and nonbasic."""
+        k = self.basis[0, : self.m]
+        at = np.where(self.flip[k], 1.0 - hold[k], hold[k])
+        lo = np.where(hold[k] >= 0, at, 0.0)
+        hi = np.where(hold[k] >= 0, at, self.upper[k])
+        free = hold < 0
+        free[k] = False
+        return lo, hi, free
+
+    def _dual(self, hold: np.ndarray, cut: float) -> bool:
+        """Dual simplex on the working row until every basic variable lies in
+        its bounds; False when a row cannot reach its bound, an infeasible
+        node, or when the working value plus sum |eps| and what nonbasic
+        columns can still add, an upper bound on the node, is below cut."""
+        T, m = self.T[0], self.m
+        eps_sum = float(np.abs(self.eps).sum())
+        floor, since = T[m, -1] + PIVOT_TOL, 0  # the negated value rising above floor is progress
+        for it in range(self.cap):
+            lo, hi, free = self._bounds(hold)
+            beta = T[:m, -1]
+            short, over = lo - beta, beta - hi
+            miss = np.maximum(short, over)
+            if miss.max(initial=0.0) <= FEAS_TOL:
+                return True
+            d = T[m, :-1]
+            if cut > -math.inf:
+                gain = free & (d > 0)  # columns that could still raise the value, up to their bounds
+                rest = np.inf if gain[self.n :].any() else d[: self.n][gain[: self.n]].sum()
+                if -T[m, -1] + rest + eps_sum < cut:
+                    return False
+            bland = it - since >= _STALL_LIMIT
+            if bland:
+                r = int(np.where(miss > FEAS_TOL, self.basis[0, :m], self.T.shape[2]).argmin())
+            else:
+                r = int(miss.argmax())
+            up = short[r] > 0.0
+            q = -T[r, :-1] if up else T[r, :-1]
+            use = free & (q > FEAS_TOL)
+            if not use.any():
+                return False
+            ratio = np.divide(np.maximum(-d, 0.0), q, out=np.full(len(q), np.inf), where=use)
+            ties = ratio <= ratio.min() + PIVOT_TOL
+            k = int(ties.argmax()) if bland else int(np.where(ties, q, 0.0).argmax())
+            self._exchange(r, k, lo[r] if up else hi[r])
+            if T[m, -1] > floor:
+                floor, since = T[m, -1] + PIVOT_TOL, it + 1
+        raise SolverError("simplex iteration cap exceeded")
+
+    def _primal(self, row: int, hold: np.ndarray, tol: float) -> None:
+        """Primal simplex on objective row `row` from a basis within its
+        bounds: entering reduced costs above tol, largest first, Bland's
+        lowest index after _STALL_LIMIT pivots without progress."""
+        T, m = self.T[0], self.m
+        floor, since = T[row, -1] - PIVOT_TOL, 0
+        for it in range(self.cap):
+            lo, hi, free = self._bounds(hold)
+            d = T[row, :-1]
+            use = free & (d > tol)
+            if not use.any():
+                return
+            e = int(use.argmax()) if it - since >= _STALL_LIMIT else int(np.where(use, d, -np.inf).argmax())
+            col, beta = T[:m, e], T[:m, -1]
+            down, rise = col > FEAS_TOL, (col < -FEAS_TOL) & (hi < np.inf)
+            t = np.full(m, np.inf)
+            t[down] = np.maximum(beta[down] - lo[down], 0.0) / col[down]
+            t[rise] = np.maximum(hi[rise] - beta[rise], 0.0) / -col[rise]
+            best = t.min(initial=np.inf)
+            if self.upper[e] <= best:
+                self._flip(e)  # x_e runs to its other bound, no row stops it first
+            elif best == np.inf:
+                raise SolverError("binary relaxation reported unbounded")
+            else:
+                r = int(np.where(t <= best + PIVOT_TOL, self.basis[0, :m], self.T.shape[2]).argmin())
+                self._exchange(r, e, lo[r] if down[r] else hi[r])
+            if T[row, -1] < floor:
+                floor, since = T[row, -1] - PIVOT_TOL, it + 1
+        raise SolverError("simplex iteration cap exceeded")
+
+    def solve(self, state: np.ndarray, start: tuple, cut: float) -> np.ndarray | None:
+        """The node's point, or None when it is infeasible or its LP value is
+        proved below cut."""
+        serial, basis, flip = start
+        if serial != self.solved:
+            self._load(basis, flip)
+        self.solved += 1
+        hold = np.append(state, np.full(self.m, -1)).astype(float)
+        if not self._dual(hold, cut):
+            return None
+        self._primal(self.m, hold, PIVOT_TOL)
+        self._primal(self.m + 1, hold, FEAS_TOL)
+        v = np.zeros(self.n + self.m)
+        v[self.basis[0, : self.m]] = self.T[0, : self.m, -1]
+        x = np.where(state >= 0, state, np.where(self.flip[: self.n], 1.0 - v[: self.n], v[: self.n]))
+        return _checked(self.A, self.is_ge, self.b, x + 0.0)
 
 
 def solve_lp(p: LinearProgram) -> Solution:
@@ -463,6 +661,11 @@ def solve_bilp(p: BinaryProgram, objective_range: tuple[float, float] | None = N
     the other end are not wanted, so nodes that cannot reach it are pruned
     and "infeasible" means none within the range. Neither changes a solution
     that lies within the range.
+
+    A node's LP is a _relax_node solve when the maximized objective has no
+    positive entry and a _BoxTableau node otherwise (see the module
+    docstring); a box node proved below the value pruning needs is pruned
+    unsolved.
     """
     obj = p.objective
     internal = obj if p.sense == "max" else -obj
@@ -474,11 +677,23 @@ def solve_bilp(p: BinaryProgram, objective_range: tuple[float, float] | None = N
 
     incumbent: np.ndarray | None = None
     incumbent_val = -math.inf
-    stack = [np.full(len(obj), -1, dtype=np.int8)]
+    # nodes the maximized objective can gain on are _BoxTableau nodes, the
+    # rest (every DCS program) go through _relax_node
+    box = _BoxTableau(A, is_ge, b, internal) if (internal > 0).any() else None
+    stack = [(np.full(len(obj), -1, dtype=np.int8), box.root() if box else None)]
     root = True
     while stack:
-        state = stack.pop()
-        x = _relax_node(A, is_ge, b, internal, state)
+        state, start = stack.pop()
+        if box is None:
+            x = _relax_node(A, is_ge, b, internal, state)
+        else:
+            # the pruning below drops any node whose LP value is under cut
+            if integral_obj:  # the bound is floor(value + FEAS_TOL)
+                least = math.ceil(worst - FEAS_TOL) if math.isfinite(worst) else worst
+                cut = max(incumbent_val + 1.0, least) - FEAS_TOL
+            else:
+                cut = max(incumbent_val + FEAS_TOL, worst - FEAS_TOL)
+            x = box.solve(state, start, cut)
         if x is None:
             continue
         bound = float(np.dot(internal, x))
@@ -499,10 +714,11 @@ def solve_bilp(p: BinaryProgram, objective_range: tuple[float, float] | None = N
             continue
         j = int(np.argmax(frac))
         first = 1 if x[j] >= 0.5 else 0
+        start = box.start() if box else None
         for v in (1 - first, first):
             child = state.copy()
             child[j] = v
-            stack.append(child)
+            stack.append((child, start))
 
     if incumbent is None:
         return Solution("infeasible")

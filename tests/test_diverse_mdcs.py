@@ -1,5 +1,8 @@
+import importlib
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from gridmtd import (
     greedy_k,
     is_dcs,
     is_feasible,
+    load_graph,
     random_bipartite,
     solve_bilp,
     solve_k_dcs,
@@ -28,7 +32,9 @@ from gridmtd import diverse_mdcs, optim
 from gridmtd.diverse_mdcs import BRUTE_FORCE_SITE_LIMIT
 from gridmtd.graph_core import is_dcs_indices
 from gridmtd.optim import BinaryProgram
-from conftest import feasible_corpus
+from conftest import FIXTURES, feasible_corpus
+
+BENCH = Path(__file__).parent.parent / "bench"
 
 
 def graph(adj: dict[str, set[str]], sites: list[str]) -> BipartiteGraph:
@@ -517,11 +523,13 @@ def test_find_kmax_widens_the_packing_when_the_generated_patterns_fall_short(mon
         assert len(calls) == 2
 
 
-def test_dcs_nodes_solve_their_dual_and_packing_nodes_their_primal(monkeypatch):
+def test_dcs_nodes_solve_their_dual_and_packing_nodes_carry_no_cap_or_artificial(monkeypatch):
     # a DCS program minimizes a non-negative cost, so every node LP goes to
     # _solve_standard as its dual, all <= rows over a non-negative rhs: no
     # artificial, no phase 1; the packing maximizes a positive count, so its
-    # nodes go as they stand, the node objective itself
+    # nodes are bounded tableaus that never reach _solve_standard: a row per
+    # class and two objective rows over the copies, a slack per class and
+    # the rhs, with no cap row and no artificial column
     real, calls = optim._solve_standard, []
 
     def recorded(A, is_ge, b, obj):
@@ -536,17 +544,93 @@ def test_dcs_nodes_solve_their_dual_and_packing_nodes_their_primal(monkeypatch):
             assert calls
             for A, is_ge, b, obj in calls:
                 assert not is_ge.any() and np.all(b >= 0)
-    real_pack, packs = diverse_mdcs._pack, []
+    load, tableaus = optim._BoxTableau._load, []
 
-    def pack(*args):
+    def loaded(box, *args):
+        load(box, *args)
+        tableaus.append(box.T.shape)
+
+    monkeypatch.setattr(optim._BoxTableau, "_load", loaded)
+    real_pack, packs = diverse_mdcs._pack, 0
+
+    def pack(patterns, mult, least):
+        nonlocal packs
         calls.clear()
-        picks = real_pack(*args)
-        packs.extend(calls)
+        tableaus.clear()
+        picks = real_pack(patterns, mult, least)
+        assert not calls and tableaus
+        copies = mult[patterns].min(axis=1).sum()
+        assert set(tableaus) == {(1, len(mult) + 2, copies + len(mult) + 1)}
+        packs += 1
         return picks
 
     monkeypatch.setattr(diverse_mdcs, "_pack", pack)
     for g in twin_rich_corpus(seed=13, count=6, s_lo=10, s_hi=18):
         find_kmax(g)
-    assert packs
-    for A, is_ge, b, obj in packs:
-        assert A.shape[2] == obj.shape[1] and np.all(obj == 1.0)
+    assert packs >= 6
+
+
+def test_find_kmax_on_the_ladder_graph_whose_packing_node_hit_the_iteration_cap():
+    # the 10x60 rung of the benchmark's ladder_graphs(5); K and l must match
+    # HiGHS's packing over the same class patterns, each at most as often as
+    # its smallest class has sites
+    opt = pytest.importorskip("scipy.optimize")
+    g = load_graph(FIXTURES / "ladder5_10x60.graph")
+    cfg = find_kmax(g)
+    cfg.validate(g)
+    heard_by = [tuple(t for t, nb in enumerate(g.adj) if s in nb) for s in range(g.n_s)]
+    keys = sorted(set(heard_by) - {()})
+    mult = np.array([heard_by.count(k) for k in keys])
+    patterns = diverse_mdcs._patterns(g, [tuple(g.t_ids[t] for t in k) for k in keys], cfg.l)
+    res = opt.milp(
+        -np.ones(len(patterns)),
+        constraints=opt.LinearConstraint(diverse_mdcs._capacity(patterns, mult), -np.inf, mult),
+        integrality=np.ones(len(patterns)), bounds=opt.Bounds(0, mult[patterns].min(axis=1)),
+    )
+    assert res.status == 0, res.message
+    assert (cfg.K, cfg.l) == (round(-res.fun), 4) == (12, 4)
+
+
+def bench_ladder(seed: int) -> list[BipartiteGraph]:
+    """The benchmark's kmax-ladder graphs at seed."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(BENCH))
+    return [g for g, _ in workloads.ladder_graphs(seed)]
+
+
+def test_find_kmax_skips_the_m_solve_where_the_log2_floor_is_met(monkeypatch, tiny_graph, case14_text):
+    from gridmtd import build_bipartite, parse_matpower
+
+    real, calls = diverse_mdcs.solve_k_dcs, []
+    monkeypatch.setattr(diverse_mdcs, "solve_k_dcs", lambda g, K: calls.append(K) or real(g, K))
+
+    def m_solves(g):
+        calls.clear()
+        cfg = find_kmax(g)
+        return len(calls), cfg
+
+    # the benchmark's rungs past the brute-force limit meet the floor
+    big = [g for g in bench_ladder(1) if (g.n_t, g.n_s) in ((5, 30), (8, 40), (10, 60))]
+    assert len(big) == 3
+    for g in big:
+        solves, cfg = m_solves(g)
+        assert solves == 0 and cfg.l == g.n_t.bit_length()
+    # case14 (5 transformers, 5 classes) and tiny (2, 2) fail floor + n_t <=
+    # classes, though tiny's minimum DCS meets the floor
+    case14 = build_bipartite(parse_matpower(case14_text), ["4-7", "4-9", "5-6", "7-8", "7-9"], hop_limit=2)
+    for g in (case14, tiny_graph):
+        assert m_solves(g)[0] == 1
+    assert m_solves(tiny_graph)[1].l == tiny_graph.n_t.bit_length()
+    # either way K and l are the exhaustive maximum's
+    paths = set()
+    for g in feasible_corpus(seed=15, count=30, s_lo=6, s_hi=12) + twin_rich_corpus(
+        seed=15, count=8, s_lo=10, s_hi=16
+    ):
+        solves, cfg = m_solves(g)
+        paths.add(solves)
+        oracle = brute_force_kmax(g)
+        assert (cfg.K, cfg.l) == (oracle.K, oracle.l)
+    assert paths == {0, 1}

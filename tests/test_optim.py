@@ -293,17 +293,31 @@ def test_bilp_objective_range_keeps_the_solution():
         assert solve_bilp(p, past).status == "infeasible"
 
 
-def test_cap_rows_left_out_where_a_packing_row_implies_them(monkeypatch):
-    rows = []
-    real = optim._solve_standard
-    monkeypatch.setattr(
-        optim, "_solve_standard", lambda A, *rest: rows.append(A.shape[1]) or real(A, *rest)
-    )
-    # x0 + x1 <= 1 bounds x0 and x1 by 1; x0 + 2 x2 <= 3 bounds x2 by 1.5 only
-    A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 2.0]])
-    x = optim._solve_box(A, np.zeros(2, dtype=bool), np.array([1.0, 3.0]), np.array([1.0, 2.0, 3.0]))
-    assert x @ [1.0, 2.0, 3.0] == 5.0
-    assert rows == [2 + 1]  # the two rows and x2's cap
+def test_dcs_nodes_leave_out_implied_caps_and_box_nodes_carry_none(monkeypatch):
+    # x0 + x1 <= 1 bounds x0 and x1 by 1; x0 + 2 x2 <= 3 bounds x2 by 1.5 only;
+    # x0 + x1 + x2 >= 2 is a row x = 0 misses
+    duals, tableaus = [], []
+    solve, load = optim._solve_standard, optim._BoxTableau._load
+    monkeypatch.setattr(optim, "_solve_standard", lambda A, *rest: duals.append(A.shape) or solve(A, *rest))
+
+    def loaded(box, *args):
+        load(box, *args)
+        tableaus.append(box.T.shape)
+
+    monkeypatch.setattr(optim._BoxTableau, "_load", loaded)
+    A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 2.0], [1.0, 1.0, 1.0]])
+    is_ge, b = np.array([False, False, True]), np.array([1.0, 3.0, 2.0])
+    # no positive cost: the dual, one variable per row and x2's cap
+    x = optim._solve_box(A, is_ge, b, np.array([-1.0, -2.0, -3.0]))
+    assert x @ [1.0, 2.0, 3.0] == pytest.approx(4.0)
+    assert duals == [(1, 3, 3 + 1)] and tableaus == []
+    # a positive cost: one bounded tableau, the three rows and two objective
+    # rows over x, a slack per row and the rhs; x2 <= 1 holds with no cap
+    # row, where x2 = 1.5 would reach 6.5
+    duals.clear()
+    x = optim._solve_box(A, is_ge, b, np.array([1.0, 2.0, 3.0]))
+    assert x @ [1.0, 2.0, 3.0] == pytest.approx(5.0)
+    assert duals == [] and tableaus == [(1, 3 + 2, 3 + 3 + 1)]
 
 
 def test_bilp_matches_enumeration_on_packing_programs():
@@ -321,6 +335,86 @@ def test_bilp_matches_enumeration_on_packing_programs():
         sol = solve_bilp(p)
         assert sol.status == "optimal"  # x = 0 is feasible
         assert sol.objective_value == pytest.approx(_enumerate_optimum(p), abs=1e-6)
+
+def _highs_optimum(p: BinaryProgram):
+    opt = pytest.importorskip("scipy.optimize")
+    rel = np.array(p.relations)
+    lb, ub = np.where(rel == "<=", -np.inf, p.rhs), np.where(rel == ">=", np.inf, p.rhs)
+    c = p.objective if p.sense == "min" else -p.objective
+    res = opt.milp(c, constraints=opt.LinearConstraint(p.constraints, lb, ub),
+                   integrality=np.ones(len(c)), bounds=opt.Bounds(0, 1))
+    assert res.status in (0, 2), res.message  # optimal or infeasible
+    return None if res.status == 2 else float(p.objective @ np.round(res.x))
+
+
+def _box_program(rng, family):
+    """A max program with a positive cost: a packing of 18-30 variables,
+    deep enough to backtrack, or 10-14 variables under mixed-sign <=, >=
+    and = rows around a binary point, where x = 0 misses a row."""
+    if family == "packing":
+        n, m = int(rng.integers(18, 31)), int(rng.integers(4, 9))
+        A = (rng.random((m, n)) < 0.35) * rng.integers(1, 4, (m, n)) * 1.0
+        rel, b = ("<=",) * m, rng.integers(1, 6, m) * 1.0
+        c = rng.integers(1, 10, n) * 1.0
+    else:
+        n, m = int(rng.integers(10, 15)), int(rng.integers(3, 8))
+        A = rng.integers(-3, 4, (m, n)) * (rng.random((m, n)) < 0.6) * 1.0
+        rel = tuple(rng.choice(["<=", ">=", "="], m, p=[0.4, 0.45, 0.15]))
+        slack = rng.integers(0, 3, m) * np.where(np.array(rel) == "=", 0, 1)
+        b = A @ rng.integers(0, 2, n) + np.where(np.array(rel) == ">=", -slack, slack)
+        c = rng.integers(-5, 10, n) * 1.0
+        c[0] = abs(c[0]) + 1.0
+    return bilp(c, "max", [(A[i], rel[i], b[i]) for i in range(m)])
+
+
+def test_warm_started_box_nodes_match_enumeration_and_highs(monkeypatch):
+    # positive-cost programs: every node a _BoxTableau node, children warm
+    # from their parent's tableau or rebuilt from its stored basis, roots by
+    # primal (packings) or dual simplex (a row x = 0 misses); a node
+    # abandoned below the cut must be infeasible or below it in HiGHS's LP
+    opt = pytest.importorskip("scipy.optimize")
+    seen = Counter()
+    load, solve = optim._BoxTableau._load, optim._BoxTableau.solve
+
+    def loaded(box, basis, flip):
+        root = np.array_equal(basis, np.arange(box.n, box.n + box.m))
+        seen["rebuilt" if not root else "dual root" if flip.any() else "primal root"] += 1
+        load(box, basis, flip)
+
+    def solved(box, state, start, cut):
+        seen["warm"] += start[0] == box.solved
+        x = solve(box, state, start, cut)
+        p = bilp(box.obj, "max", [(box.A[i], ">=" if box.is_ge[i] else "<=", box.b[i]) for i in range(box.m)])
+        if x is not None:
+            assert max_row_miss(p, x) <= FEAS_TOL
+            assert np.all((x >= -FEAS_TOL) & (x <= 1.0 + FEAS_TOL))
+            assert np.array_equal(x[state >= 0], state[state >= 0])
+        elif cut > -math.inf:
+            held = [(v, v) if v >= 0 else (0, 1) for v in state]
+            ref = opt.linprog(-box.obj, A_ub=box.A * np.where(box.is_ge, -1.0, 1.0)[:, None],
+                              b_ub=box.b * np.where(box.is_ge, -1.0, 1.0), bounds=held, method="highs")
+            assert ref.status in (0, 2), ref.message
+            if ref.status == 0:
+                assert -ref.fun < cut + 1e-9
+                seen["cut"] += 1
+        return x
+
+    monkeypatch.setattr(optim._BoxTableau, "_load", loaded)
+    monkeypatch.setattr(optim._BoxTableau, "solve", solved)
+    rng = np.random.default_rng(1955)
+    for i in range(60):
+        family = ("packing", "mixed")[i % 2]
+        p = _box_program(rng, family)
+        expect = _highs_optimum(p) if family == "packing" else _enumerate_optimum(p)
+        assert expect is not None  # x = 0 or the anchor point is feasible
+        assert solve_bilp(p).objective_value == pytest.approx(expect, abs=1e-6)
+        # a range that starts at the optimum or below keeps it; one past it
+        # leaves nothing
+        for lo in (expect, expect - 2.0):
+            assert solve_bilp(p, (lo, math.inf)).objective_value == pytest.approx(expect, abs=1e-6)
+        assert solve_bilp(p, (expect + 1.0, math.inf)).status == "infeasible"
+    assert min(seen[k] for k in ("warm", "rebuilt", "primal root", "dual root", "cut")) >= 20, seen
+
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
