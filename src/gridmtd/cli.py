@@ -39,7 +39,9 @@ EXIT_INTERNAL = 4
 
 def _load(args: argparse.Namespace) -> BipartiteGraph:
     """The monitoring graph named by --input, read as --format says; auto
-    takes a .m suffix for MATPOWER."""
+    takes a .m suffix for MATPOWER. --hvts, --hops and --sites shape the
+    graph built from MATPOWER input, so a graph file rejects them; left
+    out, they take build_bipartite's defaults."""
     path = Path(args.input)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
@@ -49,7 +51,11 @@ def _load(args: argparse.Namespace) -> BipartiteGraph:
     if fmt == "matpower":
         hvts = [tok for tok in args.hvts.split(",") if tok] if args.hvts else None
         grid = parse_matpower(path.read_text())
-        return build_bipartite(grid, hvts, args.hops, args.sites)
+        rules = {k: v for k, v in (("hop_limit", args.hops), ("site_rule", args.sites)) if v is not None}
+        return build_bipartite(grid, hvts, **rules)
+    for flag, value in (("--hvts", args.hvts), ("--hops", args.hops), ("--sites", args.sites)):
+        if value is not None:
+            raise ValueError(f"{flag} applies to MATPOWER input only, not to a graph file")
     return load_graph(path)
 
 
@@ -137,17 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
             default="auto",
             help="input kind; auto infers matpower from a .m suffix",
         )
-        p.add_argument("--hops", type=int, default=2, help="signal hop limit")
+        p.add_argument("--hops", type=int, help="signal hop limit for matpower input (default 2)")
         p.add_argument(
             "--sites",
             choices=("line-ends", "buses"),
-            default="line-ends",
-            help="candidate sensor-site rule for matpower input",
+            help="candidate sensor-site rule for matpower input (default line-ends)",
         )
         p.add_argument(
             "--hvts",
-            default=None,
-            help="comma-separated transformer branches, e.g. 4-7,4-9,5-6",
+            help="comma-separated transformer branches of matpower input, e.g. 4-7,4-9,5-6",
         )
         p.add_argument("--out", default=".", help="output directory")
 

@@ -6,16 +6,15 @@ constraint matrix, one relation per row and a rhs. The one simplex core
 pivots a stack of same-shape tableaus (B, m+1, n+1) one array step at a
 time, each member with its own pivot choices, stall count and iteration cap:
 a LinearProgram of one objective or a DCS node's dual is a stack of one,
-a LinearProgram of B objectives a stack of B, solved in chunks whose
-tableaus, at their real width, fit _STACK_BYTES; a box node (below) pivots
-with the same in-place step on a stack of one. Only a row whose rhs lies
-on its relation's wrong side of 0 gets a phase-1 artificial. Pivots update
-rows in place, and a member that is done is swapped behind those still
-going, so no stack is copied. Pivoting uses the largest-reduced-cost rule
-and falls back to Bland's rule whenever the objective stalls on a
-degenerate vertex, so termination is guaranteed.
-The fixed rules make solves deterministic: a program gets the same bits
-alone or in a stack.
+a LinearProgram of B objectives a stack of B, solved whole, so its caller
+bounds its memory; a box node (below) pivots with the same in-place step
+on a stack of one. Only a row whose rhs lies on its relation's wrong side
+of 0 gets a phase-1 artificial. Pivots update rows in place, and a member
+that is done is swapped behind those still going, so no stack is copied.
+Pivoting uses the largest-reduced-cost rule and falls back to Bland's rule
+whenever the objective stalls on a degenerate vertex, so termination is
+guaranteed. The fixed rules make solves deterministic: a program gets the
+same bits alone or in a stack.
 
 Branch and bound solves its node LPs, each in the [0, 1] box, on one of
 two paths, by the sign of the maximized objective.
@@ -86,7 +85,6 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-6
 TIE_TOL = 1e-9
 _STALL_LIMIT = 100  # degenerate pivots tolerated before switching to Bland
-_STACK_BYTES = 1 << 18  # solve_lp's cap on one simplex stack's tableau bytes
 _PERTURB = 1e-7  # scale of _BoxTableau's working-cost perturbation
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # spreads the perturbation over [1, 2) * _PERTURB
 
@@ -378,39 +376,6 @@ def _checked(A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, x: np.ndarray) -> 
     return x
 
 
-def _solve_box(A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray) -> np.ndarray | None:
-    """The point maximizing obj . x subject to A x <= / >= b (per is_ge) and
-    0 <= x <= 1, checked against every row and the box, or None if there is
-    none.
-
-    An objective with a positive entry is a _BoxTableau root. One with none
-    is solved through its dual: x_j <= 1 gets a row of its own unless a <=
-    row with non-negative coefficients implies it (x_j <= b_i / a_ij <= 1);
-    with every row in <= form, signs s (-1 on >= rows), maximize -(s b) . u
-    subject to -(s A)^T u <= -obj, u >= 0, whose rhs is non-negative, so it
-    starts from its slack basis with no phase 1. Its row prices are the
-    point, and an unbounded dual is an infeasible node."""
-    if (obj > 0).any():
-        box = _BoxTableau(A, is_ge, b, obj)
-        return box.solve(np.full(len(obj), -1, dtype=np.int8), box.root(), -math.inf)
-    pos = (~is_ge & (A >= 0).all(axis=1))[:, None] & (A > 0)
-    bound = np.divide(b[:, None], A, out=np.full_like(A, np.inf), where=pos)
-    capped = np.flatnonzero(bound.min(axis=0, initial=math.inf) > 1.0)
-    del pos, bound  # gone before the LP is solved
-    if capped.size:
-        caps = np.zeros((capped.size, len(obj)))
-        caps[np.arange(capped.size), capped] = 1.0
-        A = np.vstack([A, caps])
-        is_ge, b = np.append(is_ge, np.zeros(capped.size, dtype=bool)), np.append(b, np.ones(capped.size))
-    minus_s = np.where(is_ge, 1.0, -1.0)
-    status, _, x = _solve_standard(
-        (A.T * minus_s)[None], np.zeros(len(obj), dtype=bool), -obj, (b * minus_s)[None]
-    )
-    if status[0] != "optimal":
-        return None
-    return _checked(A, is_ge, b, x[0] + 0.0)  # + 0.0 normalizes negative zeros
-
-
 class _BoxTableau:
     """maximize obj . x subject to A x <= / >= b (per is_ge) and 0 <= x <= 1
     as one bounded-variable simplex tableau (Dantzig 1955) that branch and
@@ -590,15 +555,8 @@ def solve_lp(p: LinearProgram) -> Solution:
     """
     obj = p.objective.reshape(-1, p.objective.shape[-1])  # (B, n)
     A = p.constraints.reshape(len(obj), *p.constraints.shape[-2:])
-    m = len(p.relations) + p.relations.count("=")  # rows once equalities split
-    rel = np.array(p.relations)  # _solve_standard's artificials: rhs on the relation's wrong side of 0
-    arts = np.count_nonzero(np.where(rel == "=", p.rhs != 0, p.rhs * np.where(rel == ">=", 1, -1) > 0))
-    step = max(1, _STACK_BYTES // (8 * (m + 1) * (obj.shape[1] + m + arts + 1)))
-    parts = []
-    for i in range(0, len(obj), step):
-        Ai, is_ge, b, src = _expanded(A[i : i + step], p.relations, p.rhs)
-        parts.append(_solve_standard(Ai, is_ge, b, obj[i : i + step]))
-    status, x, prices = (np.concatenate(v) for v in zip(*parts))
+    A, is_ge, b, src = _expanded(A, p.relations, p.rhs)
+    status, x, prices = _solve_standard(A, is_ge, b, obj)
     statuses = tuple(status)
     value = np.array([np.dot(o, y) if s == "optimal" else math.nan for s, o, y in zip(statuses, obj, x)])
     # an equality's price is the sum of its <= and >= halves
@@ -619,12 +577,21 @@ def solve_lp(p: LinearProgram) -> Solution:
 def _relax_node(
     A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray, state: np.ndarray
 ) -> np.ndarray | None:
-    """The point maximizing obj . x over the node's relaxation, or None if it
-    is infeasible. state[j] is x_j's fixed value, or -1 while x_j is free in
+    """The point maximizing obj . x over the node's relaxation, obj with no
+    positive entry, checked against every row and the box, or None if it is
+    infeasible. state[j] is x_j's fixed value, or -1 while x_j is free in
     [0, 1]. Fixed columns move into the rhs and drop out; so does every row
     all points of the free box satisfy. A row no point of the box meets
     makes the node infeasible without an LP, which checks a node with no
-    free variable directly."""
+    free variable directly.
+
+    The LP over the free variables is solved through its dual: x_j <= 1
+    gets a row of its own unless a <= row with non-negative coefficients
+    implies it (x_j <= b_i / a_ij <= 1); with every row in <= form, signs s
+    (-1 on >= rows), maximize -(s b) . u subject to -(s A)^T u <= -obj,
+    u >= 0, whose rhs is non-negative, so it starts from its slack basis
+    with no phase 1. Its row prices are the point, and an unbounded dual is
+    an infeasible node."""
     free = state < 0
     x = np.maximum(state, 0).astype(float)
     if not free.all():
@@ -638,10 +605,23 @@ def _relax_node(
     keep = np.where(is_ge, low < b, high > b)
     if not keep.all():
         A, is_ge, b = A[keep], is_ge[keep], b[keep]
-    y = _solve_box(A, is_ge, b, obj[free])
-    if y is None:
+    obj = obj[free]
+    pos = (~is_ge & (A >= 0).all(axis=1))[:, None] & (A > 0)
+    bound = np.divide(b[:, None], A, out=np.full_like(A, np.inf), where=pos)
+    capped = np.flatnonzero(bound.min(axis=0, initial=math.inf) > 1.0)
+    del pos, bound  # gone before the LP is solved
+    if capped.size:
+        caps = np.zeros((capped.size, len(obj)))
+        caps[np.arange(capped.size), capped] = 1.0
+        A = np.vstack([A, caps])
+        is_ge, b = np.append(is_ge, np.zeros(capped.size, dtype=bool)), np.append(b, np.ones(capped.size))
+    minus_s = np.where(is_ge, 1.0, -1.0)
+    status, _, y = _solve_standard(
+        (A.T * minus_s)[None], np.zeros(len(obj), dtype=bool), -obj, (b * minus_s)[None]
+    )
+    if status[0] != "optimal":
         return None
-    x[free] = y
+    x[free] = _checked(A, is_ge, b, y[0] + 0.0)  # + 0.0 normalizes negative zeros
     return x
 
 

@@ -85,6 +85,32 @@ def test_build_graph_rejects_out_of_service_hvt(tmp_path, capsys, case14_text):
     assert "'7-8'" in err
 
 
+@pytest.mark.parametrize("flag", [["--hops", "7"], ["--hvts", "9-9"], ["--sites", "buses"], ["--hvts="]],
+                         ids=["hops", "hvts", "sites", "empty-hvts"])
+@pytest.mark.parametrize("command", [["build-graph"], ["kmax"], ["experiment", "--seed", "1"]],
+                         ids=["build-graph", "kmax", "experiment"])
+def test_graph_input_rejects_matpower_only_flags(tmp_path, capsys, command, flag):
+    code, out, err = run(
+        capsys, *command, "--input", str(FIXTURES / "tiny.graph"), *flag, "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert f"error: {flag[0].rstrip('=')} applies to MATPOWER input only" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_matpower_input_keeps_two_hops_and_line_ends_by_default(tmp_path, capsys):
+    case = ["--input", str(DATA / "case14.m"), "--hvts", "4-7,4-9,5-6,7-8,7-9"]
+    texts = {}
+    for name, extra in (("default", []), ("explicit", ["--hops", "2", "--sites", "line-ends"]),
+                        ("three", ["--hops", "3"])):
+        code, _, _ = run(capsys, "build-graph", *case, *extra, "--out", str(tmp_path / name))
+        assert code == 0
+        texts[name] = (tmp_path / name / "case14.graph").read_text()
+    assert texts["default"] == texts["explicit"]
+    assert texts["default"].startswith("# hops 2\n") and texts["three"].startswith("# hops 3\n")
+
+
 # ---------------------------------------------------------------------------
 # kmax
 

@@ -293,8 +293,20 @@ def test_bilp_objective_range_keeps_the_solution():
         assert solve_bilp(p, past).status == "infeasible"
 
 
+def node_point(A, is_ge, b, obj):
+    """The root node's point on the path solve_bilp takes for obj: a
+    _BoxTableau root when obj has a positive entry, else _relax_node with
+    every variable free."""
+    free = np.full(len(obj), -1, dtype=np.int8)
+    if (obj > 0).any():
+        box = optim._BoxTableau(A, is_ge, b, obj)
+        return box.solve(free, box.root(), -math.inf)
+    return optim._relax_node(A, is_ge, b, obj, free)
+
+
 def test_dcs_nodes_leave_out_implied_caps_and_box_nodes_carry_none(monkeypatch):
-    # x0 + x1 <= 1 bounds x0 and x1 by 1; x0 + 2 x2 <= 3 bounds x2 by 1.5 only;
+    # x0 + x1 <= 1 bounds x0 and x1 by 1; x0 + 2 x2 <= 2.5 bounds x2 by 1.25
+    # only, and some points of the box miss it, so the node keeps it;
     # x0 + x1 + x2 >= 2 is a row x = 0 misses
     duals, tableaus = [], []
     solve, load = optim._solve_standard, optim._BoxTableau._load
@@ -306,16 +318,16 @@ def test_dcs_nodes_leave_out_implied_caps_and_box_nodes_carry_none(monkeypatch):
 
     monkeypatch.setattr(optim._BoxTableau, "_load", loaded)
     A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 2.0], [1.0, 1.0, 1.0]])
-    is_ge, b = np.array([False, False, True]), np.array([1.0, 3.0, 2.0])
+    is_ge, b = np.array([False, False, True]), np.array([1.0, 2.5, 2.0])
     # no positive cost: the dual, one variable per row and x2's cap
-    x = optim._solve_box(A, is_ge, b, np.array([-1.0, -2.0, -3.0]))
-    assert x @ [1.0, 2.0, 3.0] == pytest.approx(4.0)
+    x = node_point(A, is_ge, b, np.array([-1.0, -2.0, -3.0]))
+    assert x @ [1.0, 2.0, 3.0] == pytest.approx(4.5)
     assert duals == [(1, 3, 3 + 1)] and tableaus == []
     # a positive cost: one bounded tableau, the three rows and two objective
     # rows over x, a slack per row and the rhs; x2 <= 1 holds with no cap
-    # row, where x2 = 1.5 would reach 6.5
+    # row, where x2 = 1.25 would reach 5.75
     duals.clear()
-    x = optim._solve_box(A, is_ge, b, np.array([1.0, 2.0, 3.0]))
+    x = node_point(A, is_ge, b, np.array([1.0, 2.0, 3.0]))
     assert x @ [1.0, 2.0, 3.0] == pytest.approx(5.0)
     assert duals == [] and tableaus == [(1, 3 + 2, 3 + 3 + 1)]
 
@@ -533,8 +545,7 @@ def phase_tableaus(monkeypatch):
 
 def test_only_rows_with_rhs_against_their_relation_get_artificials(monkeypatch):
     # the = row's >= half is the one row that needs an artificial: phase 1's
-    # tableau has n + 5 slack + 1 artificial + 1 rhs columns, and a stack of
-    # such programs is chunked by that width
+    # tableau has n + 5 slack + 1 artificial + 1 rhs columns
     shapes = phase_tableaus(monkeypatch)
     n = 3
     cons = [([1.0] * n, "=", 1.0), ([1.0, -2.0, 0.0], ">=", 0.0), ([0.0, 1.0, -1.0], ">=", 0.0),
@@ -542,12 +553,6 @@ def test_only_rows_with_rhs_against_their_relation_get_artificials(monkeypatch):
     sol = solve_lp(lp([1.0, 2.0, 3.0], cons))
     assert sol.status == "optimal"
     assert shapes == [(1, 6, n + 5 + 1 + 1)] * 2
-    chunks, solve = [], optim._solve_standard
-    monkeypatch.setattr(optim, "_solve_standard", lambda A, *args: chunks.append(len(A)) or solve(A, *args))
-    monkeypatch.setattr(optim, "_STACK_BYTES", 8 * 6 * (n + 5 + 1 + 1) * 4)
-    matrix, relations, rhs = rows(n, cons)
-    solve_lp(LinearProgram(np.ones((10, n)), np.tile(matrix, (10, 1, 1)), relations, rhs))
-    assert chunks == [4, 4, 2]
 
 
 def test_zero_rhs_ge_rows_run_no_phase_1(monkeypatch):
@@ -601,7 +606,7 @@ def test_lp_ratio_test_skips_round_off_sized_pivots():
         np.vstack([A, cap])[None], np.append(is_ge, [False] * k), np.append(b, [1.0] * k), p.objective[None]
     )
     assert status[0] == "optimal"
-    for x in (primal[0], optim._solve_box(A, is_ge, b, p.objective)):
+    for x in (primal[0], node_point(A, is_ge, b, p.objective)):
         assert max_row_miss(p, x) <= FEAS_TOL
         assert np.all((x >= -FEAS_TOL) & (x <= 1.0 + FEAS_TOL))
         assert p.objective @ x == pytest.approx(-2.5, abs=1e-9)
@@ -643,8 +648,8 @@ def _random_node_lp(rng, family, positive):
 
 def test_node_lp_matches_highs_on_both_solve_sides():
     # a node objective with no positive entry is solved through its dual,
-    # any other as it stands; both must give HiGHS's status and value at a
-    # point on the node's rows and in the [0, 1] box
+    # any other on a bounded tableau; both must give HiGHS's status and
+    # value at a point on the node's rows and in the [0, 1] box
     opt = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(1954)
     seen = Counter()
@@ -652,7 +657,7 @@ def test_node_lp_matches_highs_on_both_solve_sides():
         A, rel, b, obj = _random_node_lp(rng, i // 2 % 5, positive=i % 2 == 1)
         p = lp(obj, [(A[k], rel[k], b[k]) for k in range(len(rel))])
         A, is_ge, b, _ = optim._expanded(p.constraints, p.relations, p.rhs)
-        x = optim._solve_box(A, is_ge, b, obj)
+        x = node_point(A, is_ge, b, obj)
         s = np.where(is_ge, -1.0, 1.0)
         ref = opt.linprog(-obj, A_ub=A * s[:, None], b_ub=b * s, bounds=(0, 1), method="highs")
         assert ref.status in (0, 2), ref.message
@@ -819,20 +824,6 @@ def test_pivot_allocates_at_most_one_tableau():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * T.nbytes
-
-
-def test_lp_stack_chunks_match_one_stack(monkeypatch):
-    # a stack split into chunks of one member each solves to the same bits
-    rng = np.random.default_rng(43)
-    stacks = list(random_stacks(rng, 30))
-    whole = [solve_lp(LinearProgram(*stack)) for stack in stacks]
-    monkeypatch.setattr(optim, "_STACK_BYTES", 1)
-    for stack, one in zip(stacks, whole):
-        chunked = solve_lp(LinearProgram(*stack))
-        assert (chunked.status, chunked.statuses) == (one.status, one.statuses)
-        for a, b in ((chunked.assignment, one.assignment), (chunked.objective_value, one.objective_value),
-                     (chunked.duals, one.duals)):
-            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize(
