@@ -97,6 +97,8 @@ def cmd_kmax(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise ValueError("--seed is required in experiment mode")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     g = _load(args)
@@ -153,16 +155,17 @@ def build_parser() -> argparse.ArgumentParser:
             "--hvts",
             help="comma-separated transformer branches of matpower input, e.g. 4-7,4-9,5-6",
         )
-        p.add_argument("--out", default=".", help="output directory")
 
     p_build = sub.add_parser("build-graph", help="ingest input and emit a graph file")
     common(p_build)
+    p_build.add_argument("--out", default=".", help="output directory")
 
     p_kmax = sub.add_parser("kmax", help="largest disjoint MDCS family, plus greedy")
     common(p_kmax)
 
     p_exp = sub.add_parser("experiment", help="randomized URS/SSE reward trials")
     common(p_exp)
+    p_exp.add_argument("--out", default=".", help="output directory")
     p_exp.add_argument("--trials", type=int, default=100)
     p_exp.add_argument("--seed", type=int, default=None)
     p_exp.add_argument("--integer-utilities", action="store_true")

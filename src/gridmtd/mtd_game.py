@@ -367,6 +367,8 @@ def run_trials(
     solve_sse call."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     config_greedy.validate(g)
     config_opt.validate(g)
 

@@ -4,11 +4,11 @@ Two-phase primal simplex plus a depth-first branch-and-bound wrapper for
 binary programs. A program holds checked arrays: a float objective and
 constraint matrix, one relation per row and a rhs. The one simplex core
 pivots a stack of same-shape tableaus (B, m+1, n+1) one array step at a
-time, each member with its own pivot choices, stall count and iteration cap:
-a LinearProgram of one objective or a DCS node's dual is a stack of one,
-a LinearProgram of B objectives a stack of B, solved whole, so its caller
-bounds its memory; a box node (below) pivots with the same in-place step
-on a stack of one. Only a row whose rhs lies on its relation's wrong side
+time, each member with its own pivot choices and stall count, the stack
+under one iteration cap: a LinearProgram of one objective or a DCS node's
+dual is a stack of one, a LinearProgram of B objectives a stack of B,
+solved whole, so its caller bounds its memory; a box node (below) pivots
+with the same in-place step on a stack of one. Only a row whose rhs lies on its relation's wrong side
 of 0 gets a phase-1 artificial. Pivots update rows in place, and a member
 that is done is swapped behind those still going, so no stack is copied.
 Pivoting uses the largest-reduced-cost rule and falls back to Bland's rule
@@ -29,23 +29,22 @@ dual's row prices are the node's point.
 
 Any other node, such as a packing, is a bounded-variable simplex tableau
 (_BoxTableau) over every variable, x <= 1 held in the ratio tests, so it
-has no cap row and no artificial. The root starts from the slack basis: by
-primal simplex when x = 0 meets every row, else by dual simplex with each
-variable at the bound its cost favours, a dual feasible start. Each child
-restarts by dual simplex from its parent's final basis, the branched
-variable held: on the tableau itself when the parent was the node solved
-last, else on one rebuilt from the stored basis and bound flags, so no
-tableau is kept per pending node. Dual simplex works on costs perturbed by
-a fixed, index-derived amount of about _PERTURB, which ends the stalls of
-degenerate packings, and abandons a node once that objective, plus the sum
-of the perturbations and of what nonbasic columns could still add, falls
-below the value pruning needs: that sum bounds the node's LP from above,
-so no node pruning would keep is lost. Primal passes on the perturbed and
-then on the true costs follow, the last a clean-up that gives the point
-and the bound. Either pivot rule falls back to Bland's after _STALL_LIMIT
-pivots without progress.
+has no cap row and no artificial. Its tableau is built once, on the slack
+basis, and the root solves on it: by primal simplex when x = 0 meets every
+row, else by dual simplex with each variable at the bound its cost
+favours, a dual feasible start. A child of the node solved last restarts
+by dual simplex on that node's final tableau, the branched variable held.
+Any other node restarts the same way from a copy of the root's final
+tableau, kept once per program, each nonbasic held variable first moved to
+its held bound; no tableau or basis is kept per pending node. Dual simplex
+works on costs perturbed by a fixed, index-derived amount of about
+_PERTURB, which ends the stalls of degenerate packings. Primal passes on
+the perturbed and then on the true costs follow, the last a clean-up that
+gives the point and the bound. Either pivot rule falls back to Bland's
+after _STALL_LIMIT pivots without progress.
 
-The search stops at the first incumbent that meets the root's (rounded)
+Nodes of either kind are pruned on their (rounded) bound once their LP is
+solved. The search stops at the first incumbent that meets the root's
 bound or the best value the caller says is possible.
 
 Tolerances: PIVOT_TOL, an entry at most this large is zero (no row update, no
@@ -218,17 +217,17 @@ def _to_front(keep: np.ndarray, *stacks: np.ndarray) -> int:
     return n
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+def _run_simplex(T: np.ndarray, basis: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Iterate each member to optimality from a feasible rhs column, the last
     row holding reduced costs for maximization; return which members, at
-    their places on return, are unbounded. rows[b] counts member b's live
-    rows, for its iteration cap.
+    their places on return, are unbounded. The stack has one iteration cap,
+    from its tableau's shape.
 
     Entering column: largest reduced cost, ties to the lowest index; after
     _STALL_LIMIT pivots without objective progress, Bland's lowest improving
     index until progress resumes. Leaving row: minimum ratio, ties to lowest
     basis index. A member that is done is swapped behind those still going,
-    in T, basis, rows and ids alike, so the working stack is a leading view
+    in T, basis and ids alike, so the working stack is a leading view
     of T and only swapped members are copied.
     """
     B, M, N = T.shape
@@ -237,7 +236,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, rows: np.ndarray, ids: np.nda
     at, base = np.arange(B), np.arange(B) * M  # base: each member's first flat row
     floor = T[:, -1, -1] - PIVOT_TOL  # the negated objective falling below this is progress
     since = np.zeros(B, dtype=int)  # iterations before the last progress
-    W, Wb, n, cap = T, basis, B, 50_000 + 200 * (rows.min(initial=0) + 1 + N)
+    W, Wb, n, cap = T, basis, B, 50_000 + 200 * (m + 1 + N)
     for it in itertools.count():
         if it >= cap:
             raise SolverError("simplex iteration cap exceeded")
@@ -255,9 +254,8 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, rows: np.ndarray, ids: np.nda
         stop = done | (best == np.inf)
         if np.count_nonzero(stop):
             unbounded[:n] = stop & ~done
-            n = _to_front(~stop, T, basis, rows, ids, unbounded, floor, since, enter, colv, ties)
+            n = _to_front(~stop, T, basis, ids, unbounded, floor, since, enter, colv, ties)
             W, Wb, enter, colv, ties = T[:n], basis[:n], enter[:n], colv[:n], ties[:n]
-            cap = 50_000 + 200 * (rows[:n].min(initial=0) + 1 + N)
         if not n:
             return unbounded
         _pivot(W, Wb, base[:n] + np.where(ties, Wb[:, :m], N).argmin(axis=1), enter, colv)
@@ -311,7 +309,7 @@ def _solve_standard(
     T[:, ge_rows, art0 + np.arange(ge_rows.size)] = 1.0
     slack_or_art = np.where(ge, art0 + np.cumsum(ge) - 1, n_y + np.arange(m))
     basis = np.tile(np.append(slack_or_art, -1), (B, 1))
-    rows, ids, n = np.full(B, m), np.arange(B), B  # ids: the member at each place
+    ids, n = np.arange(B), B  # ids: the member at each place
     status = np.full(B, "infeasible", dtype=object)
 
     if ge_rows.size:
@@ -319,9 +317,9 @@ def _solve_standard(
         # the column sums over the artificial-basis rows
         T[:, -1] = T[:, ge_rows].sum(axis=1)
         T[:, -1, art0:-1] = 0.0
-        if _run_simplex(T, basis, rows, ids).any():
+        if _run_simplex(T, basis, ids).any():
             raise SolverError("phase-1 simplex reported unbounded")
-        n = _to_front(~(T[:, -1, -1] > FEAS_TOL), T, basis, rows, ids)
+        n = _to_front(~(T[:, -1, -1] > FEAS_TOL), T, basis, ids)
         # drive leftover artificials out of the basis; a row with nothing to
         # pivot on is redundant and goes inert
         for i in np.flatnonzero((basis[:n] >= art0).any(axis=0)):
@@ -330,20 +328,18 @@ def _solve_standard(
             # the pivot leaves the point where it is
             T[:n, i, -1][art] = 0.0
             nonzero = np.abs(T[:n, i, :art0]) > PIVOT_TOL
-            has = nonzero.any(axis=1)
-            rows[:n][art & ~has] -= 1
             # the members to pivot go first, so they pivot in place
-            k = _to_front(art & has, T, basis, rows, ids, nonzero)
+            k = _to_front(art & nonzero.any(axis=1), T, basis, ids, nonzero)
             cols = nonzero[:k].argmax(axis=1)
             _pivot(T[:k], basis[:k], np.arange(i, k * (m + 1), m + 1), cols, T[np.arange(k), :, cols])
         # zeroed artificial columns have reduced cost 0 and never enter again
         T[:, :, art0:-1] = 0.0
 
-    T, basis, rows, ids = T[:n], basis[:n], rows[:n], ids[:n]  # phase 2: the feasible members
+    T, basis, ids = T[:n], basis[:n], ids[:n]  # phase 2: the feasible members
     T[:, -1] = 0.0
     T[:, -1, :n_y] = obj[ids]
     _price_out(T, basis)
-    unbounded = _run_simplex(T, basis, rows, ids)
+    unbounded = _run_simplex(T, basis, ids)
     status[ids] = np.where(unbounded, "unbounded", "optimal")
     ok = ids[~unbounded]
     # a row's price is minus its slack's reduced cost, that slack entering
@@ -385,53 +381,33 @@ class _BoxTableau:
     that column), so every nonbasic variable sits at 0. Two objective rows
     follow the m constraint rows: the working costs obj + eps and the true
     costs. A node's state holds x_j at 0 or 1 (-1 while free): a held
-    variable keeps its value and never enters.
+    variable keeps its value and never enters. The tableau starts on the
+    slack basis; where x = 0 misses a row, each x_j sits at the bound its
+    working cost favours, which is dual feasible.
     """
 
     def __init__(self, A: np.ndarray, is_ge: np.ndarray, b: np.ndarray, obj: np.ndarray):
         self.A, self.is_ge, self.b, self.obj = A, is_ge, b, obj
-        self.m, self.n = A.shape
-        self.s = np.where(is_ge, -1.0, 1.0)  # each row's sign in <= form
-        self.eps = -_PERTURB * (1.0 + np.arange(1, self.n + 1) * _GOLDEN % 1.0)
-        self.upper = np.append(np.ones(self.n), np.full(self.m, np.inf))
-        self.cap = 50_000 + 200 * (2 * self.m + self.n + 2)  # the simplex core's, per pass
-        self.solved = 0  # nodes solved; the last one's final tableau is self.T
-
-    def root(self) -> tuple:
-        """The root's start: the slack basis; where x = 0 misses a row, each
-        x_j at the bound its working cost favours, which is dual feasible."""
-        flip = np.zeros(self.n + self.m, dtype=bool)
-        if np.any(self.b * self.s < 0):
-            flip[: self.n] = self.obj + self.eps > 0
-        return None, np.arange(self.n, self.n + self.m), flip
-
-    def start(self) -> tuple:
-        """The start a child of the node solved last takes."""
-        return self.solved, self.basis[0, : self.m].copy(), self.flip.copy()
-
-    def _load(self, basis: np.ndarray, flip: np.ndarray) -> None:
-        """Build the tableau of basis under flip from the program: the slack
-        tableau, then each basic x_k pivoted in on the row, among those whose
-        slack leaves, with the largest entry."""
-        m, n = self.m, self.n
-        self.T = None  # the old tableau goes before the new one is built
+        m, n = self.m, self.n = A.shape
+        s = np.where(is_ge, -1.0, 1.0)  # each row's sign in <= form
+        eps = -_PERTURB * (1.0 + np.arange(1, n + 1) * _GOLDEN % 1.0)
+        self.upper = np.append(np.ones(n), np.full(m, np.inf))
+        self.cap = 50_000 + 200 * (2 * m + n + 2)  # the simplex core's, per pass
+        flip = np.zeros(n + m, dtype=bool)
+        if np.any(b * s < 0):
+            flip[:n] = obj + eps > 0
         T = np.zeros((1, m + 2, n + m + 1))
         rows = T[0, :m]
-        rows[:, :n] = self.A
-        rows[:, :n] *= self.s[:, None]
-        rows[:, -1] = self.b * self.s - rows[:, :n][:, flip[:n]].sum(axis=1)
+        rows[:, :n] = A
+        rows[:, :n] *= s[:, None]
+        rows[:, -1] = b * s - rows[:, :n][:, flip[:n]].sum(axis=1)
         rows[:, :n][:, flip[:n]] *= -1.0
         rows[:, n:-1] = np.eye(m)
-        for i, cost in ((m, self.obj + self.eps), (m + 1, self.obj)):
+        for i, cost in ((m, obj + eps), (m + 1, obj)):
             T[0, i, :n] = np.where(flip[:n], -cost, cost)
             T[0, i, -1] = -cost[flip[:n]].sum()
-        self.T, self.basis, self.flip = T, np.append(np.arange(n, n + m), [-1, -1])[None], flip.copy()
-        leaves = np.ones(m, dtype=bool)
-        leaves[basis[basis >= n] - n] = False
-        for k in basis[basis < n]:
-            r = int(np.where(leaves, np.abs(rows[:, k]), -1.0).argmax())
-            leaves[r] = False
-            _pivot(T, self.basis, np.array([r]), np.array([k]), T[:, :, k].copy())
+        self.T, self.basis, self.flip = T, np.append(np.arange(n, n + m), [-1, -1])[None], flip
+        self.kept = None  # (T, basis, flip) as the root's solve left them
 
     def _flip(self, k: int) -> None:
         """Move nonbasic x_k to its other bound, where it sits at 0 again."""
@@ -458,13 +434,11 @@ class _BoxTableau:
         free[k] = False
         return lo, hi, free
 
-    def _dual(self, hold: np.ndarray, cut: float) -> bool:
+    def _dual(self, hold: np.ndarray) -> bool:
         """Dual simplex on the working row until every basic variable lies in
         its bounds; False when a row cannot reach its bound, an infeasible
-        node, or when the working value plus sum |eps| and what nonbasic
-        columns can still add, an upper bound on the node, is below cut."""
+        node."""
         T, m = self.T[0], self.m
-        eps_sum = float(np.abs(self.eps).sum())
         floor, since = T[m, -1] + PIVOT_TOL, 0  # the negated value rising above floor is progress
         for it in range(self.cap):
             lo, hi, free = self._bounds(hold)
@@ -473,12 +447,6 @@ class _BoxTableau:
             miss = np.maximum(short, over)
             if miss.max(initial=0.0) <= FEAS_TOL:
                 return True
-            d = T[m, :-1]
-            if cut > -math.inf:
-                gain = free & (d > 0)  # columns that could still raise the value, up to their bounds
-                rest = np.inf if gain[self.n :].any() else d[: self.n][gain[: self.n]].sum()
-                if -T[m, -1] + rest + eps_sum < cut:
-                    return False
             bland = it - since >= _STALL_LIMIT
             if bland:
                 r = int(np.where(miss > FEAS_TOL, self.basis[0, :m], self.T.shape[2]).argmin())
@@ -489,7 +457,7 @@ class _BoxTableau:
             use = free & (q > FEAS_TOL)
             if not use.any():
                 return False
-            ratio = np.divide(np.maximum(-d, 0.0), q, out=np.full(len(q), np.inf), where=use)
+            ratio = np.divide(np.maximum(-T[m, :-1], 0.0), q, out=np.full(len(q), np.inf), where=use)
             ties = ratio <= ratio.min() + PIVOT_TOL
             k = int(ties.argmax()) if bland else int(np.where(ties, q, 0.0).argmax())
             self._exchange(r, k, lo[r] if up else hi[r])
@@ -527,18 +495,26 @@ class _BoxTableau:
                 floor, since = T[row, -1] - PIVOT_TOL, it + 1
         raise SolverError("simplex iteration cap exceeded")
 
-    def solve(self, state: np.ndarray, start: tuple, cut: float) -> np.ndarray | None:
-        """The node's point, or None when it is infeasible or its LP value is
-        proved below cut."""
-        serial, basis, flip = start
-        if serial != self.solved:
-            self._load(basis, flip)
-        self.solved += 1
+    def solve(self, state: np.ndarray, warm: bool) -> np.ndarray | None:
+        """The node's point, or None when it is infeasible. The root and a
+        warm node, a child of the node solved last, go on from the tableau
+        as it stands; any other node restarts from the root's final tableau,
+        each nonbasic held variable moved to its held value."""
+        if not warm:
+            for now, kept in zip((self.T, self.basis, self.flip), self.kept):
+                now[...] = kept
+            basic = self.basis[0, : self.m]
+            moved = (state >= 0) & (self.flip[: self.n] != (state == 1))
+            moved[basic[basic < self.n]] = False
+            for k in np.flatnonzero(moved):
+                self._flip(k)
         hold = np.append(state, np.full(self.m, -1)).astype(float)
-        if not self._dual(hold, cut):
+        if not self._dual(hold):
             return None
         self._primal(self.m, hold, PIVOT_TOL)
         self._primal(self.m + 1, hold, FEAS_TOL)
+        if self.kept is None:
+            self.kept = (self.T.copy(), self.basis.copy(), self.flip.copy())
         v = np.zeros(self.n + self.m)
         v[self.basis[0, : self.m]] = self.T[0, : self.m, -1]
         x = np.where(state >= 0, state, np.where(self.flip[: self.n], 1.0 - v[: self.n], v[: self.n]))
@@ -644,8 +620,7 @@ def solve_bilp(p: BinaryProgram, objective_range: tuple[float, float] | None = N
 
     A node's LP is a _relax_node solve when the maximized objective has no
     positive entry and a _BoxTableau node otherwise (see the module
-    docstring); a box node proved below the value pruning needs is pruned
-    unsolved.
+    docstring); either kind is pruned on its bound once its LP is solved.
     """
     obj = p.objective
     internal = obj if p.sense == "max" else -obj
@@ -660,20 +635,16 @@ def solve_bilp(p: BinaryProgram, objective_range: tuple[float, float] | None = N
     # nodes the maximized objective can gain on are _BoxTableau nodes, the
     # rest (every DCS program) go through _relax_node
     box = _BoxTableau(A, is_ge, b, internal) if (internal > 0).any() else None
-    stack = [(np.full(len(obj), -1, dtype=np.int8), box.root() if box else None)]
+    stack = [(np.full(len(obj), -1, dtype=np.int8), 0)]  # each node with its parent's serial
+    solved = 0  # nodes solved; the last one's serial
     root = True
     while stack:
-        state, start = stack.pop()
+        state, parent = stack.pop()
         if box is None:
             x = _relax_node(A, is_ge, b, internal, state)
         else:
-            # the pruning below drops any node whose LP value is under cut
-            if integral_obj:  # the bound is floor(value + FEAS_TOL)
-                least = math.ceil(worst - FEAS_TOL) if math.isfinite(worst) else worst
-                cut = max(incumbent_val + 1.0, least) - FEAS_TOL
-            else:
-                cut = max(incumbent_val + FEAS_TOL, worst - FEAS_TOL)
-            x = box.solve(state, start, cut)
+            x = box.solve(state, warm=parent == solved)
+        solved += 1
         if x is None:
             continue
         bound = float(np.dot(internal, x))
@@ -694,11 +665,10 @@ def solve_bilp(p: BinaryProgram, objective_range: tuple[float, float] | None = N
             continue
         j = int(np.argmax(frac))
         first = 1 if x[j] >= 0.5 else 0
-        start = box.start() if box else None
         for v in (1 - first, first):
             child = state.copy()
             child[j] = v
-            stack.append((child, start))
+            stack.append((child, solved))
 
     if incumbent is None:
         return Solution("infeasible")

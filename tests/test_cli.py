@@ -90,9 +90,8 @@ def test_build_graph_rejects_out_of_service_hvt(tmp_path, capsys, case14_text):
 @pytest.mark.parametrize("command", [["build-graph"], ["kmax"], ["experiment", "--seed", "1"]],
                          ids=["build-graph", "kmax", "experiment"])
 def test_graph_input_rejects_matpower_only_flags(tmp_path, capsys, command, flag):
-    code, out, err = run(
-        capsys, *command, "--input", str(FIXTURES / "tiny.graph"), *flag, "--out", str(tmp_path)
-    )
+    out_dir = [] if command == ["kmax"] else ["--out", str(tmp_path)]
+    code, out, err = run(capsys, *command, "--input", str(FIXTURES / "tiny.graph"), *flag, *out_dir)
     assert code == 2
     assert out == ""
     assert f"error: {flag[0].rstrip('=')} applies to MATPOWER input only" in err
@@ -121,6 +120,14 @@ def test_kmax_tiny(capsys):
     assert "optimal" in out and "greedy" in out
     assert "kmax 2 l 2" in out
     assert "optimal_seconds=" in err and "greedy_seconds=" in err
+
+
+def test_kmax_rejects_out(tmp_path, capsys):
+    # kmax writes to stdout only, so it takes no output directory
+    with pytest.raises(SystemExit) as exit_:
+        main(["kmax", "--input", str(FIXTURES / "tiny.graph"), "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
 def test_kmax_identical_neighborhoods_exit_3(capsys):
@@ -282,6 +289,16 @@ def test_experiment_requires_seed(tmp_path, capsys):
     )
     assert code == 2
     assert "seed" in err
+
+
+def test_experiment_rejects_negative_seed_before_solving(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "experiment", "--input", str(FIXTURES / "tiny.graph"), "--seed", "-1", "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be >= 0\n"
+    assert not (tmp_path / "trials.csv").exists()
 
 
 def test_experiment_flag_variants(tmp_path, capsys):

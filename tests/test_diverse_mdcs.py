@@ -544,13 +544,14 @@ def test_dcs_nodes_solve_their_dual_and_packing_nodes_carry_no_cap_or_artificial
             assert calls
             for A, is_ge, b, obj in calls:
                 assert not is_ge.any() and np.all(b >= 0)
-    load, tableaus = optim._BoxTableau._load, []
+    box_solve, tableaus = optim._BoxTableau.solve, []
 
-    def loaded(box, *args):
-        load(box, *args)
+    def box_solved(box, *args, **kwargs):
+        x = box_solve(box, *args, **kwargs)
         tableaus.append(box.T.shape)
+        return x
 
-    monkeypatch.setattr(optim._BoxTableau, "_load", loaded)
+    monkeypatch.setattr(optim._BoxTableau, "solve", box_solved)
     real_pack, packs = diverse_mdcs._pack, 0
 
     def pack(patterns, mult, least):

@@ -590,6 +590,13 @@ def test_run_trials_rejects_zero_trials(tiny_graph):
         run_trials(tiny_graph, cfg, cfg, 0, seed=1)
 
 
+def test_run_trials_rejects_negative_seed_before_building_a_game(tiny_graph, monkeypatch):
+    cfg = find_kmax(tiny_graph)
+    monkeypatch.setattr(mtd_game, "build_game", lambda *args: pytest.fail("a game was built"))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        run_trials(tiny_graph, cfg, cfg, 1, seed=-1)
+
+
 def test_run_trials_integer_utilities(tiny_graph):
     cfg = find_kmax(tiny_graph)
     u = random_profile(tiny_graph, trial_rng(11, 0), integer_utilities=True)

@@ -299,8 +299,7 @@ def node_point(A, is_ge, b, obj):
     every variable free."""
     free = np.full(len(obj), -1, dtype=np.int8)
     if (obj > 0).any():
-        box = optim._BoxTableau(A, is_ge, b, obj)
-        return box.solve(free, box.root(), -math.inf)
+        return optim._BoxTableau(A, is_ge, b, obj).solve(free, warm=True)
     return optim._relax_node(A, is_ge, b, obj, free)
 
 
@@ -309,14 +308,15 @@ def test_dcs_nodes_leave_out_implied_caps_and_box_nodes_carry_none(monkeypatch):
     # only, and some points of the box miss it, so the node keeps it;
     # x0 + x1 + x2 >= 2 is a row x = 0 misses
     duals, tableaus = [], []
-    solve, load = optim._solve_standard, optim._BoxTableau._load
+    solve, box_solve = optim._solve_standard, optim._BoxTableau.solve
     monkeypatch.setattr(optim, "_solve_standard", lambda A, *rest: duals.append(A.shape) or solve(A, *rest))
 
-    def loaded(box, *args):
-        load(box, *args)
+    def box_solved(box, *args, **kwargs):
+        x = box_solve(box, *args, **kwargs)
         tableaus.append(box.T.shape)
+        return x
 
-    monkeypatch.setattr(optim._BoxTableau, "_load", loaded)
+    monkeypatch.setattr(optim._BoxTableau, "solve", box_solved)
     A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 2.0], [1.0, 1.0, 1.0]])
     is_ge, b = np.array([False, False, True]), np.array([1.0, 2.5, 2.0])
     # no positive cost: the dual, one variable per row and x2's cap
@@ -330,6 +330,18 @@ def test_dcs_nodes_leave_out_implied_caps_and_box_nodes_carry_none(monkeypatch):
     x = node_point(A, is_ge, b, np.array([1.0, 2.0, 3.0]))
     assert x @ [1.0, 2.0, 3.0] == pytest.approx(5.0)
     assert duals == [] and tableaus == [(1, 3 + 2, 3 + 3 + 1)]
+
+
+def test_dcs_node_with_every_variable_fixed_is_checked_without_an_lp(monkeypatch):
+    # x0 + x1 >= 1 and x1 + x2 <= 1: the fixed point is the node's point when
+    # it meets both rows, and the node is infeasible when it misses either
+    monkeypatch.setattr(optim, "_solve_standard", lambda *args: pytest.fail("an LP was solved"))
+    A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    is_ge, b, obj = np.array([True, False]), np.array([1.0, 1.0]), -np.ones(3)
+    x = optim._relax_node(A, is_ge, b, obj, np.array([1, 0, 1], dtype=np.int8))
+    assert x.tolist() == [1.0, 0.0, 1.0]
+    for state in ([0, 0, 1], [1, 1, 1]):
+        assert optim._relax_node(A, is_ge, b, obj, np.array(state, dtype=np.int8)) is None
 
 
 def test_bilp_matches_enumeration_on_packing_programs():
@@ -381,37 +393,35 @@ def _box_program(rng, family):
 
 def test_warm_started_box_nodes_match_enumeration_and_highs(monkeypatch):
     # positive-cost programs: every node a _BoxTableau node, children warm
-    # from their parent's tableau or rebuilt from its stored basis, roots by
-    # primal (packings) or dual simplex (a row x = 0 misses); a node
-    # abandoned below the cut must be infeasible or below it in HiGHS's LP
+    # on their parent's tableau or restarted from the root's, roots by primal
+    # (packings) or dual simplex (a row x = 0 misses); every node's point
+    # must meet its rows, box and held values, a restarted node's at HiGHS's
+    # LP value, and every node the tableau calls infeasible must be
+    # infeasible in HiGHS's LP
     opt = pytest.importorskip("scipy.optimize")
     seen = Counter()
-    load, solve = optim._BoxTableau._load, optim._BoxTableau.solve
+    solve = optim._BoxTableau.solve
 
-    def loaded(box, basis, flip):
-        root = np.array_equal(basis, np.arange(box.n, box.n + box.m))
-        seen["rebuilt" if not root else "dual root" if flip.any() else "primal root"] += 1
-        load(box, basis, flip)
-
-    def solved(box, state, start, cut):
-        seen["warm"] += start[0] == box.solved
-        x = solve(box, state, start, cut)
-        p = bilp(box.obj, "max", [(box.A[i], ">=" if box.is_ge[i] else "<=", box.b[i]) for i in range(box.m)])
+    def solved(box, state, warm):
+        root = box.kept is None
+        kind = "dual root" if root and box.flip.any() else "primal root" if root else "warm" if warm else "restarted"
+        seen[kind] += 1
+        x = solve(box, state, warm)
+        if x is None or kind == "restarted":
+            s = np.where(box.is_ge, -1.0, 1.0)
+            held = [(v, v) if v >= 0 else (0, 1) for v in state]
+            ref = opt.linprog(-box.obj, A_ub=box.A * s[:, None], b_ub=box.b * s, bounds=held, method="highs")
+            assert ref.status == (2 if x is None else 0), ref.message
+            seen["infeasible"] += x is None
         if x is not None:
+            p = bilp(box.obj, "max", [(box.A[i], ">=" if box.is_ge[i] else "<=", box.b[i]) for i in range(box.m)])
             assert max_row_miss(p, x) <= FEAS_TOL
             assert np.all((x >= -FEAS_TOL) & (x <= 1.0 + FEAS_TOL))
             assert np.array_equal(x[state >= 0], state[state >= 0])
-        elif cut > -math.inf:
-            held = [(v, v) if v >= 0 else (0, 1) for v in state]
-            ref = opt.linprog(-box.obj, A_ub=box.A * np.where(box.is_ge, -1.0, 1.0)[:, None],
-                              b_ub=box.b * np.where(box.is_ge, -1.0, 1.0), bounds=held, method="highs")
-            assert ref.status in (0, 2), ref.message
-            if ref.status == 0:
-                assert -ref.fun < cut + 1e-9
-                seen["cut"] += 1
+            if kind == "restarted":
+                assert box.obj @ x == pytest.approx(-ref.fun, abs=1e-6)
         return x
 
-    monkeypatch.setattr(optim._BoxTableau, "_load", loaded)
     monkeypatch.setattr(optim._BoxTableau, "solve", solved)
     rng = np.random.default_rng(1955)
     for i in range(60):
@@ -425,7 +435,22 @@ def test_warm_started_box_nodes_match_enumeration_and_highs(monkeypatch):
         for lo in (expect, expect - 2.0):
             assert solve_bilp(p, (lo, math.inf)).objective_value == pytest.approx(expect, abs=1e-6)
         assert solve_bilp(p, (expect + 1.0, math.inf)).status == "infeasible"
-    assert min(seen[k] for k in ("warm", "rebuilt", "primal root", "dual root", "cut")) >= 20, seen
+    assert min(seen[k] for k in ("warm", "restarted", "primal root", "dual root", "infeasible")) >= 20, seen
+
+
+@pytest.mark.parametrize("stall_limit", [0, 1])
+def test_box_nodes_under_blands_rule_match_enumeration_and_highs(monkeypatch, stall_limit):
+    # at a stall limit of 0 every dual simplex pivot of a box node takes
+    # Bland's lowest-index leaving row and entering column; at 1, those
+    # after a pivot that left the value where it was, which some nodes of
+    # these 30 programs make
+    monkeypatch.setattr(optim, "_STALL_LIMIT", stall_limit)
+    rng = np.random.default_rng(1970)
+    for i in range(30):
+        family = ("packing", "mixed")[i % 2]
+        p = _box_program(rng, family)
+        expect = _highs_optimum(p) if family == "packing" else _enumerate_optimum(p)
+        assert solve_bilp(p).objective_value == pytest.approx(expect, abs=1e-6)
 
 
 @settings(max_examples=40, deadline=None)
