@@ -11,10 +11,10 @@ in a single solve_lp call, so run_trials solves a batch of trials at once.
 Which transformers stay identified under each attack is found once per
 (graph, configuration); build_game sums only the payoffs per utility draw.
 
-Tolerances, both from optim: dominance uses the LP's feasibility tolerance
-FEAS_TOL, since a column another beats by more than FEAS_TOL in every row
-already leaves its LP infeasible; ties between equilibrium or best-response
-values use TIE_TOL.
+Tolerances follow the policy stated in optim: dominance uses the LP's
+feasibility tolerance FEAS_TOL, since a column another beats by more than
+FEAS_TOL in every row already leaves its LP infeasible; among equilibrium
+or best-response values within TIE_TOL of the best, the lowest index wins.
 """
 
 from __future__ import annotations
@@ -222,11 +222,17 @@ def _live_columns(am: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~beats.any(axis=0))
 
 
+def _near_best(values: np.ndarray) -> np.ndarray:
+    """Which values lie within TIE_TOL of the largest along the last axis;
+    NaN, a value that is not a candidate, never does."""
+    return values >= np.fmax.reduce(values, axis=-1, keepdims=True) - TIE_TOL
+
+
 def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
     """Strong Stackelberg commitment of each game via one LP per attacker
     action: maximize defender expectation over mixes keeping that action a
-    best response; the best feasible action wins, ties (within TIE_TOL) to
-    the defender then to the lowest index.
+    best response; the lowest-indexed feasible action whose value lies
+    within TIE_TOL of the best wins.
 
     An action that another beats by more than FEAS_TOL in every defender row
     gets no LP: its LP is infeasible at that tolerance, so it cannot win. The
@@ -255,30 +261,25 @@ def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
             ("=",) + (">=",) * (L - 1),
             np.r_[1.0, np.zeros(L - 1)],
         ))
-        values = sol.objective_value.tolist()
-        for g, i in enumerate(members):
-            best = None
-            for k in range(g * L, (g + 1) * L):
-                if sol.statuses[k] == "optimal" and (best is None or values[k] > values[best] + TIE_TOL):
-                    best = k
-            if best is None or "unbounded" in sol.statuses[g * L : (g + 1) * L]:
-                raise SolverError("no attacker action admitted a feasible best-response region")
-            j, mix = int(lives[i][best - g * L]), sol.assignment[best]
-            out[i] = SseSolution(mix, j, values[best], float(np.dot(mix, games[i].attacker_payoffs[:, j])))
+        near = _near_best(sol.objective_value.reshape(len(members), L))
+        if sol.status == "unbounded" or not near.any(axis=1).all():
+            raise SolverError("no attacker action admitted a feasible best-response region")
+        for i, k in zip(members, near.argmax(axis=1) + L * np.arange(len(members))):
+            j, mix, value = int(lives[i][k % L]), sol.assignment[k], float(sol.objective_value[k])
+            out[i] = SseSolution(mix, j, value, float(np.dot(mix, games[i].attacker_payoffs[:, j])))
     return out
 
 
 def best_response(game: GameMatrix, mix: np.ndarray) -> tuple[int, float, float]:
-    """Attacker best response to a defender mix, ties broken in the defender's
-    favor then by lowest index. Returns (action, attacker value, defender value)."""
+    """Attacker best response to a defender mix: among the actions whose
+    attacker value lies within TIE_TOL of the best, the lowest-indexed one
+    whose defender value lies within TIE_TOL of theirs. Returns (action,
+    attacker value, defender value)."""
     mix = np.asarray(mix, dtype=float)
     att = mix @ game.attacker_payoffs
     dfd = mix @ game.defender_payoffs
-    top = float(att.max())
-    best_j = -1
-    for j in range(game.n_attacker):
-        if att[j] >= top - TIE_TOL and (best_j < 0 or dfd[j] > dfd[best_j] + TIE_TOL):
-            best_j = j
+    tied = _near_best(att)
+    best_j = int(_near_best(np.where(tied, dfd, np.nan)).argmax())
     return best_j, float(att[best_j]), float(dfd[best_j])
 
 

@@ -47,17 +47,17 @@ Nodes of either kind are pruned on their (rounded) bound once their LP is
 solved. The search stops at the first incumbent that meets the root's
 bound or the best value the caller says is possible.
 
-Tolerances: PIVOT_TOL, an entry at most this large is zero (no row update, no
-pivot driving out a phase-1 artificial, a stall), ratios within it tie, and
-a box node's primal pass on perturbed costs enters a reduced cost above it;
-FEAS_TOL, feasibility (an entering reduced cost on true costs, the
-phase-1 residual, a box node's basic variable outside its bounds, a
-returned point's row miss, a node point's row and [0, 1] box miss,
-whichever path solved it, branch and bound's integrality, pruning and
-stops) and the smallest entry either ratio test pivots on, so a
-round-off-sized entry cannot blow the tableau up; TIE_TOL, values closer
-than this tie, which only mtd_game applies (its SSE winner and best
-response).
+Tolerances, one policy for the package. TIE_TOL is round-off: values
+closer than it are equal and an entry at most it is zero (no row update,
+no pivot driving out a phase-1 artificial, a stall, a phase-2 cost that
+prices out phase 1's basis); ratios within it tie, a box node's primal
+pass on perturbed costs enters a reduced cost above it, and among values
+within it of the best the lowest index wins (mtd_game's SSE winner and
+best response). FEAS_TOL is feasibility (an entering reduced cost on true
+costs, the phase-1 residual, a box node's basic variable outside its
+bounds, a returned point's row miss, a node point's row and [0, 1] box
+miss, branch and bound's integrality, pruning and stops) and the smallest
+entry either ratio test pivots on, so round-off cannot blow a tableau up.
 """
 
 from __future__ import annotations
@@ -76,13 +76,11 @@ __all__ = [
     "solve_lp",
     "solve_bilp",
     "FEAS_TOL",
-    "PIVOT_TOL",
     "TIE_TOL",
 ]
 
-PIVOT_TOL = 1e-9
-FEAS_TOL = 1e-6
 TIE_TOL = 1e-9
+FEAS_TOL = 1e-6
 _STALL_LIMIT = 100  # degenerate pivots tolerated before switching to Bland
 _PERTURB = 1e-7  # scale of _BoxTableau's working-cost perturbation
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # spreads the perturbation over [1, 2) * _PERTURB
@@ -192,14 +190,14 @@ def _pivot(
     """Pivot member b of the C-contiguous stack T on column cols[b], flat row
     r[b] (row i of member b is row b * M + i of T as (B * M, N); basis, (B, M)
     with an unused objective slot, numbers alike). colv[b], that column as it
-    stands, is spent. In place, each row with an entry above PIVOT_TOL loses
+    stands, is spent. In place, each row with an entry above TIE_TOL loses
     that entry times its member's pivot row; the other rows stay untouched."""
     B, M, N = T.shape
     flat = T.reshape(B * M, N)
     prow = flat.take(r, axis=0) / colv.take(r)[:, None]
     flat[r] = prow
     colv.put(r, 0.0)
-    touched = (np.abs(colv) > PIVOT_TOL)[:, :, None]
+    touched = (np.abs(colv) > TIE_TOL)[:, :, None]
     np.subtract(T, colv[:, :, None] * prow[:, None], out=T, where=touched)
     basis.put(r, cols)
 
@@ -234,7 +232,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ids: np.ndarray) -> np.ndarra
     m = M - 1
     unbounded = np.zeros(B, dtype=bool)
     at, base = np.arange(B), np.arange(B) * M  # base: each member's first flat row
-    floor = T[:, -1, -1] - PIVOT_TOL  # the negated objective falling below this is progress
+    floor = T[:, -1, -1] - TIE_TOL  # the negated objective falling below this is progress
     since = np.zeros(B, dtype=int)  # iterations before the last progress
     W, Wb, n, cap = T, basis, B, 50_000 + 200 * (m + 1 + N)
     for it in itertools.count():
@@ -249,7 +247,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ids: np.ndarray) -> np.ndarra
         # NaN off the usable entries: no ratio, and never a tie
         ratios = W[:, :m, -1] / np.where(col > FEAS_TOL, col, np.nan)
         best = np.fmin.reduce(ratios, axis=1, initial=np.inf)
-        ties = ratios <= (best + PIVOT_TOL)[:, None]
+        ties = ratios <= (best + TIE_TOL)[:, None]
         done = colv[:, m] <= FEAS_TOL
         stop = done | (best == np.inf)
         if np.count_nonzero(stop):
@@ -262,25 +260,9 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ids: np.ndarray) -> np.ndarra
         # W[:, -1, -1] stores the negated objective; any decrease is progress
         value = W[:, -1, -1]
         progress = value < floor[:n]
-        np.copyto(floor[:n], value - PIVOT_TOL, where=progress)
+        np.copyto(floor[:n], value - TIE_TOL, where=progress)
         np.copyto(since[:n], it + 1, where=progress)
     raise AssertionError("unreachable")
-
-
-def _price_out(T: np.ndarray, basis: np.ndarray) -> None:
-    """In row order, subtract each basic row times its column's objective-row
-    cost where that cost, as it stands by then, exceeds PIVOT_TOL."""
-    members, start = np.arange(len(T))[:, None], 0
-    while True:
-        cost = T[members, -1, basis[:, start:-1]]
-        hit = np.abs(cost) > PIVOT_TOL
-        rows_hit = hit.any(axis=0)
-        if not rows_hit.any():
-            return
-        i = int(rows_hit.argmax())
-        k = hit[:, i].nonzero()[0]
-        T[k, -1] -= cost[k, i, None] * T[k, start + i]
-        start += i + 1
 
 
 def _solve_standard(
@@ -292,7 +274,7 @@ def _solve_standard(
     tableau negated, relation flipped, so only >= rows with b > 0 and <= rows
     with b < 0 get artificials; A, is_ge and b are left as they are.
     Infeasible members go behind the others, which phase 2 solves alone; a
-    row phase 1 finds redundant stays inert, all its entries at most PIVOT_TOL."""
+    row phase 1 finds redundant stays inert, all its entries at most TIE_TOL."""
     B, m, n_y = A.shape
     flip = (b < 0) | (is_ge & (b == 0))
     ge = is_ge ^ flip
@@ -327,7 +309,7 @@ def _solve_standard(
             # accept phase 1's residual on this row, at most FEAS_TOL, so
             # the pivot leaves the point where it is
             T[:n, i, -1][art] = 0.0
-            nonzero = np.abs(T[:n, i, :art0]) > PIVOT_TOL
+            nonzero = np.abs(T[:n, i, :art0]) > TIE_TOL
             # the members to pivot go first, so they pivot in place
             k = _to_front(art & nonzero.any(axis=1), T, basis, ids, nonzero)
             cols = nonzero[:k].argmax(axis=1)
@@ -338,7 +320,11 @@ def _solve_standard(
     T, basis, ids = T[:n], basis[:n], ids[:n]  # phase 2: the feasible members
     T[:, -1] = 0.0
     T[:, -1, :n_y] = obj[ids]
-    _price_out(T, basis)
+    if ge_rows.size:
+        # price out the basis phase 1 left: each basic row times its
+        # column's cost, a cost within TIE_TOL counting as 0
+        cost = T[np.arange(n)[:, None], -1, basis[:, :m]]
+        T[:, -1] -= np.einsum("ki,kij->kj", np.where(np.abs(cost) > TIE_TOL, cost, 0.0), T[:, :m])
     unbounded = _run_simplex(T, basis, ids)
     status[ids] = np.where(unbounded, "unbounded", "optimal")
     ok = ids[~unbounded]
@@ -439,7 +425,7 @@ class _BoxTableau:
         its bounds; False when a row cannot reach its bound, an infeasible
         node."""
         T, m = self.T[0], self.m
-        floor, since = T[m, -1] + PIVOT_TOL, 0  # the negated value rising above floor is progress
+        floor, since = T[m, -1] + TIE_TOL, 0  # the negated value rising above floor is progress
         for it in range(self.cap):
             lo, hi, free = self._bounds(hold)
             beta = T[:m, -1]
@@ -458,11 +444,11 @@ class _BoxTableau:
             if not use.any():
                 return False
             ratio = np.divide(np.maximum(-T[m, :-1], 0.0), q, out=np.full(len(q), np.inf), where=use)
-            ties = ratio <= ratio.min() + PIVOT_TOL
+            ties = ratio <= ratio.min() + TIE_TOL
             k = int(ties.argmax()) if bland else int(np.where(ties, q, 0.0).argmax())
             self._exchange(r, k, lo[r] if up else hi[r])
             if T[m, -1] > floor:
-                floor, since = T[m, -1] + PIVOT_TOL, it + 1
+                floor, since = T[m, -1] + TIE_TOL, it + 1
         raise SolverError("simplex iteration cap exceeded")
 
     def _primal(self, row: int, hold: np.ndarray, tol: float) -> None:
@@ -470,7 +456,7 @@ class _BoxTableau:
         bounds: entering reduced costs above tol, largest first, Bland's
         lowest index after _STALL_LIMIT pivots without progress."""
         T, m = self.T[0], self.m
-        floor, since = T[row, -1] - PIVOT_TOL, 0
+        floor, since = T[row, -1] - TIE_TOL, 0
         for it in range(self.cap):
             lo, hi, free = self._bounds(hold)
             d = T[row, :-1]
@@ -489,10 +475,10 @@ class _BoxTableau:
             elif best == np.inf:
                 raise SolverError("binary relaxation reported unbounded")
             else:
-                r = int(np.where(t <= best + PIVOT_TOL, self.basis[0, :m], self.T.shape[2]).argmin())
+                r = int(np.where(t <= best + TIE_TOL, self.basis[0, :m], self.T.shape[2]).argmin())
                 self._exchange(r, e, lo[r] if down[r] else hi[r])
             if T[row, -1] < floor:
-                floor, since = T[row, -1] - PIVOT_TOL, it + 1
+                floor, since = T[row, -1] - TIE_TOL, it + 1
         raise SolverError("simplex iteration cap exceeded")
 
     def solve(self, state: np.ndarray, warm: bool) -> np.ndarray | None:
@@ -511,7 +497,7 @@ class _BoxTableau:
         hold = np.append(state, np.full(self.m, -1)).astype(float)
         if not self._dual(hold):
             return None
-        self._primal(self.m, hold, PIVOT_TOL)
+        self._primal(self.m, hold, TIE_TOL)
         self._primal(self.m + 1, hold, FEAS_TOL)
         if self.kept is None:
             self.kept = (self.T.copy(), self.basis.copy(), self.flip.copy())
@@ -534,7 +520,7 @@ def solve_lp(p: LinearProgram) -> Solution:
     A, is_ge, b, src = _expanded(A, p.relations, p.rhs)
     status, x, prices = _solve_standard(A, is_ge, b, obj)
     statuses = tuple(status)
-    value = np.array([np.dot(o, y) if s == "optimal" else math.nan for s, o, y in zip(statuses, obj, x)])
+    value = np.array([np.dot(o, y) if s == "optimal" else math.nan for s, o, y in zip(statuses, obj, x)]) + 0.0
     # an equality's price is the sum of its <= and >= halves
     duals = np.zeros((len(obj), len(p.relations)))
     np.add.at(duals, (slice(None), src), prices)
@@ -615,8 +601,9 @@ def solve_bilp(p: BinaryProgram, objective_range: tuple[float, float] | None = N
     wants: no solution is better than its favoured end (lo for "min", hi for
     "max"), so the first incumbent there ends the search, and solutions past
     the other end are not wanted, so nodes that cannot reach it are pruned
-    and "infeasible" means none within the range. Neither changes a solution
-    that lies within the range.
+    and "infeasible" means none within the range (so lo > hi admits none).
+    Neither changes a solution that lies within the range. A NaN bound is
+    rejected with ValueError.
 
     A node's LP is a _relax_node solve when the maximized objective has no
     positive entry and a _BoxTableau node otherwise (see the module
@@ -627,6 +614,8 @@ def solve_bilp(p: BinaryProgram, objective_range: tuple[float, float] | None = N
     integral_obj = bool(np.all(internal == np.round(internal)))
     A, is_ge, b, _ = _expanded(p.constraints, p.relations, p.rhs)
     lo, hi = (-math.inf, math.inf) if objective_range is None else objective_range
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError("objective_range bound is NaN")
     # in the maximized objective: none wanted below worst, none above best
     worst, best = (lo, hi) if p.sense == "max" else (-hi, -lo)
 

@@ -119,6 +119,17 @@ def test_kmax_singleton_neighborhood_forces_one():
     assert brute_force_kmax(g).K == 1
 
 
+def test_kmax_and_greedy_past_63_sites_per_set():
+    # each transformer hears only its own site, so every site is in the one
+    # MDCS: l = 64 takes _patterns' Python-integer codes, which int64 bit
+    # shifts could not hold
+    n = 64
+    g = graph({f"t{i}": {f"s{i}"} for i in range(n)}, [f"s{i}" for i in range(n)])
+    for cfg in (find_kmax(g), greedy_k(g)):
+        assert (cfg.K, cfg.l) == (1, n)
+        cfg.validate(g)
+
+
 def test_oversized_k_is_fast_infeasible(tiny_graph):
     # the capacity rows make the relaxation itself infeasible, no search needed
     with pytest.raises(InfeasibleError):

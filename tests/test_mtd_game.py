@@ -273,6 +273,17 @@ def test_urs_hand_fixture(tiny_graph, tiny_config, tiny_profile):
     assert att_val == pytest.approx(5.0, abs=1e-6)
 
 
+def test_best_response_ties_go_to_the_lowest_action_near_the_best():
+    # actions 1-3 tie for the attacker, action 0 does not; their defender
+    # values form a chain of near ties: action 2 lies within TIE_TOL of
+    # action 3, the best, and action 1 does not, so action 2 answers
+    sets = (CodeSet(frozenset({"a"})),)
+    am = np.array([[-1.0, 0.0, 0.5 * TIE_TOL, 0.0]])
+    dm = np.array([[9.0, 1.0, 1.0 + 0.6 * TIE_TOL, 1.0 + 1.2 * TIE_TOL]])
+    game = GameMatrix(sets, ("s0", "s1", "s2", "s3"), dm, am)
+    assert best_response(game, np.array([1.0])) == (2, 0.5 * TIE_TOL, 1.0 + 0.6 * TIE_TOL)
+
+
 def test_urs_equals_sse_for_single_action(tiny_graph):
     cfg = ConfigurationSet((CodeSet(frozenset({"s3", "s4"})),))
     u = zero_cost_profile(tiny_graph, {"t1": 3.0, "t2": 9.0})
@@ -345,18 +356,17 @@ def full_lp(game, j):
 
 def reference_sse(game):
     """(attacker response, defender value) of the multiple-LPs method with no
-    pruning: every action's full LP, the best feasible one winning, ties to the
-    lowest index."""
-    best = None
+    pruning: every action's full LP, the lowest feasible one within TIE_TOL
+    of the best winning."""
+    solved = []
     for j in range(game.n_attacker):
         sol = solve_lp(full_lp(game, j))
-        if sol.status != "optimal":
-            continue
-        if best is None or sol.objective_value > best[1] + TIE_TOL:
-            best = (j, sol.objective_value)
-    if best is None:
+        if sol.status == "optimal":
+            solved.append((j, sol.objective_value))
+    if not solved:
         raise SolverError("no attacker action admitted a feasible best-response region")
-    return best
+    top = max(value for _, value in solved)
+    return next(s for s in solved if s[1] >= top - TIE_TOL)
 
 
 def assert_pruning_exact(game):
@@ -411,18 +421,19 @@ def test_sse_pruning_margin_is_feas_tol():
 
 def sequential_pick(game):
     """solve_sse's rule with each of the game's live LPs solved alone: the
-    first optimal action that no later one beats by more than TIE_TOL."""
+    first optimal action whose value lies within TIE_TOL of the best."""
     am, live = game.attacker_payoffs, _live_columns(game.attacker_payoffs)
-    best = None
+    solved = []
     for j in live:
         gaps = am[:, [j]] - am[:, [jp for jp in live if jp != j]]
         rows = [np.ones(game.n_defender)] + list(gaps.T)
         sol = solve_lp(LinearProgram(
             game.defender_payoffs[:, j], rows, ("=",) + (">=",) * gaps.shape[1], [1.0] + [0.0] * gaps.shape[1]
         ))
-        if sol.status == "optimal" and (best is None or sol.objective_value > best[1] + TIE_TOL):
-            best = (int(j), sol.objective_value, sol.assignment)
-    return best
+        if sol.status == "optimal":
+            solved.append((int(j), sol.objective_value, sol.assignment))
+    top = max(value for _, value, _ in solved)
+    return next(s for s in solved if s[1] >= top - TIE_TOL)
 
 
 def test_sse_tie_goes_to_the_lowest_action():
@@ -433,6 +444,11 @@ def test_sse_tie_goes_to_the_lowest_action():
         dm = np.array([[1.0, 1.0 + nudge * TIE_TOL], [0.0, 0.0]])
         game = GameMatrix(sets, ("s0", "s1"), dm, np.zeros((2, 2)))
         assert solve_sse([game])[0].attacker_response == winner
+    # a chain of near ties: action 1 lies within TIE_TOL of action 2, the
+    # best, and action 0 does not, so action 1 wins
+    dm = np.array([[1.0, 1.0 + 0.6 * TIE_TOL, 1.0 + 1.2 * TIE_TOL], [0.0, 0.0, 0.0]])
+    game = GameMatrix(sets, ("s0", "s1", "s2"), dm, np.zeros((2, 3)))
+    assert solve_sse([game])[0].attacker_response == sequential_pick(game)[0] == 1
     # games with a near twin of action 0, solved as one stack, pick what
     # their LPs solved one at a time pick
     rng = np.random.default_rng(41)

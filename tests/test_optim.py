@@ -87,6 +87,16 @@ def test_lp_equality_and_negative_values():
     assert value == pytest.approx(12.0, abs=1e-8)
 
 
+def test_lp_values_carry_no_negative_zero():
+    # -1 * 0 is -0.0; a single program's value and a stack member's value in
+    # a stack with no rows read +0.0, as the points do
+    single = solve_lp(lp([-1.0], [([1.0], "<=", 1.0)]))
+    rowless = solve_lp(LinearProgram([[-1.0]], np.zeros((1, 0, 1)), (), np.zeros(0)))
+    assert (single.status, rowless.statuses) == ("optimal", ("optimal",))
+    for value in (single.objective_value, rowless.objective_value[0]):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_lp_rejects_nan_and_inf():
     with pytest.raises(ValueError):
         lp([float("nan")])
@@ -291,6 +301,15 @@ def test_bilp_objective_range_keeps_the_solution():
             assert solve_bilp(p, within) == plain
         past = (-math.inf, v - 1.0) if p.sense == "min" else (v + 1.0, math.inf)
         assert solve_bilp(p, past).status == "infeasible"
+
+
+def test_bilp_rejects_a_nan_objective_range_and_reads_an_empty_one_as_infeasible():
+    p = bilp([1.0], "max", [([1.0], "<=", 1.0)])
+    for bad in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            solve_bilp(p, bad)
+    # lo > hi: no solution lies within the range
+    assert solve_bilp(p, (2.0, 1.0)).status == "infeasible"
 
 
 def node_point(A, is_ge, b, obj):
