@@ -221,11 +221,14 @@ def _as_int(value: float, what: str, lineno: int) -> int:
 def parse_matpower(text: str) -> PowerGrid:
     """Parse the ``mpc.bus`` and ``mpc.branch`` matrices of a MATPOWER case.
 
-    Only bus column 1 (id) and branch columns 1-2 (endpoints), 9 (tap ratio)
-    and 11 (status) are consumed, and each must be finite; everything else in
-    the file is ignored. A branch with status 0 is out of service and dropped;
-    a row without column 11 counts as in service, and any status other than 0
-    or 1 is an error. A branch with a nonzero tap ratio is flagged as a
+    Only bus columns 1 (id) and 2 (type) and branch columns 1-2 (endpoints),
+    9 (tap ratio), 10 (shift angle) and 11 (status) are consumed, and each
+    must be finite; the rest of the file is ignored. A bus row without a
+    type is not isolated; a branch row without a shift or status has no
+    shift and is in service. A branch with status 0, or one touching an
+    isolated bus (type 4), is out of service and dropped, as in MATPOWER's
+    ext2int; any status other than 0 or 1 is an error. A branch with a
+    nonzero tap ratio or shift angle (a phase shifter) is flagged as a
     transformer branch.
     """
     bus_rows = _matrix_rows(text, "bus")
@@ -235,14 +238,15 @@ def parse_matpower(text: str) -> PowerGrid:
     if not branch_rows:
         raise ParseError("branch table is empty or missing")
 
-    buses: list[int] = []
-    for lineno, row in bus_rows:
-        buses.append(_as_int(row[0], "bus id", lineno))
+    buses = [_as_int(row[0], "bus id", lineno) for lineno, row in bus_rows]
     if len(set(buses)) != len(buses):
         raise ParseError("duplicate bus id in bus table")
+    isolated = {bus for bus, (lineno, row) in zip(buses, bus_rows)
+                if len(row) >= 2 and _finite(row[1], "bus type", lineno) == 4.0}
 
     bus_set = set(buses)
     branches: list[Branch] = []
+    transformer: list[int] = []
     for lineno, row in branch_rows:
         if len(row) < 9:
             raise ParseError(f"branch row needs at least 9 columns, got {len(row)}", lineno)
@@ -253,14 +257,16 @@ def parse_matpower(text: str) -> PowerGrid:
         if t not in bus_set:
             raise ParseError(f"branch references unknown bus {t}", lineno)
         tap = _finite(row[8], "branch tap ratio", lineno)
+        shift = _finite(row[9], "branch phase shift", lineno) if len(row) >= 10 else 0.0
         status = row[10] if len(row) >= 11 else 1.0
         if status not in (0.0, 1.0):
             raise ParseError(f"branch status must be 0 or 1, got {status}", lineno)
-        if status == 1.0:
+        if status == 1.0 and not {f, t} & isolated:
+            if tap != 0.0 or shift != 0.0:
+                transformer.append(len(branches))
             branches.append(Branch(f, t, tap))
 
-    transformer = tuple(i for i, br in enumerate(branches) if br.tap_ratio != 0.0)
-    return PowerGrid(tuple(buses), tuple(branches), transformer)
+    return PowerGrid(tuple(buses), tuple(branches), tuple(transformer))
 
 
 # ---------------------------------------------------------------------------

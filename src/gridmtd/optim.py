@@ -22,10 +22,10 @@ two paths, by the sign of the maximized objective.
 A node whose maximized objective has no positive entry, such as a min-cost
 cover (every DCS program), has an LP over its free variables only: fixed
 columns move into the rhs, rows that every point of the free box satisfies
-drop out, a node with no free variable is checked without an LP, and a
-bound that no <= row implies adds a row. The LP is solved through its dual,
-which starts from a feasible slack basis and so needs no phase 1; the
-dual's row prices are the node's point.
+drop out, a node with no free variable is checked without an LP, and each
+free variable's bound x <= 1 adds a row. The LP is solved through its
+dual, which starts from a feasible slack basis and so needs no phase 1;
+the dual's row prices are the node's point.
 
 Any other node, such as a packing, is a bounded-variable simplex tableau
 (_BoxTableau) over every variable, x <= 1 held in the ratio tests, so it
@@ -547,36 +547,25 @@ def _relax_node(
     makes the node infeasible without an LP, which checks a node with no
     free variable directly.
 
-    The LP over the free variables is solved through its dual: x_j <= 1
-    gets a row of its own unless a <= row with non-negative coefficients
-    implies it (x_j <= b_i / a_ij <= 1); with every row in <= form, signs s
-    (-1 on >= rows), maximize -(s b) . u subject to -(s A)^T u <= -obj,
-    u >= 0, whose rhs is non-negative, so it starts from its slack basis
-    with no phase 1. Its row prices are the point, and an unbounded dual is
-    an infeasible node."""
+    The LP over the free variables, the kept rows followed by one row
+    x_j <= 1 per free variable, is solved through its dual: with every row
+    in <= form, signs s (-1 on >= rows), maximize -(s b) . u subject to
+    -(s A)^T u <= -obj, u >= 0, whose rhs is non-negative, so it starts from
+    its slack basis with no phase 1. Its row prices are the point, and an
+    unbounded dual is an infeasible node."""
     free = state < 0
     x = np.maximum(state, 0).astype(float)
-    if not free.all():
-        b = b - A[:, ~free] @ x[~free]
-        A = A[:, free]
+    b = b - A[:, ~free] @ x[~free]
+    A = A[:, free]
     low, high = np.minimum(A, 0.0).sum(axis=1), np.maximum(A, 0.0).sum(axis=1)
     if np.any(np.where(is_ge, high < b - FEAS_TOL, low > b + FEAS_TOL)):
         return None
     if not free.any():
         return x
     keep = np.where(is_ge, low < b, high > b)
-    if not keep.all():
-        A, is_ge, b = A[keep], is_ge[keep], b[keep]
     obj = obj[free]
-    pos = (~is_ge & (A >= 0).all(axis=1))[:, None] & (A > 0)
-    bound = np.divide(b[:, None], A, out=np.full_like(A, np.inf), where=pos)
-    capped = np.flatnonzero(bound.min(axis=0, initial=math.inf) > 1.0)
-    del pos, bound  # gone before the LP is solved
-    if capped.size:
-        caps = np.zeros((capped.size, len(obj)))
-        caps[np.arange(capped.size), capped] = 1.0
-        A = np.vstack([A, caps])
-        is_ge, b = np.append(is_ge, np.zeros(capped.size, dtype=bool)), np.append(b, np.ones(capped.size))
+    A = np.vstack([A[keep], np.eye(len(obj))])
+    is_ge, b = np.append(is_ge[keep], np.zeros(len(obj), dtype=bool)), np.append(b[keep], np.ones(len(obj)))
     minus_s = np.where(is_ge, 1.0, -1.0)
     status, _, y = _solve_standard(
         (A.T * minus_s)[None], np.zeros(len(obj), dtype=bool), -obj, (b * minus_s)[None]
@@ -605,9 +594,10 @@ def solve_bilp(p: BinaryProgram, objective_range: tuple[float, float] | None = N
     Neither changes a solution that lies within the range. A NaN bound is
     rejected with ValueError.
 
-    A node's LP is a _relax_node solve when the maximized objective has no
-    positive entry and a _BoxTableau node otherwise (see the module
-    docstring); either kind is pruned on its bound once its LP is solved.
+    A node's LP is a _relax_node solve, with a cap row per free variable,
+    when the maximized objective has no positive entry, and a _BoxTableau
+    node, with no cap row, otherwise (see the module docstring); either kind
+    is pruned on its bound once its LP is solved.
     """
     obj = p.objective
     internal = obj if p.sense == "max" else -obj

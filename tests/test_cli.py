@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import gridmtd
+from gridmtd import cli
 from gridmtd.cli import main
+from gridmtd.optim import SolverError
 from conftest import DATA, FIXTURES, with_branch_status
 
 
@@ -136,6 +138,26 @@ def test_kmax_identical_neighborhoods_exit_3(capsys):
     )
     assert code == 3
     assert "t1" in err and "t2" in err
+
+
+def test_kmax_transformer_without_sites_exit_3(tmp_path, capsys):
+    src = tmp_path / "deaf.graph"
+    src.write_text("t t1\nt t2\ns s1\ne t1 s1\n")
+    code, out, err = run(capsys, "kmax", "--input", str(src))
+    assert code == 3
+    assert out == ""
+    assert err == "infeasible: transformer t2 has no sensor site in range\n"
+
+
+def test_kmax_solver_error_exit_4(monkeypatch, capsys):
+    def fail(g):
+        raise SolverError("simplex iteration cap exceeded")
+
+    monkeypatch.setattr(cli, "find_kmax", fail)
+    code, out, err = run(capsys, "kmax", "--input", str(FIXTURES / "tiny.graph"))
+    assert code == 4
+    assert out == ""
+    assert err == "internal solver error: simplex iteration cap exceeded\n"
 
 
 @pytest.mark.parametrize("text", ["s s1\ns s2\n", ""], ids=["sites-only", "empty"])
@@ -298,6 +320,17 @@ def test_experiment_rejects_negative_seed_before_solving(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: --seed must be >= 0\n"
+    assert not (tmp_path / "trials.csv").exists()
+
+
+def test_experiment_rejects_zero_trials_before_solving(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "experiment", "--input", str(FIXTURES / "tiny.graph"), "--seed", "1", "--trials", "0",
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --trials must be >= 1\n"
     assert not (tmp_path / "trials.csv").exists()
 
 

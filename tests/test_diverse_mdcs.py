@@ -110,6 +110,24 @@ def test_kmax_tiny(tiny_graph):
     assert brute_force_kmax(tiny_graph).K == 2
 
 
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        ((), "configuration set is empty"),
+        (({"s1", "s2"}, {"s3"}), "member code sets differ in size"),
+        (({"s1", "s3"},), r"member \['s1', 's3'\] is not a DCS"),
+        (({"s1", "s2"}, {"s1", "s4"}), "member code sets are not pairwise disjoint"),
+    ],
+    ids=["empty", "mixed-sizes", "not-a-dcs", "overlap"],
+)
+def test_configuration_set_validate_rejects(tiny_graph, sets, message):
+    # tiny: t1 hears s1, s3 and t2 hears s2, s4, so {s1, s3} leaves t2
+    # silent, and {s1, s2} and {s1, s4} are DCSs that share s1
+    cfg = ConfigurationSet(tuple(CodeSet(frozenset(s)) for s in sets))
+    with pytest.raises(ValueError, match=message):
+        cfg.validate(tiny_graph)
+
+
 def test_kmax_singleton_neighborhood_forces_one():
     # a transformer heard by a single site pins that site into every MDCS
     g = graph({"t1": {"s1"}, "t2": {"s1", "s2"}}, ["s1", "s2"])

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -101,10 +102,10 @@ def test_parse_branch_status_must_be_0_or_1(case14_text):
     assert len(parse_matpower(text).branches) == 1
 
 
-def mini_case(bus="2", f="1", t="2", tap="0", status="1") -> str:
+def mini_case(bus="2", bus_type="1", f="1", t="2", tap="0", shift="0", status="1") -> str:
     """Two buses and one branch; the arguments fill the consumed columns."""
-    branch = f"{f} {t} 0 0 0 0 0 0 {tap} 0 {status}"
-    return f"mpc.bus = [\n 1 3;\n {bus} 1;\n];\nmpc.branch = [\n {branch};\n];\n"
+    branch = f"{f} {t} 0 0 0 0 0 0 {tap} {shift} {status}"
+    return f"mpc.bus = [\n 1 3;\n {bus} {bus_type};\n];\nmpc.branch = [\n {branch};\n];\n"
 
 
 @pytest.mark.parametrize(
@@ -118,12 +119,66 @@ def mini_case(bus="2", f="1", t="2", tap="0", status="1") -> str:
         ({"tap": "nan"}, "line 6: branch tap ratio must be finite, got nan"),
         ({"tap": "nan", "status": "0"}, "line 6: branch tap ratio must be finite, got nan"),
         ({"status": "nan"}, "line 6: branch status must be 0 or 1, got nan"),
+        ({"shift": "nan"}, "line 6: branch phase shift must be finite, got nan"),
+        ({"shift": "-inf", "status": "0"}, "line 6: branch phase shift must be finite, got -inf"),
+        ({"bus_type": "nan"}, "line 3: bus type must be finite, got nan"),
     ],
-    ids=["bus-inf", "bus-nan", "from-inf", "to-nan", "tap-inf", "tap-nan", "off-tap-nan", "status-nan"],
+    ids=["bus-inf", "bus-nan", "from-inf", "to-nan", "tap-inf", "tap-nan", "off-tap-nan", "status-nan",
+         "shift-nan", "off-shift-inf", "type-nan"],
 )
 def test_parse_rejects_non_finite_consumed_values(column, message):
     with pytest.raises(ParseError, match=message):
         parse_matpower(mini_case(**column))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (mini_case(bus="2.5"), "line 3: bus id must be an integer, got 2.5"),
+        (mini_case(bus="1"), "duplicate bus id in bus table"),
+        ("mpc.bus = [\n 1 3;\n 2 1;\n];\nmpc.branch = [\n 1 2 0 0 0 0 0 0;\n];\n",
+         "line 6: branch row needs at least 9 columns, got 8"),
+        (mini_case(f="7"), "line 6: branch references unknown bus 7"),
+    ],
+    ids=["bus-not-integer", "bus-duplicate", "branch-short", "from-unknown"],
+)
+def test_parse_rejects_malformed_tables(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_matpower(text)
+
+
+def test_parse_flags_phase_shifters_as_transformers():
+    # a nonzero angle makes a branch a transformer even at tap 0, and a row
+    # that ends before column 10 has no shift
+    for shift in ("-3.5", "2"):
+        grid = parse_matpower(mini_case(shift=shift))
+        assert grid.branches == (Branch(1, 2, 0.0),) and grid.transformer_branches == (0,)
+        assert build_bipartite(grid).t_ids == ("1-2",)
+    assert parse_matpower(mini_case()).transformer_branches == ()
+    short = "mpc.bus = [\n 1 3;\n 2 1;\n];\nmpc.branch = [\n 1 2 0 0 0 0 0 0 0.98;\n];\n"
+    assert parse_matpower(short).transformer_branches == (0,)
+
+
+def test_parse_drops_branches_at_isolated_buses():
+    # bus 3 is isolated (type 4): its branches are out of service, so the
+    # transformer 2-3 is neither flagged nor nameable, while the bus stays
+    text = (
+        "mpc.bus = [\n 1 3;\n 2 1;\n 3 4;\n];\n"
+        "mpc.branch = [\n 1 2 0 0 0 0 0 0 0.97 0 1;\n 2 3 0 0 0 0 0 0 0.95 0 1;\n"
+        " 3 3 0 0 0 0 0 0 0 0 1;\n];\n"
+    )
+    grid = parse_matpower(text)
+    assert grid.buses == (1, 2, 3)
+    assert grid.branches == (Branch(1, 2, 0.97),) and grid.transformer_branches == (0,)
+    with pytest.raises(ValueError, match="no branch matches HVT '2-3'"):
+        build_bipartite(grid, ["2-3"])
+    isolated = parse_matpower(mini_case(bus_type="4", tap="1.0"))
+    assert isolated.branches == () and isolated.transformer_branches == ()
+    # any other type, and a row without column 2, leaves the branch alone
+    for bus_type in ("1", "2", "3"):
+        assert parse_matpower(mini_case(bus_type=bus_type, tap="1.0")).transformer_branches == (0,)
+    bare = "mpc.bus = [\n 1;\n 2;\n];\nmpc.branch = [\n 1 2 0 0 0 0 0 0 1.0;\n];\n"
+    assert parse_matpower(bare).transformer_branches == (0,)
 
 
 def test_parse_leaves_other_columns_alone():
@@ -251,6 +306,24 @@ def test_edge_joining_two_transformers_rejected():
 def test_duplicate_declaration_rejected():
     with pytest.raises(GraphFormatError, match="duplicate"):
         load_graph(io.StringIO("t a\ns a\n"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t t1 t2\n", "line 1: expected 't <id>'"),
+        ("t t1\ns\n", "line 2: expected 's <id>'"),
+        ("t t1\ns s1\ne t1\n", "line 3: expected 'e <t-id> <s-id>'"),
+        ("t t1\ns s1\ne t1 s1 s1\n", "line 3: expected 'e <t-id> <s-id>'"),
+        ("t t1\nx t1\n", "line 2: unknown line kind 'x'"),
+        ("s s1\ns s2\ne s1 s2\n", "line 3: edge (s1, s2) joins two sensor sites"),
+        ("t t1\ns s1\ne t9 s1\n", "line 3: edge references undeclared node 't9'"),
+    ],
+    ids=["t-tokens", "s-tokens", "e-short", "e-long", "unknown-kind", "site-site", "undeclared-t"],
+)
+def test_graph_text_rejects_malformed_lines(text, message):
+    with pytest.raises(GraphFormatError, match=re.escape(message)):
+        load_graph(io.StringIO(text))
 
 
 def test_edge_to_undeclared_node_rejected():

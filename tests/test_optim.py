@@ -322,13 +322,13 @@ def node_point(A, is_ge, b, obj):
     return optim._relax_node(A, is_ge, b, obj, free)
 
 
-def test_dcs_nodes_leave_out_implied_caps_and_box_nodes_carry_none(monkeypatch):
-    # x0 + x1 <= 1 bounds x0 and x1 by 1; x0 + 2 x2 <= 2.5 bounds x2 by 1.25
-    # only, and some points of the box miss it, so the node keeps it;
+def test_dcs_nodes_cap_every_free_variable_and_box_nodes_carry_none(monkeypatch):
+    # x0 + x1 <= 1 bounds x0 and x1 by 1 and x0 + 2 x2 <= 2.5 bounds x2 by
+    # 1.25, yet a DCS node gives every free variable a cap row of its own;
     # x0 + x1 + x2 >= 2 is a row x = 0 misses
     duals, tableaus = [], []
     solve, box_solve = optim._solve_standard, optim._BoxTableau.solve
-    monkeypatch.setattr(optim, "_solve_standard", lambda A, *rest: duals.append(A.shape) or solve(A, *rest))
+    monkeypatch.setattr(optim, "_solve_standard", lambda *args: duals.append(args) or solve(*args))
 
     def box_solved(box, *args, **kwargs):
         x = box_solve(box, *args, **kwargs)
@@ -338,10 +338,22 @@ def test_dcs_nodes_leave_out_implied_caps_and_box_nodes_carry_none(monkeypatch):
     monkeypatch.setattr(optim._BoxTableau, "solve", box_solved)
     A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 2.0], [1.0, 1.0, 1.0]])
     is_ge, b = np.array([False, False, True]), np.array([1.0, 2.5, 2.0])
-    # no positive cost: the dual, one variable per row and x2's cap
-    x = node_point(A, is_ge, b, np.array([-1.0, -2.0, -3.0]))
+    cost = np.array([-1.0, -2.0, -3.0])
+    # no positive cost: the dual, one variable per row and then one per
+    # free variable, whose columns are the caps x_j <= 1 in <= form
+    x = node_point(A, is_ge, b, cost)
     assert x @ [1.0, 2.0, 3.0] == pytest.approx(4.5)
-    assert duals == [(1, 3, 3 + 1)] and tableaus == []
+    [(dual, _, _, dual_obj)] = duals
+    assert dual.shape == (1, 3, 3 + 3) and tableaus == []
+    assert np.array_equal(dual[0, :, 3:], -np.eye(3)) and np.array_equal(dual_obj[0, 3:], -np.ones(3))
+    # x0 held at 0: only x1 + x2 >= 2 can miss, so the node keeps that row
+    # and caps both free variables
+    duals.clear()
+    x = optim._relax_node(A, is_ge, b, cost, np.array([0, -1, -1], dtype=np.int8))
+    assert x.tolist() == [0.0, 1.0, 1.0]
+    [(dual, _, _, dual_obj)] = duals
+    assert dual.shape == (1, 2, 1 + 2)
+    assert np.array_equal(dual[0, :, 1:], -np.eye(2)) and np.array_equal(dual_obj[0], [2.0, -1.0, -1.0])
     # a positive cost: one bounded tableau, the three rows and two objective
     # rows over x, a slack per row and the rhs; x2 <= 1 holds with no cap
     # row, where x2 = 1.25 would reach 5.75
