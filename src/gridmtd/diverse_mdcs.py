@@ -10,7 +10,7 @@ validate the solvers on small graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -260,15 +260,37 @@ def find_kmax(g: BipartiteGraph) -> ConfigurationSet:
 
 
 def _patterns(g: BipartiteGraph, keys: list[tuple], m: int) -> np.ndarray:
-    """The size-m patterns over classes keys, in lexicographic order."""
+    """The size-m patterns over classes keys, in lexicographic order, grown a
+    class at a time, depth first over chunks of at most 32 prefixes. A prefix
+    of j classes ending at class c grows only by classes c + 1 to
+    len(keys) - (m - j), which leaves room for the rest, and is dropped once
+    the r classes still to come cannot split it: they give at most 2^r codes,
+    one of them empty, so no more than 2^r transformers may share a code and
+    fewer than 2^r the empty one. At r = 0 that is the pattern test itself:
+    every code non-empty and distinct."""
     heard = np.array([np.isin(g.t_ids, k) for k in keys], dtype=np.int64 if m < 63 else object)
-    subsets, patterns = combinations(range(len(keys)), m), []
-    # about a thousand at a time
-    while (idx := np.fromiter(chain.from_iterable(islice(subsets, 1024)), int).reshape(-1, m)).size:
+    found, todo = [], [(np.zeros((1, 0), dtype=int), np.zeros((1, g.n_t), dtype=heard.dtype))]
+    while todo:
+        idx, codes = todo.pop()
+        j = idx.shape[1]
+        last = idx[:, -1] if j else np.array([-1])
+        parent, c = np.nonzero(np.arange(len(keys) - (m - j) + 1) > last[:, None])
+        idx = np.column_stack([idx[parent], c])
         # bit j of a transformer's code is set when the pattern's j-th class hears it
-        codes = np.sort(sum(heard[idx[:, j]] << j for j in range(m)), axis=1)
-        patterns.append(idx[(codes[:, 0] > 0) & (np.diff(codes, axis=1) != 0).all(axis=1)])
-    return np.concatenate(patterns)
+        codes = codes[parent] | heard[c] << j
+        # the m - j - 1 classes still to come split one code into at most
+        # `most` codes, the empty one into most - 1 non-empty ones; past n_t
+        # that prunes nothing, so `most` stops at n_t + 1
+        most = min(1 << (m - j - 1), g.n_t + 1)
+        if most <= g.n_t:
+            ranked = np.sort(codes, axis=1)
+            keep = (ranked[:, most - 1] != 0) & (ranked[:, most:] != ranked[:, :-most]).all(axis=1)
+            idx, codes = idx[keep], codes[keep]
+        if j + 1 == m:
+            found.append(idx)
+        else:
+            todo.extend((idx[i : i + 32], codes[i : i + 32]) for i in reversed(range(0, len(idx), 32)))
+    return np.concatenate(found) if found else np.zeros((0, m), dtype=int)
 
 
 def _capacity(patterns: np.ndarray, mult: np.ndarray) -> np.ndarray:

@@ -223,11 +223,13 @@ def parse_matpower(text: str) -> PowerGrid:
 
     Only bus columns 1 (id) and 2 (type) and branch columns 1-2 (endpoints),
     9 (tap ratio), 10 (shift angle) and 11 (status) are consumed, and each
-    must be finite; the rest of the file is ignored. A bus row without a
-    type is not isolated; a branch row without a shift or status has no
-    shift and is in service. A branch with status 0, or one touching an
-    isolated bus (type 4), is out of service and dropped, as in MATPOWER's
-    ext2int; any status other than 0 or 1 is an error. A branch with a
+    must be finite; the rest of the file is ignored. A bus type is one of
+    MATPOWER's 1 (PQ), 2 (PV), 3 (reference) and 4 (isolated), any other is
+    an error, and a bus row without a type is not isolated; a branch row
+    without a shift or status has no shift and is in service. A branch with
+    status 0, or one touching an isolated bus (type 4), is out of service
+    and dropped, as in MATPOWER's ext2int; any status other than 0 or 1 is
+    an error. A branch with a
     nonzero tap ratio or shift angle (a phase shifter) is flagged as a
     transformer branch.
     """
@@ -241,8 +243,11 @@ def parse_matpower(text: str) -> PowerGrid:
     buses = [_as_int(row[0], "bus id", lineno) for lineno, row in bus_rows]
     if len(set(buses)) != len(buses):
         raise ParseError("duplicate bus id in bus table")
-    isolated = {bus for bus, (lineno, row) in zip(buses, bus_rows)
-                if len(row) >= 2 and _finite(row[1], "bus type", lineno) == 4.0}
+    types = [_finite(row[1], "bus type", lineno) if len(row) >= 2 else 1.0 for lineno, row in bus_rows]
+    for (lineno, _), kind in zip(bus_rows, types):
+        if kind not in (1.0, 2.0, 3.0, 4.0):
+            raise ParseError(f"bus type must be 1, 2, 3 or 4, got {kind:g}", lineno)
+    isolated = {bus for bus, kind in zip(buses, types) if kind == 4.0}
 
     bus_set = set(buses)
     branches: list[Branch] = []

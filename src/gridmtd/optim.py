@@ -2,19 +2,21 @@
 
 Two-phase primal simplex plus a depth-first branch-and-bound wrapper for
 binary programs. A program holds checked arrays: a float objective and
-constraint matrix, one relation per row and a rhs. The one simplex core
-pivots a stack of same-shape tableaus (B, m+1, n+1) one array step at a
+constraint matrix, one relation per row and a rhs. One simplex rule set
+runs in two loops, chosen by stack size, with the same bits. A stack of
+B >= 2 same-shape tableaus (B, m+1, n+1), a LinearProgram of B objectives
+solved whole, so its caller bounds its memory, pivots one array step at a
 time, each member with its own pivot choices and stall count, the stack
-under one iteration cap: a LinearProgram of one objective or a DCS node's
-dual is a stack of one, a LinearProgram of B objectives a stack of B,
-solved whole, so its caller bounds its memory; a box node (below) pivots
-with the same in-place step on a stack of one. Only a row whose rhs lies on its relation's wrong side
-of 0 gets a phase-1 artificial. Pivots update rows in place, and a member
-that is done is swapped behind those still going, so no stack is copied.
-Pivoting uses the largest-reduced-cost rule and falls back to Bland's rule
-whenever the objective stalls on a degenerate vertex, so termination is
-guaranteed. The fixed rules make solves deterministic: a program gets the
-same bits alone or in a stack.
+under one iteration cap. A stack of one, a LinearProgram of one objective
+or a DCS node's dual, runs on a scalar loop over its one 2D tableau, with
+no batch axis; a box node (below) pivots with the same in-place step. Only
+a row whose rhs lies on its relation's wrong side of 0 gets a phase-1
+artificial. Pivots update rows in place, and a member that is done is
+swapped behind those still going, so no stack is copied. Pivoting uses the
+largest-reduced-cost rule and falls back to Bland's rule whenever the
+objective stalls on a degenerate vertex, so termination is guaranteed. The
+fixed rules make solves deterministic: a program gets the same bits alone
+or in a stack.
 
 Branch and bound solves its node LPs, each in the [0, 1] box, on one of
 two paths, by the sign of the maximized objective.
@@ -181,7 +183,8 @@ class Solution:
 
 
 # ---------------------------------------------------------------------------
-# Simplex core: every array carries a leading batch axis over the stack
+# Simplex core: every array carries a leading batch axis over the stack,
+# but a stack of one pivots on one 2D tableau
 
 
 def _pivot(
@@ -200,6 +203,15 @@ def _pivot(
     touched = (np.abs(colv) > TIE_TOL)[:, :, None]
     np.subtract(T, colv[:, :, None] * prow[:, None], out=T, where=touched)
     basis.put(r, cols)
+
+
+def _pivot1(T: np.ndarray, r: int, colv: np.ndarray) -> None:
+    """_pivot on one tableau T (M, N): row r of column colv, that column as
+    it stands, which is spent. The caller records the basis change."""
+    prow = T[r] / colv[r]
+    T[r] = prow
+    colv[r] = 0.0
+    np.subtract(T, colv[:, None] * prow, out=T, where=(np.abs(colv) > TIE_TOL)[:, None])
 
 
 def _to_front(keep: np.ndarray, *stacks: np.ndarray) -> int:
@@ -226,9 +238,12 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ids: np.ndarray) -> np.ndarra
     index until progress resumes. Leaving row: minimum ratio, ties to lowest
     basis index. A member that is done is swapped behind those still going,
     in T, basis and ids alike, so the working stack is a leading view
-    of T and only swapped members are copied.
+    of T and only swapped members are copied. A stack of one runs on
+    _run_one instead, with the same rules and bits.
     """
     B, M, N = T.shape
+    if B == 1:
+        return np.array([_run_one(T[0], basis[0])])
     m = M - 1
     unbounded = np.zeros(B, dtype=bool)
     at, base = np.arange(B), np.arange(B) * M  # base: each member's first flat row
@@ -263,6 +278,31 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ids: np.ndarray) -> np.ndarra
         np.copyto(floor[:n], value - TIE_TOL, where=progress)
         np.copyto(since[:n], it + 1, where=progress)
     raise AssertionError("unreachable")
+
+
+def _run_one(T: np.ndarray, basis: np.ndarray) -> bool:
+    """_run_simplex on one tableau T (M, N) and its basis (M,), with the same
+    rules, arithmetic and cap but no batch axis; True when it is unbounded."""
+    M, N = T.shape
+    m = M - 1
+    floor, since = T[-1, -1] - TIE_TOL, 0
+    for it in range(50_000 + 200 * (m + 1 + N)):
+        reduced = T[-1, :-1]
+        enter = int((reduced > FEAS_TOL).argmax() if it - since >= _STALL_LIMIT else reduced.argmax())
+        colv = T[:, enter].copy()
+        if colv[m] <= FEAS_TOL:
+            return False
+        col = colv[:m]
+        ratios = T[:m, -1] / np.where(col > FEAS_TOL, col, np.nan)
+        best = np.fmin.reduce(ratios, initial=np.inf)
+        if best == np.inf:
+            return True
+        r = int(np.where(ratios <= best + TIE_TOL, basis[:m], N).argmin())
+        _pivot1(T, r, colv)
+        basis[r] = enter
+        if T[-1, -1] < floor:
+            floor, since = T[-1, -1] - TIE_TOL, it + 1
+    raise SolverError("simplex iteration cap exceeded")
 
 
 def _solve_standard(
@@ -382,37 +422,37 @@ class _BoxTableau:
         flip = np.zeros(n + m, dtype=bool)
         if np.any(b * s < 0):
             flip[:n] = obj + eps > 0
-        T = np.zeros((1, m + 2, n + m + 1))
-        rows = T[0, :m]
+        T = np.zeros((m + 2, n + m + 1))
+        rows = T[:m]
         rows[:, :n] = A
         rows[:, :n] *= s[:, None]
         rows[:, -1] = b * s - rows[:, :n][:, flip[:n]].sum(axis=1)
         rows[:, :n][:, flip[:n]] *= -1.0
         rows[:, n:-1] = np.eye(m)
         for i, cost in ((m, obj + eps), (m + 1, obj)):
-            T[0, i, :n] = np.where(flip[:n], -cost, cost)
-            T[0, i, -1] = -cost[flip[:n]].sum()
-        self.T, self.basis, self.flip = T, np.append(np.arange(n, n + m), [-1, -1])[None], flip
+            T[i, :n] = np.where(flip[:n], -cost, cost)
+            T[i, -1] = -cost[flip[:n]].sum()
+        self.T, self.basis, self.flip = T, np.arange(n, n + m), flip
         self.kept = None  # (T, basis, flip) as the root's solve left them
 
     def _flip(self, k: int) -> None:
         """Move nonbasic x_k to its other bound, where it sits at 0 again."""
-        T = self.T[0]
-        T[:, -1] -= T[:, k]
-        T[:, k] *= -1.0
+        self.T[:, -1] -= self.T[:, k]
+        self.T[:, k] *= -1.0
         self.flip[k] ^= True
 
     def _exchange(self, r: int, k: int, to: float) -> None:
         """Pivot x_k in at row r; the leaving variable goes to `to`, 0 or 1."""
-        leaving = int(self.basis[0, r])
-        _pivot(self.T, self.basis, np.array([r]), np.array([k]), self.T[:, :, k].copy())
+        leaving = int(self.basis[r])
+        _pivot1(self.T, r, self.T[:, k].copy())
+        self.basis[r] = k
         if to == 1.0:
             self._flip(leaving)
 
     def _bounds(self, hold: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each basic variable's bounds as the tableau has it, and the columns
         that may enter: free and nonbasic."""
-        k = self.basis[0, : self.m]
+        k = self.basis
         at = np.where(self.flip[k], 1.0 - hold[k], hold[k])
         lo = np.where(hold[k] >= 0, at, 0.0)
         hi = np.where(hold[k] >= 0, at, self.upper[k])
@@ -424,7 +464,7 @@ class _BoxTableau:
         """Dual simplex on the working row until every basic variable lies in
         its bounds; False when a row cannot reach its bound, an infeasible
         node."""
-        T, m = self.T[0], self.m
+        T, m = self.T, self.m
         floor, since = T[m, -1] + TIE_TOL, 0  # the negated value rising above floor is progress
         for it in range(self.cap):
             lo, hi, free = self._bounds(hold)
@@ -435,7 +475,7 @@ class _BoxTableau:
                 return True
             bland = it - since >= _STALL_LIMIT
             if bland:
-                r = int(np.where(miss > FEAS_TOL, self.basis[0, :m], self.T.shape[2]).argmin())
+                r = int(np.where(miss > FEAS_TOL, self.basis, T.shape[1]).argmin())
             else:
                 r = int(miss.argmax())
             up = short[r] > 0.0
@@ -455,7 +495,7 @@ class _BoxTableau:
         """Primal simplex on objective row `row` from a basis within its
         bounds: entering reduced costs above tol, largest first, Bland's
         lowest index after _STALL_LIMIT pivots without progress."""
-        T, m = self.T[0], self.m
+        T, m = self.T, self.m
         floor, since = T[row, -1] - TIE_TOL, 0
         for it in range(self.cap):
             lo, hi, free = self._bounds(hold)
@@ -475,7 +515,7 @@ class _BoxTableau:
             elif best == np.inf:
                 raise SolverError("binary relaxation reported unbounded")
             else:
-                r = int(np.where(t <= best + TIE_TOL, self.basis[0, :m], self.T.shape[2]).argmin())
+                r = int(np.where(t <= best + TIE_TOL, self.basis, T.shape[1]).argmin())
                 self._exchange(r, e, lo[r] if down[r] else hi[r])
             if T[row, -1] < floor:
                 floor, since = T[row, -1] - TIE_TOL, it + 1
@@ -489,9 +529,8 @@ class _BoxTableau:
         if not warm:
             for now, kept in zip((self.T, self.basis, self.flip), self.kept):
                 now[...] = kept
-            basic = self.basis[0, : self.m]
             moved = (state >= 0) & (self.flip[: self.n] != (state == 1))
-            moved[basic[basic < self.n]] = False
+            moved[self.basis[self.basis < self.n]] = False
             for k in np.flatnonzero(moved):
                 self._flip(k)
         hold = np.append(state, np.full(self.m, -1)).astype(float)
@@ -502,7 +541,7 @@ class _BoxTableau:
         if self.kept is None:
             self.kept = (self.T.copy(), self.basis.copy(), self.flip.copy())
         v = np.zeros(self.n + self.m)
-        v[self.basis[0, : self.m]] = self.T[0, : self.m, -1]
+        v[self.basis] = self.T[: self.m, -1]
         x = np.where(state >= 0, state, np.where(self.flip[: self.n], 1.0 - v[: self.n], v[: self.n]))
         return _checked(self.A, self.is_ge, self.b, x + 0.0)
 

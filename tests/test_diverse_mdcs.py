@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -590,7 +591,7 @@ def test_dcs_nodes_solve_their_dual_and_packing_nodes_carry_no_cap_or_artificial
         picks = real_pack(patterns, mult, least)
         assert not calls and tableaus
         copies = mult[patterns].min(axis=1).sum()
-        assert set(tableaus) == {(1, len(mult) + 2, copies + len(mult) + 1)}
+        assert set(tableaus) == {(len(mult) + 2, copies + len(mult) + 1)}
         packs += 1
         return picks
 
@@ -619,6 +620,63 @@ def test_find_kmax_on_the_ladder_graph_whose_packing_node_hit_the_iteration_cap(
     )
     assert res.status == 0, res.message
     assert (cfg.K, cfg.l) == (round(-res.fun), 4) == (12, 4)
+
+
+def class_keys(g: BipartiteGraph) -> list[tuple]:
+    """find_kmax's twin classes: the sorted ids of the transformers that hear
+    a site, one key per heard class, in order."""
+    heard_by = [tuple(sorted(t for t, nb in zip(g.t_ids, g.adj) if s in nb)) for s in range(g.n_s)]
+    return sorted(set(heard_by) - {()})
+
+
+def reference_patterns(g: BipartiteGraph, keys: list[tuple], m: int) -> np.ndarray:
+    """The enumerator _patterns replaced: every size-m class subset, in
+    lexicographic order, in chunks of 1,024, kept when its codes are
+    non-empty and distinct."""
+    heard = np.array([np.isin(g.t_ids, k) for k in keys], dtype=np.int64 if m < 63 else object)
+    subsets, patterns = itertools.combinations(range(len(keys)), m), [np.zeros((0, m), dtype=int)]
+    while (idx := np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, 1024)), int).reshape(-1, m)).size:
+        codes = np.sort(sum(heard[idx[:, j]] << j for j in range(m)), axis=1)
+        patterns.append(idx[(codes[:, 0] > 0) & (np.diff(codes, axis=1) != 0).all(axis=1)])
+    return np.concatenate(patterns)
+
+
+def test_patterns_match_the_exhaustive_enumerator():
+    # random feasible graphs, small and with up to 9 transformers, at every
+    # size from 1 to one past the log2 floor, below which no pattern exists
+    rng = np.random.default_rng(2008)
+    graphs = feasible_corpus(seed=1972, count=150, s_lo=4, s_hi=16)
+    while len(graphs) < 250:
+        g = random_bipartite(rng, int(rng.integers(5, 10)), int(rng.integers(8, 22)), float(rng.uniform(0.2, 0.8)))
+        if is_feasible(g):
+            graphs.append(g)
+    empty = 0
+    for g in graphs:
+        keys = class_keys(g)
+        for m in range(1, g.n_t.bit_length() + 2):
+            patterns, reference = diverse_mdcs._patterns(g, keys, m), reference_patterns(g, keys, m)
+            assert patterns.shape == reference.shape and patterns.dtype == reference.dtype
+            assert np.array_equal(patterns, reference)
+            empty += not len(patterns)
+    assert empty > 400
+
+
+def test_patterns_grow_depth_first_on_the_10x60_ladder_graph():
+    # the same 2,809 patterns as the exhaustive enumerator, while the growth
+    # keeps its prefixes to chunks: about 0.5 MB traced, where growing a
+    # whole level at a time peaks near 13 MB
+    g = load_graph(FIXTURES / "ladder5_10x60.graph")
+    keys, m = class_keys(g), g.n_t.bit_length()
+    reference = reference_patterns(g, keys, m)
+    diverse_mdcs._patterns(g, keys, m)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        patterns = diverse_mdcs._patterns(g, keys, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(patterns) == 2809 and np.array_equal(patterns, reference)
+    assert peak <= 1e6
 
 
 def bench_ladder(seed: int) -> list[BipartiteGraph]:

@@ -139,8 +139,11 @@ def test_parse_rejects_non_finite_consumed_values(column, message):
         ("mpc.bus = [\n 1 3;\n 2 1;\n];\nmpc.branch = [\n 1 2 0 0 0 0 0 0;\n];\n",
          "line 6: branch row needs at least 9 columns, got 8"),
         (mini_case(f="7"), "line 6: branch references unknown bus 7"),
+        *((mini_case(bus_type=kind), f"line 3: bus type must be 1, 2, 3 or 4, got {kind}$")
+          for kind in ("0", "7", "-4", "2.5")),
     ],
-    ids=["bus-not-integer", "bus-duplicate", "branch-short", "from-unknown"],
+    ids=["bus-not-integer", "bus-duplicate", "branch-short", "from-unknown", "type-0", "type-7", "type-minus-4",
+         "type-2.5"],
 )
 def test_parse_rejects_malformed_tables(text, message):
     with pytest.raises(ParseError, match=message):
@@ -174,7 +177,7 @@ def test_parse_drops_branches_at_isolated_buses():
         build_bipartite(grid, ["2-3"])
     isolated = parse_matpower(mini_case(bus_type="4", tap="1.0"))
     assert isolated.branches == () and isolated.transformer_branches == ()
-    # any other type, and a row without column 2, leaves the branch alone
+    # the other types MATPOWER defines, and a row without column 2, leave the branch alone
     for bus_type in ("1", "2", "3"):
         assert parse_matpower(mini_case(bus_type=bus_type, tap="1.0")).transformer_branches == (0,)
     bare = "mpc.bus = [\n 1;\n 2;\n];\nmpc.branch = [\n 1 2 0 0 0 0 0 0 1.0;\n];\n"

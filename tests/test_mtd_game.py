@@ -502,6 +502,26 @@ def test_batched_sse_equals_solo_sse(case14_families):
     assert mixed > 0
 
 
+def test_case14_sse_stack_members_match_their_solves_alone(case14_families, monkeypatch):
+    # one run_trials batch on case14: every member of each SSE stack, solved
+    # as its own LinearProgram (a stack of one, on the scalar loop), gets the
+    # bits it got in its stack (on the batched loop)
+    g, greedy, optimal = case14_families
+    stacks = []
+    monkeypatch.setattr(mtd_game, "solve_lp", lambda p: stacks.append((p, solve_lp(p))) or stacks[-1][1])
+    run_trials(g, greedy, optimal, _BATCH_TRIALS, seed=1, integer_utilities=True)
+    assert stacks
+    for p, sol in stacks:
+        assert len(p.objective) >= 2
+        for k, (obj, matrix) in enumerate(zip(p.objective, p.constraints)):
+            single = solve_lp(LinearProgram(obj, matrix, p.relations, p.rhs))
+            assert single.status == sol.statuses[k]
+            if single.status == "optimal":
+                assert single.assignment.tobytes() == sol.assignment[k].tobytes()
+                assert single.objective_value == sol.objective_value[k]
+                assert single.duals.tobytes() == sol.duals[k].tobytes()
+
+
 def test_batched_sse_matches_reference_on_corpus():
     games = []
     for i, g in enumerate(feasible_corpus(seed=67, count=20, s_lo=4, s_hi=10)):

@@ -360,7 +360,7 @@ def test_dcs_nodes_cap_every_free_variable_and_box_nodes_carry_none(monkeypatch)
     duals.clear()
     x = node_point(A, is_ge, b, np.array([1.0, 2.0, 3.0]))
     assert x @ [1.0, 2.0, 3.0] == pytest.approx(5.0)
-    assert duals == [] and tableaus == [(1, 3 + 2, 3 + 3 + 1)]
+    assert duals == [] and tableaus == [(3 + 2, 3 + 3 + 1)]
 
 
 def test_dcs_node_with_every_variable_fixed_is_checked_without_an_lp(monkeypatch):
@@ -815,19 +815,36 @@ def random_stacks(rng, count):
         )
 
 
+def record_loops(monkeypatch):
+    """Record, per simplex run, its stack size and, once more, "one" when it
+    runs on the scalar loop."""
+    loops, run_simplex, run_one = [], optim._run_simplex, optim._run_one
+    monkeypatch.setattr(optim, "_run_simplex", lambda T, *args: loops.append(len(T)) or run_simplex(T, *args))
+    monkeypatch.setattr(optim, "_run_one", lambda *args: loops.append("one") or run_one(*args))
+    return loops
+
+
 @pytest.mark.parametrize("stall_limit", [None, 2])
 def test_lp_stack_members_match_their_solves_alone(monkeypatch, stall_limit):
     # at a stall limit of 2, members switch to Bland's rule while others in
     # their stack still pivot on the largest reduced cost
     if stall_limit:
         monkeypatch.setattr(optim, "_STALL_LIMIT", stall_limit)
+    loops = record_loops(monkeypatch)
     rng = np.random.default_rng(41)
     statuses = set()
     for obj, matrix, relations, rhs in random_stacks(rng, 150):
+        # each member alone runs on the scalar loop (a phase 2 that phase 1
+        # left no member records 0 and pivots nothing), the stack on the
+        # batched one, so the comparison is between the two loops
+        loops.clear()
         singles = [alone(o, a, relations, rhs) for o, a in zip(obj, matrix)]
+        assert set(loops) <= {0, 1, "one"} and loops.count("one") == loops.count(1) >= len(obj)
+        loops.clear()
         # every member, inside the stack core, gets the bits it gets alone
         A, is_ge, b, _ = optim._expanded(matrix, relations, rhs)
         status, x, _ = optim._solve_standard(A, is_ge, b, obj)
+        assert loops[0] == len(obj) >= 2
         for k, single in enumerate(singles):
             statuses.add(single.status)
             assert status[k] == single.status
