@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,14 +163,15 @@ def build_k_dcs_program(g: BipartiteGraph, K: int) -> BinaryProgram:
 
 
 def _solve(
-    g: BipartiteGraph, K: int, sizes: tuple[float, float] | None = None
+    g: BipartiteGraph, K: int, sizes: tuple[float, float] | None = None, live=None
 ) -> ConfigurationSet | None:
     """The validated family solving build_k_dcs_program(g, K) with its common
-    size within sizes, or None. sizes defaults to (ceil(log2(n_t + 1)), inf):
-    l sites give at most 2^l - 1 transformers distinct non-empty codes
-    (Charbit, Charon, Cohen, Hudry and Lobstein 2008), so no DCS is smaller."""
+    size within sizes, or None; live goes to solve_bilp. sizes defaults to
+    (ceil(log2(n_t + 1)), inf): l sites give at most 2^l - 1 transformers
+    distinct non-empty codes (Charbit, Charon, Cohen, Hudry and Lobstein
+    2008), so no DCS is smaller."""
     sizes = (g.n_t.bit_length(), np.inf) if sizes is None else sizes
-    sol = solve_bilp(build_k_dcs_program(g, K), sizes)
+    sol = solve_bilp(build_k_dcs_program(g, K), sizes, live=live)
     if sol.status != "optimal":
         return None
     chosen = sol.assignment.reshape(K, g.n_s) > 0.5
@@ -203,30 +205,15 @@ def solve_k_dcs(g: BipartiteGraph, K: int) -> ConfigurationSet:
 
 
 def find_kmax(g: BipartiteGraph) -> ConfigurationSet:
-    """Largest family of pairwise-disjoint minimum DCSs, packed from patterns
-    over twin classes (sites heard by the same transformers). A minimum DCS,
-    of size m, holds one site from each of m classes whose codes are
-    non-empty and distinct, a pattern. Column generation (Gilmore and
-    Gomory) solves the packing LP, no class used more often than it has
-    sites, over the patterns its class prices call in, and the packing BILP
-    over those patterns is widened, in stages, only while it falls short of
-    the LP bound. Classes and sites go in name order, so renumbering g
-    leaves the family as it is.
-
-    m is the log2 floor, ceil(log2(n_t + 1)), below which no DCS exists,
-    when some pattern has that size; else it comes from the DCS program.
-    The patterns at the floor are enumerated first only when floor + n_t is
-    at most the class count: m <= n_t (Bondy 1972), so C(classes, floor)
-    is then at most C(classes, m), the enumeration the answer needs anyway."""
-    check_feasible(g)
-    heard_by = [tuple(sorted(t for t, nb in zip(g.t_ids, g.adj) if s in nb)) for s in range(g.n_s)]
-    keys = sorted(set(heard_by) - {()})
-    sites = [sorted(sid for sid, h in zip(g.s_ids, heard_by) if h == k) for k in keys]
-    mult = np.array([len(ids) for ids in sites])
-    floor = g.n_t.bit_length()
-    patterns = _patterns(g, keys, floor) if floor + g.n_t <= len(keys) else ()
-    if not len(patterns):
-        patterns = _patterns(g, keys, solve_k_dcs(g, 1).l)
+    """Largest family of pairwise-disjoint minimum DCSs, packed from the
+    size-m patterns of g's twin-class table (_table, which greedy_k reads
+    too; m from solve_k_dcs(g, 1) where the log2 floor is not met). Column
+    generation (Gilmore and Gomory) solves the packing LP, no class used
+    more often than it has sites, over the patterns its class prices call
+    in, and the packing BILP over those patterns is widened, in stages, only
+    while it falls short of the LP bound. Classes and sites go in name
+    order, so renumbering g leaves the family as it is."""
+    keys, sites, mult, patterns, _ = _table(g, lambda: solve_k_dcs(g, 1).sets[0])
     use = np.arange(len(patterns)) == 0
     while True:
         uses = _capacity(patterns[use], mult)
@@ -257,6 +244,42 @@ def find_kmax(g: BipartiteGraph) -> ConfigurationSet:
     cfg = ConfigurationSet(tuple(CodeSet(frozenset(next(left[c]) for c in p)) for p in picks))
     cfg.validate(g)
     return cfg
+
+
+class _Table(NamedTuple):
+    """g's twin classes, its heard sites grouped by the transformers that
+    hear them: each class's key, the sorted ids of those transformers, in
+    order; its site ids in order; its multiplicity; the size-m patterns as
+    class indices; and the MDCS the m-solve gave, None where m is the log2
+    floor."""
+
+    keys: list[tuple]
+    sites: list[list[str]]
+    mult: np.ndarray
+    patterns: np.ndarray
+    first: CodeSet | None
+
+
+def _table(g: BipartiteGraph, mdcs) -> _Table:
+    """The twin-class table of g, once check_feasible passes. A minimum DCS,
+    of size m, holds one site from each of m classes whose codes are
+    non-empty and distinct, a pattern. m is the log2 floor,
+    ceil(log2(n_t + 1)), below which no DCS exists, when some pattern has
+    that size; else it is the size of the set mdcs() returns. The patterns
+    at the floor are enumerated first only when floor + n_t is at most the
+    class count: m <= n_t (Bondy 1972), so C(classes, floor) is then at most
+    C(classes, m), the enumeration the answer needs anyway."""
+    check_feasible(g)
+    heard_by = [tuple(sorted(t for t, nb in zip(g.t_ids, g.adj) if s in nb)) for s in range(g.n_s)]
+    keys = sorted(set(heard_by) - {()})
+    sites = [sorted(sid for sid, h in zip(g.s_ids, heard_by) if h == k) for k in keys]
+    mult = np.array([len(ids) for ids in sites])
+    floor, first = g.n_t.bit_length(), None
+    patterns = _patterns(g, keys, floor) if floor + g.n_t <= len(keys) else ()
+    if not len(patterns):
+        first = mdcs()
+        patterns = _patterns(g, keys, first.size)
+    return _Table(keys, sites, mult, patterns, first)
 
 
 def _patterns(g: BipartiteGraph, keys: list[tuple], m: int) -> np.ndarray:
@@ -316,20 +339,65 @@ def greedy_k(g: BipartiteGraph) -> ConfigurationSet:
     of the graph and solve again, while a DCS of size m is left. Taking sites
     out can only raise the minimum, so each later solve wants size m only.
     Site names carry over, so each set is a DCS of g. May stop short of the
-    true maximum K."""
-    sets = [solve_mdcs(g)]
-    m, rest = sets[0].size, g
+    true maximum K.
+
+    m and its patterns come from g's twin-class table, as in find_kmax; the
+    first MDCS is solve_mdcs(g)'s. Where m is the log2 floor, the table
+    needs no m-solve, and the first step is a solve wanting size m, like
+    the later ones: it gives solve_mdcs(g)'s set, as no subtree that holds a
+    size-m DCS is cut off in either search. Each such step drops the branch
+    and bound nodes that no size-m DCS agrees with (_live)."""
+    table = _table(g, lambda: solve_mdcs(g))
+    m = table.patterns.shape[1]
+    sets, rest = [] if table.first is None else [table.first], g
     while True:
-        left = [s for s, sid in enumerate(rest.s_ids) if sid not in sets[-1].sensors]
-        index = {s: i for i, s in enumerate(left)}
-        adj = tuple(frozenset(index[s] for s in nb if s in index) for nb in rest.adj)
-        rest = BipartiteGraph(rest.t_ids, tuple(rest.s_ids[s] for s in left), adj, rest.hop_limit)
-        if len(left) < m or (cfg := _solve(rest, 1, (m, m))) is None:
+        if sets:
+            left = [s for s, sid in enumerate(rest.s_ids) if sid not in sets[-1].sensors]
+            index = {s: i for i, s in enumerate(left)}
+            adj = tuple(frozenset(index[s] for s in nb if s in index) for nb in rest.adj)
+            rest = BipartiteGraph(rest.t_ids, tuple(rest.s_ids[s] for s in left), adj, rest.hop_limit)
+            if len(left) < m:
+                break
+        if (cfg := _solve(rest, 1, (m, m), _live(table, rest))) is None:
             break
         sets.append(cfg.sets[0])
     cfg = ConfigurationSet(tuple(sets))
     cfg.validate(g)
     return cfg
+
+
+def _live(table: _Table, g: BipartiteGraph):
+    """solve_bilp's live test for a solve wanting a size-m DCS of g, m the
+    size of table's patterns, g's sites among table's. A size-m DCS is
+    minimum, so it holds no unheard site and no two sites of a class: it is
+    one site from each class of a pattern. A node is live when some pattern
+    holds the class of every site fixed at 1, those classes distinct, and
+    each of its classes has a site that is free or fixed at 1."""
+    cls = {sid: c for c, ids in enumerate(table.sites) for sid in ids}
+    # class -1, the slot past the last class, takes the unheard sites
+    site_cls = np.array([cls.get(sid, -1) for sid in g.s_ids], dtype=int)
+    holds = np.zeros((len(table.sites) + 1, len(table.patterns)), dtype=bool)
+    holds[table.patterns.T, np.arange(len(table.patterns))] = True
+    # bit i of by_cls[c] is set when pattern i holds class c; none holds -1
+    by_cls = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(holds, axis=1, bitorder="little")]
+    present = np.zeros(len(by_cls), dtype=bool)
+    present[site_cls] = True
+    alive = (1 << len(table.patterns)) - 1  # the patterns g has every class of
+    for c in np.flatnonzero(~present).tolist():
+        alive &= ~by_cls[c]
+
+    def live(state: np.ndarray) -> bool:
+        ones = site_cls[state == 1].tolist()
+        left = np.zeros(len(by_cls), dtype=bool)
+        left[site_cls[state != 0]] = True
+        held = alive
+        for c in ones:
+            held &= by_cls[c]
+        for c in np.flatnonzero(present & ~left).tolist():
+            held &= ~by_cls[c]
+        return held != 0 and len(set(ones)) == len(ones)
+
+    return live
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,10 @@ gives the point and the bound. Either pivot rule falls back to Bland's
 after _STALL_LIMIT pivots without progress.
 
 Nodes of either kind are pruned on their (rounded) bound once their LP is
-solved. The search stops at the first incumbent that meets the root's
-bound or the best value the caller says is possible.
+solved. A caller that can tell from a node's fixed values alone that no
+wanted solution agrees with them passes a live test, which drops such a
+node before its LP. The search stops at the first incumbent that meets the
+root's bound or the best value the caller says is possible.
 
 Tolerances, one policy for the package. TIE_TOL is round-off: values
 closer than it are equal and an entry at most it is zero (no row update,
@@ -60,6 +62,10 @@ costs, the phase-1 residual, a box node's basic variable outside its
 bounds, a returned point's row miss, a node point's row and [0, 1] box
 miss, branch and bound's integrality, pruning and stops) and the smallest
 entry either ratio test pivots on, so round-off cannot blow a tableau up.
+_PERTURB and _STALL_LIMIT stay outside this policy because neither is a
+tolerance: _PERTURB is the size of a deliberate cost change that breaks
+degenerate ties, which no value is compared against, and _STALL_LIMIT
+counts pivots.
 """
 
 from __future__ import annotations
@@ -615,7 +621,9 @@ def _relax_node(
     return x
 
 
-def solve_bilp(p: BinaryProgram, objective_range: tuple[float, float] | None = None) -> Solution:
+def solve_bilp(
+    p: BinaryProgram, objective_range: tuple[float, float] | None = None, *, live=None
+) -> Solution:
     """Depth-first branch and bound over LP relaxations.
 
     Branches on the most fractional variable (ties to the lowest index),
@@ -632,6 +640,15 @@ def solve_bilp(p: BinaryProgram, objective_range: tuple[float, float] | None = N
     and "infeasible" means none within the range (so lo > hi admits none).
     Neither changes a solution that lies within the range. A NaN bound is
     rejected with ValueError.
+
+    live(state), when given, is called on each node before its LP, state[j]
+    being x_j's fixed value or -1 while x_j is free; False drops the node
+    and its subtree with no LP. It may return False only where no binary
+    point that agrees with the node's fixed values satisfies p within
+    objective_range. Such a subtree never yields an incumbent, and the order
+    of the other nodes comes from their LPs alone, so on _relax_node nodes
+    the Solution keeps its bits; on _BoxTableau nodes, whose restarts depend
+    on the node solved last, it keeps its value.
 
     A node's LP is a _relax_node solve, with a cap row per free variable,
     when the maximized objective has no positive entry, and a _BoxTableau
@@ -658,6 +675,8 @@ def solve_bilp(p: BinaryProgram, objective_range: tuple[float, float] | None = N
     root = True
     while stack:
         state, parent = stack.pop()
+        if live is not None and not live(state):
+            continue  # not solved: the next node's warm start is as before
         if box is None:
             x = _relax_node(A, is_ge, b, internal, state)
         else:

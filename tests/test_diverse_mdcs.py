@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -166,10 +167,33 @@ def test_greedy_tiny(tiny_graph):
     cfg.validate(tiny_graph)
 
 
-def test_greedy_target_one_is_mdcs(tiny_graph, greedy_gap_graph):
-    # greedy's first set is the single MDCS solve's set
-    for g in (tiny_graph, greedy_gap_graph):
-        assert greedy_k(g).sets[0] == solve_mdcs(g)
+def greedy_corpus(tiny_graph, greedy_gap_graph, case14_text) -> list[BipartiteGraph]:
+    """Graphs for greedy's reference tests: the fixtures, case14, the 10x60
+    ladder graph and random graphs, twin-rich ones among them, on both of
+    greedy's first-step paths (the log2 floor certified or not)."""
+    from gridmtd import build_bipartite, parse_matpower
+
+    case14 = build_bipartite(parse_matpower(case14_text), ["4-7", "4-9", "5-6", "7-8", "7-9"], 2)
+    return [
+        tiny_graph, greedy_gap_graph, case14, load_graph(FIXTURES / "ladder5_10x60.graph"),
+        *twin_rich_corpus(seed=16, count=8, s_lo=10, s_hi=25),
+        *feasible_corpus(seed=62, count=25, s_hi=14),
+        *feasible_corpus(seed=62, count=60, s_hi=16),
+    ]
+
+
+def test_greedy_target_one_is_mdcs(monkeypatch, tiny_graph, greedy_gap_graph, case14_text):
+    # greedy's first set is the single MDCS solve's set, also where it comes
+    # from a solve that wants size m and drops nodes (the log2 floor met)
+    real, calls = diverse_mdcs.solve_mdcs, []
+    monkeypatch.setattr(diverse_mdcs, "solve_mdcs", lambda g: calls.append(g) or real(g))
+    paths = Counter()
+    for g in greedy_corpus(tiny_graph, greedy_gap_graph, case14_text):
+        calls.clear()
+        first = greedy_k(g).sets[0]
+        paths[len(calls)] += 1
+        assert first == real(g)
+    assert paths[0] >= 30 and paths[1] >= 30
 
 
 def test_greedy_gap_fixture(greedy_gap_graph):
@@ -248,12 +272,42 @@ def _greedy_without_range(g: BipartiteGraph) -> ConfigurationSet:
 
 
 def test_greedy_matches_a_loop_without_objective_range(tiny_graph, greedy_gap_graph, case14_text):
-    from gridmtd import build_bipartite, parse_matpower
-
-    case14 = build_bipartite(parse_matpower(case14_text), ["4-7", "4-9", "5-6", "7-8", "7-9"], 2)
-    graphs = [tiny_graph, greedy_gap_graph, case14, *feasible_corpus(seed=62, count=25, s_hi=14)]
-    for g in graphs:
+    for g in greedy_corpus(tiny_graph, greedy_gap_graph, case14_text):
         assert dump_configuration(g, greedy_k(g)) == dump_configuration(g, _greedy_without_range(g))
+
+
+def test_live_keeps_exactly_the_nodes_a_size_m_dcs_agrees_with():
+    # greedy's live test against enumeration, on g and on g without a
+    # minimum DCS: True exactly when some size-m DCS of the graph holds the
+    # sites fixed at 1 and none fixed at 0, m being g's minimum
+    rng, seen = np.random.default_rng(1990), Counter()
+    graphs = twin_rich_corpus(seed=17, count=10, s_lo=8, s_hi=14)
+    for g in graphs + feasible_corpus(seed=18, count=10, s_lo=6, s_hi=12):
+        table = diverse_mdcs._table(g, lambda: solve_mdcs(g))
+        m = table.patterns.shape[1]
+        for h in (g, without(g, solve_mdcs(g).sensors)):
+            live = diverse_mdcs._live(table, h)
+            combos = [c for c in itertools.combinations(range(h.n_s), m) if is_dcs_indices(h, frozenset(c))]
+            dcss = np.zeros((len(combos), h.n_s), dtype=np.int8)
+            for row, c in zip(dcss, combos):
+                row[list(c)] = 1
+            for _ in range(40):
+                state = rng.choice(np.array([-1, 0, 1], dtype=np.int8), h.n_s, p=[0.6, 0.25, 0.15])
+                fixed = state >= 0
+                expect = bool((dcss[:, fixed] == state[fixed]).all(axis=1).any())
+                assert live(state) == expect
+                seen[expect] += 1
+    assert seen[True] >= 50 and seen[False] >= 50
+
+
+def test_greedy_drops_the_nodes_no_size_m_dcs_agrees_with(monkeypatch):
+    # on the 10x60 ladder graph, greedy's branch and bound solved 515 node
+    # LPs without the twin-class live test, most in subtrees with no size-m
+    # DCS; with it 159
+    calls, real = [], optim._relax_node
+    monkeypatch.setattr(optim, "_relax_node", lambda *args: calls.append(1) or real(*args))
+    greedy_k(load_graph(FIXTURES / "ladder5_10x60.graph"))
+    assert 0 < len(calls) <= 200
 
 
 # ---------------------------------------------------------------------------

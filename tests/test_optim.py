@@ -312,6 +312,77 @@ def test_bilp_rejects_a_nan_objective_range_and_reads_an_empty_one_as_infeasible
     assert solve_bilp(p, (2.0, 1.0)).status == "infeasible"
 
 
+def _covering(rng) -> BinaryProgram:
+    """min sum x over 6-13 binaries, each of 3-11 random rows covered."""
+    n, m = int(rng.integers(6, 14)), int(rng.integers(3, 12))
+    A = (rng.random((m, n)) < rng.uniform(0.2, 0.5)) * 1.0
+    A[np.arange(m), rng.integers(0, n, m)] = 1.0  # every row can be covered
+    return bilp(np.ones(n), "min", [(row, ">=", 1.0) for row in A])
+
+
+def _node_lps(monkeypatch) -> list:
+    """A list that grows by one per _relax_node call."""
+    calls, real = [], optim._relax_node
+    monkeypatch.setattr(optim, "_relax_node", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_live_that_drops_only_dead_nodes_keeps_the_solution(monkeypatch):
+    # covering programs under (m, m), m their optimum: a live test exact by
+    # enumeration drops the subtrees no size-m cover agrees with, and the
+    # solution keeps its bits from no more node LPs
+    calls, rng, dropped = _node_lps(monkeypatch), np.random.default_rng(2007), 0
+    for _ in range(150):
+        p = _covering(rng)
+        X = np.array(list(itertools.product((0, 1), repeat=len(p.objective))))
+        covers = X[(X @ p.constraints.T >= 1).all(axis=1)]
+        m = int(covers.sum(axis=1).min())
+        best = covers[covers.sum(axis=1) == m]
+
+        def live(state):
+            fixed = state >= 0
+            return bool((best[:, fixed] == state[fixed]).all(axis=1).any())
+
+        calls.clear()
+        plain, solved = solve_bilp(p, (m, m)), len(calls)
+        calls.clear()
+        assert solve_bilp(p, (m, m), live=live) == plain
+        assert len(calls) <= solved
+        dropped += solved - len(calls)
+    assert dropped > 0
+
+
+def test_live_that_drops_the_answer_changes_the_solution(monkeypatch):
+    # a live test that drops every non-root node agreeing with the answer:
+    # where the root's point is fractional, the answer cannot come back
+    calls, rng, checked = _node_lps(monkeypatch), np.random.default_rng(1975), 0
+    for _ in range(60):
+        p = _covering(rng)
+        calls.clear()
+        plain = solve_bilp(p)
+        if len(calls) == 1:
+            continue
+        answer = plain.assignment
+
+        def live(state):
+            fixed = state >= 0
+            return not (fixed.any() and (state[fixed] == answer[fixed]).all())
+
+        assert solve_bilp(p, live=live) != plain
+        checked += 1
+    assert checked >= 10
+
+
+def test_live_that_drops_the_root_reads_infeasible_with_no_lp(monkeypatch):
+    monkeypatch.setattr(optim, "_relax_node", lambda *args: pytest.fail("a node LP was solved"))
+    monkeypatch.setattr(optim._BoxTableau, "solve", lambda *args: pytest.fail("a node LP was solved"))
+    cover = bilp([1.0, 1.0], "min", [([1.0, 1.0], ">=", 1.0)])
+    pack = bilp([1.0, 1.0], "max", [([1.0, 1.0], "<=", 1.0)])
+    for p in (cover, pack):
+        sol = solve_bilp(p, live=lambda state: False)
+        assert sol.status == "infeasible" and sol.assignment is None
+
+
 def node_point(A, is_ge, b, obj):
     """The root node's point on the path solve_bilp takes for obj: a
     _BoxTableau root when obj has a positive entry, else _relax_node with
