@@ -6,8 +6,9 @@ Payoffs follow residual identifiability: the defender collects the utility of
 every transformer still uniquely identified, the attacker collects the rest
 minus the attack cost. The optimal commitment is found by one LP per attacker
 action that no other action strictly dominates; solve_sse takes a sequence
-of games and solves the LPs of all of them that share a shape as one stack
-in a single solve_lp call, so run_trials solves a batch of trials at once.
+of games and solves the LPs of all of them that share a shape in stacks of
+at most _STACK_BYTES of simplex tableau, and run_trials hands it the games
+of as many trials at once as fit that budget, so memory is bounded by it.
 Which transformers stay identified under each attack is found once per
 (graph, configuration); build_game sums only the payoffs per utility draw.
 
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 UTILITY_RANGE = (0.0, 10.0)
-_BATCH_TRIALS = 8  # run_trials' trials per solve_sse call, so memory does not grow with their count
+_STACK_BYTES = 640 * 1024  # simplex tableau bytes per SSE stack, and per solve_sse call of run_trials
 
 
 @dataclass(frozen=True)
@@ -228,6 +229,13 @@ def _near_best(values: np.ndarray) -> np.ndarray:
     return values >= np.fmax.reduce(values, axis=-1, keepdims=True) - TIE_TOL
 
 
+def _lp_bytes(K: int, L: int) -> int:
+    """Tableau bytes of one SSE LP over K defender and L live attacker
+    actions: L + 1 rows once the simplex row's equality is split, plus the
+    cost row, by K variables, L + 1 slacks, one artificial and the rhs."""
+    return (L + 2) * (K + L + 3) * 8
+
+
 def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
     """Strong Stackelberg commitment of each game via one LP per attacker
     action: maximize defender expectation over mixes keeping that action a
@@ -240,7 +248,9 @@ def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
     dropped row is implied by the row against a remaining action that
     dominates the dropped one. The LPs of all games with equal defender and
     live action counts share relations and right-hand sides, so they are
-    solved as one stack, each with the bits it gets alone.
+    solved in stacks, in game order, each of at most _STACK_BYTES of tableau
+    (a single LP may exceed it) and built only when solved; a game's LPs may
+    span stacks, and each LP gets the bits it gets alone.
     """
     lives, groups, out = [], {}, [None] * len(games)
     for i, game in enumerate(games):
@@ -249,24 +259,32 @@ def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
         lives.append(_live_columns(game.attacker_payoffs))
         groups.setdefault((game.n_defender, lives[-1].size), []).append(i)
     for (K, L), members in groups.items():
-        # LP k of a game keeps live[k] a best response: am[:, live[k]] - am[:, jp] >= 0
-        # for every other live jp, plus the simplex row (with x >= 0 it caps x at 1)
-        cols, B = np.stack([games[i].attacker_payoffs[:, lives[i]].T for i in members]), len(members) * L
-        sol = solve_lp(LinearProgram(
-            np.concatenate([games[i].defender_payoffs[:, lives[i]].T for i in members]),
-            np.concatenate([
-                np.ones((B, 1, K)),
-                (cols[:, :, None] - cols[:, None])[:, ~np.eye(L, dtype=bool)].reshape(B, L - 1, K),
-            ], axis=1),
-            ("=",) + (">=",) * (L - 1),
-            np.r_[1.0, np.zeros(L - 1)],
-        ))
-        near = _near_best(sol.objective_value.reshape(len(members), L))
-        if sol.status == "unbounded" or not near.any(axis=1).all():
+        cols = np.stack([games[i].attacker_payoffs[:, lives[i]].T for i in members])  # (G, L, K)
+        dm = np.stack([games[i].defender_payoffs[:, lives[i]].T for i in members])
+        value, mix, others = np.empty(cols.shape[:2]), np.empty(cols.shape), ~np.eye(L, dtype=bool)
+        step = max(1, _STACK_BYTES // _lp_bytes(K, L))
+        for first in range(0, value.size, step):
+            # LP k of a game keeps live[k] a best response: am[:, live[k]] - am[:, jp] >= 0
+            # for every other live jp, plus the simplex row (with x >= 0 it caps x at 1)
+            at, k = np.divmod(np.arange(first, min(first + step, value.size)), L)
+            sol = solve_lp(LinearProgram(
+                dm[at, k],
+                np.concatenate([
+                    np.ones((at.size, 1, K)),
+                    (cols[at, k, None] - cols[at])[others[k]].reshape(at.size, L - 1, K),
+                ], axis=1),
+                ("=",) + (">=",) * (L - 1),
+                np.r_[1.0, np.zeros(L - 1)],
+            ))
+            if sol.status == "unbounded":
+                raise SolverError("an SSE LP is unbounded")
+            value[at, k], mix[at, k] = sol.objective_value, sol.assignment
+        near = _near_best(value)
+        if not near.any(axis=1).all():
             raise SolverError("no attacker action admitted a feasible best-response region")
-        for i, k in zip(members, near.argmax(axis=1) + L * np.arange(len(members))):
-            j, mix, value = int(lives[i][k % L]), sol.assignment[k], float(sol.objective_value[k])
-            out[i] = SseSolution(mix, j, value, float(np.dot(mix, games[i].attacker_payoffs[:, j])))
+        for row, (i, k) in enumerate(zip(members, near.argmax(axis=1))):
+            j, x = int(lives[i][k]), mix[row, k]
+            out[i] = SseSolution(x, j, float(value[row, k]), float(np.dot(x, games[i].attacker_payoffs[:, j])))
     return out
 
 
@@ -364,8 +382,9 @@ def run_trials(
     """Each trial draws a fresh utility profile and reports the defender value
     of URS and SSE play on the greedy (K) and optimal (K_max) configurations.
     Trials are sub-seeded independently, so results do not depend on execution
-    order; each batch of _BATCH_TRIALS trials solves a family's games in one
-    solve_sse call."""
+    order. Trials' games wait for one solve_sse call while their LPs fit
+    _STACK_BYTES of tableau in total (a trial whose LPs alone exceed it goes
+    alone), so memory does not grow with n_trials beyond the result rows."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if seed < 0:
@@ -373,13 +392,22 @@ def run_trials(
     config_greedy.validate(g)
     config_opt.validate(g)
 
-    rows = []
-    for first in range(0, n_trials, _BATCH_TRIALS):
-        batch = range(first, min(first + _BATCH_TRIALS, n_trials))
-        profiles = [random_profile(g, trial_rng(seed, trial), integer_utilities) for trial in batch]
-        families = [[build_game(g, cfg, u, cost_on_miss) for u in profiles]
-                    for cfg in (config_greedy, config_opt)]
-        urs = [[urs_value(game) for game in games] for games in families]
-        sse = [[s.defender_value for s in solve_sse(games)] for games in families]
-        rows += zip(*urs, *sse)
+    rows, games, load = [], [], 0  # load: the LP tableau bytes of the games waiting
+    for trial in range(n_trials):
+        u = random_profile(g, trial_rng(seed, trial), integer_utilities)
+        pair = [build_game(g, cfg, u, cost_on_miss) for cfg in (config_greedy, config_opt)]
+        need = sum(L * _lp_bytes(x.n_defender, L) for x in pair for L in [_live_columns(x.attacker_payoffs).size])
+        if games and load + need > _STACK_BYTES:
+            rows += _rows(games)
+            games, load = [], 0
+        games += pair
+        load += need
+    rows += _rows(games)
     return TrialReport(np.array(rows, dtype=float), seed)
+
+
+def _rows(games: list[GameMatrix]) -> list[list[float]]:
+    """Result rows of trials given as consecutive (greedy, optimal) game
+    pairs, the SSE of all of them solved in one call."""
+    sse = [s.defender_value for s in solve_sse(games)]
+    return [[urs_value(x) for x in games[i : i + 2]] + sse[i : i + 2] for i in range(0, len(games), 2)]

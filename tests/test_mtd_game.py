@@ -25,6 +25,7 @@ from gridmtd import (
     greedy_k,
     is_dcs,
     is_feasible,
+    load_graph,
     parse_matpower,
     random_bipartite,
     random_profile,
@@ -34,9 +35,9 @@ from gridmtd import (
     urs_value,
 )
 from gridmtd import mtd_game
-from gridmtd.mtd_game import _BATCH_TRIALS, _live_columns, format_value, trial_rng
+from gridmtd.mtd_game import _STACK_BYTES, _live_columns, _lp_bytes, format_value, trial_rng
 from gridmtd.optim import FEAS_TOL, TIE_TOL
-from conftest import feasible_corpus
+from conftest import FIXTURES, feasible_corpus
 
 
 @pytest.fixture
@@ -480,39 +481,53 @@ def assert_same_sse(a, b):
     )
 
 
-def test_batched_sse_equals_solo_sse(case14_families):
-    # run_trials stacks the LPs of many trials' games; every row must equal
-    # its two games solved alone, bit for bit, with batches mixing live counts
+def stack_load(games):
+    """Tableau bytes of games' SSE LPs per (defender count, live count) shape."""
+    load = Counter()
+    for x in games:
+        L = _live_columns(x.attacker_payoffs).size
+        load[x.n_defender, L] += L * _lp_bytes(x.n_defender, L)
+    return load
+
+
+def test_batched_sse_equals_solo_sse(case14_families, monkeypatch):
+    # with a budget of 40,000 tableau bytes run_trials splits each run into
+    # several solve_sse calls, each stopping where the next trial's LPs would
+    # take the call past the budget; every row must equal its two games
+    # solved alone, bit for bit, and so must every game of every call, with
+    # calls mixing live counts under one defender count. Free misses leave 16
+    # live actions on the K_max family, 53 KB of LPs per game, so those runs
+    # call once per trial and cut each such game's LPs into two stacks
     g, greedy, optimal = case14_families
-    n, mixed = 2 * _BATCH_TRIALS + 3, 0
+    budget, n, mixed = 40_000, 19, 0
+    monkeypatch.setattr(mtd_game, "_STACK_BYTES", budget)
+    calls = []
+    monkeypatch.setattr(mtd_game, "solve_sse", lambda games: calls.append((games, solve_sse(games))) or calls[-1][1])
     for seed, cost_on_miss, integer_utilities in itertools.product((1, 2, 3), (True, False), (True, False)):
+        calls.clear()
         rep = run_trials(g, greedy, optimal, n, seed, cost_on_miss, integer_utilities)
-        batch = []
+        assert len(calls) >= 3 and sum(len(games) for games, _ in calls) == 2 * n
+        for (games, _), (after, _) in zip(calls, calls[1:]):
+            load = sum(stack_load(games).values())
+            assert load <= budget or len(games) == 2
+            assert load + sum(stack_load(after[:2]).values()) > budget
+        for games, batch in calls:
+            mixed += max(Counter(K for K, _ in stack_load(games)).values()) > 1
+            for game, sse in zip(games, batch):
+                assert_same_sse(sse, solve_sse([game])[0])
         for trial in range(n):
             u = random_profile(g, trial_rng(seed, trial), integer_utilities)
             games = [build_game(g, cfg, u, cost_on_miss) for cfg in (greedy, optimal)]
             alone = [solve_sse([game])[0] for game in games]
             assert rep.values[trial].tolist() == [urs_value(x) for x in games] + [s.defender_value for s in alone]
-            batch.append(games[1])
-            if len(batch) == _BATCH_TRIALS:
-                mixed += len({_live_columns(x.attacker_payoffs).size for x in batch}) > 1
-                for a, b in zip(solve_sse(batch), (solve_sse([x])[0] for x in batch)):
-                    assert_same_sse(a, b)
-                batch = []
     assert mixed > 0
 
 
-def test_case14_sse_stack_members_match_their_solves_alone(case14_families, monkeypatch):
-    # one run_trials batch on case14: every member of each SSE stack, solved
-    # as its own LinearProgram (a stack of one, on the scalar loop), gets the
-    # bits it got in its stack (on the batched loop)
-    g, greedy, optimal = case14_families
-    stacks = []
-    monkeypatch.setattr(mtd_game, "solve_lp", lambda p: stacks.append((p, solve_lp(p))) or stacks[-1][1])
-    run_trials(g, greedy, optimal, _BATCH_TRIALS, seed=1, integer_utilities=True)
-    assert stacks
+def assert_members_keep_alone_bits(stacks):
+    """Every member of each (program, solution) stack, solved as its own
+    LinearProgram (a stack of one, on the scalar loop), gets the bits it got
+    in its stack."""
     for p, sol in stacks:
-        assert len(p.objective) >= 2
         for k, (obj, matrix) in enumerate(zip(p.objective, p.constraints)):
             single = solve_lp(LinearProgram(obj, matrix, p.relations, p.rhs))
             assert single.status == sol.statuses[k]
@@ -520,6 +535,31 @@ def test_case14_sse_stack_members_match_their_solves_alone(case14_families, monk
                 assert single.assignment.tobytes() == sol.assignment[k].tobytes()
                 assert single.objective_value == sol.objective_value[k]
                 assert single.duals.tobytes() == sol.duals[k].tobytes()
+
+
+def test_case14_sse_stack_members_match_their_solves_alone(case14_families, monkeypatch):
+    # every stack of one whole case14 run, which fits one solve_sse call
+    g, greedy, optimal = case14_families
+    stacks = []
+    monkeypatch.setattr(mtd_game, "solve_lp", lambda p: stacks.append((p, solve_lp(p))) or stacks[-1][1])
+    calls = []
+    monkeypatch.setattr(mtd_game, "solve_sse", lambda games: calls.append(games) or solve_sse(games))
+    run_trials(g, greedy, optimal, 20, seed=1, integer_utilities=True)
+    assert len(calls) == 1 and len(stacks) > 1
+    assert max(len(p.objective) for p, _ in stacks) >= 2
+    assert_members_keep_alone_bits(stacks)
+    # a budget of 5 LPs' tableaux cuts the 48 LPs of 3 free-miss K_max games,
+    # 16 live actions each, into stacks of 5 LPs: a game's LPs span stacks and
+    # a stack holds LPs of two games; each game keeps its one-stack solution
+    games = [build_game(g, optimal, random_profile(g, trial_rng(1, t), True), False) for t in range(3)]
+    assert stack_load(games) == {(4, 16): 48 * _lp_bytes(4, 16)} and 48 * _lp_bytes(4, 16) <= _STACK_BYTES
+    whole = solve_sse(games)
+    stacks.clear()
+    monkeypatch.setattr(mtd_game, "_STACK_BYTES", 5 * _lp_bytes(4, 16))
+    for a, b in zip(solve_sse(games), whole):
+        assert_same_sse(a, b)
+    assert [len(p.objective) for p, _ in stacks] == [5] * 9 + [3]
+    assert_members_keep_alone_bits(stacks)
 
 
 def test_batched_sse_matches_reference_on_corpus():
@@ -618,6 +658,27 @@ def test_run_trials_memory_does_not_grow_with_trials(case14_families):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 0.5e6
+
+
+def test_run_trials_peak_is_bounded_by_the_stack_budget():
+    # free misses and integer utilities leave every attacker action live on
+    # the 10x60 ladder graph's families (K=9 and K=12, l=4): 36 and 48 LPs of
+    # 15-25 KB tableau per game, over 1.7 MB per trial. The traced peak stays
+    # under 4 stack budgets and does not grow from 8 to 32 trials
+    g = load_graph(FIXTURES / "ladder5_10x60.graph")
+    greedy, optimal = greedy_k(g), find_kmax(g)
+    assert [(c.K, c.l) for c in (greedy, optimal)] == [(9, 4), (12, 4)]
+    run_trials(g, greedy, optimal, 1, seed=1, cost_on_miss=False, integer_utilities=True)  # cache the frames
+    peaks = []
+    for n in (8, 32):
+        tracemalloc.start()
+        try:
+            run_trials(g, greedy, optimal, n, seed=1, cost_on_miss=False, integer_utilities=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 4 * _STACK_BYTES
+    assert peaks[1] - peaks[0] <= 0.1e6
 
 
 def test_run_trials_rejects_zero_trials(tiny_graph):
