@@ -12,7 +12,9 @@ the sha256 of `dump_configuration`. The benchmark leaves out every call that
 runs past its budget; this script leaves out none.
 
 Exits 1 when a family fails `validate`, when greedy's K exceeds find_kmax's,
-or when the two l differ.
+when the two l differ, when greedy's first set is not solve_mdcs's, or when
+find_kmax's l is not solve_mdcs's size: both calls take m from the twin-class
+quotient, and solve_mdcs solves on every site of the graph.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
-from gridmtd.diverse_mdcs import dump_configuration, find_kmax, greedy_k  # noqa: E402
+from gridmtd.diverse_mdcs import dump_configuration, find_kmax, greedy_k, solve_mdcs  # noqa: E402
 
 
 def main() -> int:
@@ -53,6 +55,11 @@ def main() -> int:
                 problems.append(f"{seed} {tag}: greedy K={greedy.K} exceeds K_max={kmax.K}")
             if greedy.l != kmax.l:
                 problems.append(f"{seed} {tag}: greedy l={greedy.l}, find_kmax l={kmax.l}")
+            mdcs = solve_mdcs(g)
+            if greedy.sets[0] != mdcs:
+                problems.append(f"{seed} {tag}: greedy's first set is not solve_mdcs's")
+            if kmax.l != mdcs.size:
+                problems.append(f"{seed} {tag}: find_kmax l={kmax.l}, solve_mdcs size {mdcs.size}")
     for p in problems:
         print(p, file=sys.stderr)
     return 1 if problems else 0

@@ -207,13 +207,12 @@ def solve_k_dcs(g: BipartiteGraph, K: int) -> ConfigurationSet:
 def find_kmax(g: BipartiteGraph) -> ConfigurationSet:
     """Largest family of pairwise-disjoint minimum DCSs, packed from the
     size-m patterns of g's twin-class table (_table, which greedy_k reads
-    too; m from solve_k_dcs(g, 1) where the log2 floor is not met). Column
-    generation (Gilmore and Gomory) solves the packing LP, no class used
-    more often than it has sites, over the patterns its class prices call
-    in, and the packing BILP over those patterns is widened, in stages, only
-    while it falls short of the LP bound. Classes and sites go in name
-    order, so renumbering g leaves the family as it is."""
-    keys, sites, mult, patterns, _ = _table(g, lambda: solve_k_dcs(g, 1).sets[0])
+    too). Column generation (Gilmore and Gomory) solves the packing LP, no
+    class used more often than it has sites, over the patterns its class
+    prices call in, and the packing BILP over those patterns is widened, in
+    stages, only while it falls short of the LP bound. Classes and sites go
+    in name order, so renumbering g leaves the family as it is."""
+    keys, sites, mult, patterns = _table(g)
     use = np.arange(len(patterns)) == 0
     while True:
         uses = _capacity(patterns[use], mult)
@@ -249,37 +248,38 @@ def find_kmax(g: BipartiteGraph) -> ConfigurationSet:
 class _Table(NamedTuple):
     """g's twin classes, its heard sites grouped by the transformers that
     hear them: each class's key, the sorted ids of those transformers, in
-    order; its site ids in order; its multiplicity; the size-m patterns as
-    class indices; and the MDCS the m-solve gave, None where m is the log2
-    floor."""
+    order; its site ids in order; its multiplicity; and the size-m patterns
+    as class indices."""
 
     keys: list[tuple]
     sites: list[list[str]]
     mult: np.ndarray
     patterns: np.ndarray
-    first: CodeSet | None
 
 
-def _table(g: BipartiteGraph, mdcs) -> _Table:
+def _table(g: BipartiteGraph) -> _Table:
     """The twin-class table of g, once check_feasible passes. A minimum DCS,
     of size m, holds one site from each of m classes whose codes are
     non-empty and distinct, a pattern. m is the log2 floor,
     ceil(log2(n_t + 1)), below which no DCS exists, when some pattern has
-    that size; else it is the size of the set mdcs() returns. The patterns
-    at the floor are enumerated first only when floor + n_t is at most the
-    class count: m <= n_t (Bondy 1972), so C(classes, floor) is then at most
-    C(classes, m), the enumeration the answer needs anyway."""
+    that size; else it is solve_k_dcs's size on the class quotient, one
+    site per class, heard by the transformers of its key (Charbit, Charon,
+    Cohen, Hudry and Lobstein 2008). The floor's patterns are enumerated
+    first only when floor + n_t is at most the class count: m <= n_t (Bondy
+    1972), so C(classes, floor) is then at most C(classes, m), the
+    enumeration the answer needs anyway."""
     check_feasible(g)
     heard_by = [tuple(sorted(t for t, nb in zip(g.t_ids, g.adj) if s in nb)) for s in range(g.n_s)]
     keys = sorted(set(heard_by) - {()})
     sites = [sorted(sid for sid, h in zip(g.s_ids, heard_by) if h == k) for k in keys]
     mult = np.array([len(ids) for ids in sites])
-    floor, first = g.n_t.bit_length(), None
+    floor = g.n_t.bit_length()
     patterns = _patterns(g, keys, floor) if floor + g.n_t <= len(keys) else ()
     if not len(patterns):
-        first = mdcs()
-        patterns = _patterns(g, keys, first.size)
-    return _Table(keys, sites, mult, patterns, first)
+        adj = tuple(frozenset(c for c, k in enumerate(keys) if t in k) for t in g.t_ids)
+        q = BipartiteGraph(g.t_ids, tuple(ids[0] for ids in sites), adj, g.hop_limit)
+        patterns = _patterns(g, keys, solve_k_dcs(q, 1).l)
+    return _Table(keys, sites, mult, patterns)
 
 
 def _patterns(g: BipartiteGraph, keys: list[tuple], m: int) -> np.ndarray:
@@ -337,30 +337,25 @@ def _pack(patterns: np.ndarray, mult: np.ndarray, least: int) -> np.ndarray:
 def greedy_k(g: BipartiteGraph) -> ConfigurationSet:
     """The paper's greedy method: find an MDCS, of size m, take its sites out
     of the graph and solve again, while a DCS of size m is left. Taking sites
-    out can only raise the minimum, so each later solve wants size m only.
-    Site names carry over, so each set is a DCS of g. May stop short of the
-    true maximum K.
+    out can only raise the minimum, so each solve wants size m only. Site
+    names carry over, so each set is a DCS of g. May stop short of the true
+    maximum K.
 
-    m and its patterns come from g's twin-class table, as in find_kmax; the
-    first MDCS is solve_mdcs(g)'s. Where m is the log2 floor, the table
-    needs no m-solve, and the first step is a solve wanting size m, like
-    the later ones: it gives solve_mdcs(g)'s set, as no subtree that holds a
-    size-m DCS is cut off in either search. Each such step drops the branch
-    and bound nodes that no size-m DCS agrees with (_live)."""
-    table = _table(g, lambda: solve_mdcs(g))
+    m and its patterns come from g's twin-class table, as in find_kmax. Each
+    step is a solve wanting size m that drops the branch and bound nodes no
+    size-m DCS agrees with (_live). The first one gives solve_mdcs(g)'s set:
+    node LPs depend on the node alone, so both searches visit the nodes
+    they share in one depth-first order, and each drops only subtrees with
+    no size-m DCS, so both end at the first size-m integral node."""
+    table = _table(g)
     m = table.patterns.shape[1]
-    sets, rest = [] if table.first is None else [table.first], g
-    while True:
-        if sets:
-            left = [s for s, sid in enumerate(rest.s_ids) if sid not in sets[-1].sensors]
-            index = {s: i for i, s in enumerate(left)}
-            adj = tuple(frozenset(index[s] for s in nb if s in index) for nb in rest.adj)
-            rest = BipartiteGraph(rest.t_ids, tuple(rest.s_ids[s] for s in left), adj, rest.hop_limit)
-            if len(left) < m:
-                break
-        if (cfg := _solve(rest, 1, (m, m), _live(table, rest))) is None:
-            break
+    sets, rest = [], g
+    while rest.n_s >= m and (cfg := _solve(rest, 1, (m, m), _live(table, rest))) is not None:
         sets.append(cfg.sets[0])
+        left = [s for s, sid in enumerate(rest.s_ids) if sid not in cfg.sets[0].sensors]
+        index = {s: i for i, s in enumerate(left)}
+        adj = tuple(frozenset(index[s] for s in nb if s in index) for nb in rest.adj)
+        rest = BipartiteGraph(rest.t_ids, tuple(rest.s_ids[s] for s in left), adj, rest.hop_limit)
     cfg = ConfigurationSet(tuple(sets))
     cfg.validate(g)
     return cfg

@@ -21,7 +21,7 @@ or best-response values within TIE_TOL of the best, the lowest index wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -85,6 +85,10 @@ class GameMatrix:
     @property
     def n_attacker(self) -> int:
         return len(self.attacker_actions)
+
+    @cached_property  # once per game: run_trials and solve_sse both read it
+    def _live(self) -> np.ndarray:
+        return _live_columns(self.attacker_payoffs)
 
 
 @dataclass(frozen=True)
@@ -252,15 +256,14 @@ def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
     (a single LP may exceed it) and built only when solved; a game's LPs may
     span stacks, and each LP gets the bits it gets alone.
     """
-    lives, groups, out = [], {}, [None] * len(games)
+    groups, out = {}, [None] * len(games)
     for i, game in enumerate(games):
         if game.n_defender < 1 or game.n_attacker < 1:
             raise ValueError("degenerate game shape")
-        lives.append(_live_columns(game.attacker_payoffs))
-        groups.setdefault((game.n_defender, lives[-1].size), []).append(i)
+        groups.setdefault((game.n_defender, game._live.size), []).append(i)
     for (K, L), members in groups.items():
-        cols = np.stack([games[i].attacker_payoffs[:, lives[i]].T for i in members])  # (G, L, K)
-        dm = np.stack([games[i].defender_payoffs[:, lives[i]].T for i in members])
+        cols = np.stack([games[i].attacker_payoffs[:, games[i]._live].T for i in members])  # (G, L, K)
+        dm = np.stack([games[i].defender_payoffs[:, games[i]._live].T for i in members])
         value, mix, others = np.empty(cols.shape[:2]), np.empty(cols.shape), ~np.eye(L, dtype=bool)
         step = max(1, _STACK_BYTES // _lp_bytes(K, L))
         for first in range(0, value.size, step):
@@ -283,7 +286,7 @@ def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
         if not near.any(axis=1).all():
             raise SolverError("no attacker action admitted a feasible best-response region")
         for row, (i, k) in enumerate(zip(members, near.argmax(axis=1))):
-            j, x = int(lives[i][k]), mix[row, k]
+            j, x = int(games[i]._live[k]), mix[row, k]
             out[i] = SseSolution(x, j, float(value[row, k]), float(np.dot(x, games[i].attacker_payoffs[:, j])))
     return out
 
@@ -396,7 +399,7 @@ def run_trials(
     for trial in range(n_trials):
         u = random_profile(g, trial_rng(seed, trial), integer_utilities)
         pair = [build_game(g, cfg, u, cost_on_miss) for cfg in (config_greedy, config_opt)]
-        need = sum(L * _lp_bytes(x.n_defender, L) for x in pair for L in [_live_columns(x.attacker_payoffs).size])
+        need = sum(x._live.size * _lp_bytes(x.n_defender, x._live.size) for x in pair)
         if games and load + need > _STACK_BYTES:
             rows += _rows(games)
             games, load = [], 0

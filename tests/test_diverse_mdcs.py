@@ -170,7 +170,8 @@ def test_greedy_tiny(tiny_graph):
 def greedy_corpus(tiny_graph, greedy_gap_graph, case14_text) -> list[BipartiteGraph]:
     """Graphs for greedy's reference tests: the fixtures, case14, the 10x60
     ladder graph and random graphs, twin-rich ones among them, on both of
-    greedy's first-step paths (the log2 floor certified or not)."""
+    the twin-class table's paths to m (the log2 floor certified, or the
+    class quotient solved)."""
     from gridmtd import build_bipartite, parse_matpower
 
     case14 = build_bipartite(parse_matpower(case14_text), ["4-7", "4-9", "5-6", "7-8", "7-9"], 2)
@@ -183,17 +184,19 @@ def greedy_corpus(tiny_graph, greedy_gap_graph, case14_text) -> list[BipartiteGr
 
 
 def test_greedy_target_one_is_mdcs(monkeypatch, tiny_graph, greedy_gap_graph, case14_text):
-    # greedy's first set is the single MDCS solve's set, also where it comes
-    # from a solve that wants size m and drops nodes (the log2 floor met)
-    real, calls = diverse_mdcs.solve_mdcs, []
-    monkeypatch.setattr(diverse_mdcs, "solve_mdcs", lambda g: calls.append(g) or real(g))
+    # greedy's first set is the single MDCS solve's set, though it comes from
+    # a solve that wants size m and drops nodes, m certified by the log2
+    # floor's patterns or solved on the class quotient
+    real, solved = diverse_mdcs.solve_k_dcs, []
+    monkeypatch.setattr(diverse_mdcs, "solve_k_dcs", lambda q, K: solved.append(q) or real(q, K))
     paths = Counter()
     for g in greedy_corpus(tiny_graph, greedy_gap_graph, case14_text):
-        calls.clear()
+        solved.clear()
         first = greedy_k(g).sets[0]
-        paths[len(calls)] += 1
-        assert first == real(g)
-    assert paths[0] >= 30 and paths[1] >= 30
+        assert first == solve_mdcs(g)
+        paths["quotient" if solved else "floor"] += 1
+        paths["above floor"] += first.size > g.n_t.bit_length()
+    assert paths["floor"] >= 30 and paths["quotient"] >= 30 and paths["above floor"] >= 5
 
 
 def test_greedy_gap_fixture(greedy_gap_graph):
@@ -283,7 +286,7 @@ def test_live_keeps_exactly_the_nodes_a_size_m_dcs_agrees_with():
     rng, seen = np.random.default_rng(1990), Counter()
     graphs = twin_rich_corpus(seed=17, count=10, s_lo=8, s_hi=14)
     for g in graphs + feasible_corpus(seed=18, count=10, s_lo=6, s_hi=12):
-        table = diverse_mdcs._table(g, lambda: solve_mdcs(g))
+        table = diverse_mdcs._table(g)
         m = table.patterns.shape[1]
         for h in (g, without(g, solve_mdcs(g).sensors)):
             live = diverse_mdcs._live(table, h)
@@ -298,6 +301,62 @@ def test_live_keeps_exactly_the_nodes_a_size_m_dcs_agrees_with():
                 assert live(state) == expect
                 seen[expect] += 1
     assert seen[True] >= 50 and seen[False] >= 50
+
+
+def test_quotient_m_is_the_minimum_dcs_size(monkeypatch, case14_text):
+    # where the log2 floor has no pattern, m is solve_k_dcs(q, 1)'s size on
+    # the quotient q: g's transformers, one site per heard class
+    from gridmtd import build_bipartite, parse_matpower
+
+    real, solved = diverse_mdcs.solve_k_dcs, []
+
+    def spy(q, K):
+        cfg = real(q, K)
+        solved.append((q, cfg))
+        return cfg
+
+    monkeypatch.setattr(diverse_mdcs, "solve_k_dcs", spy)
+    case14 = build_bipartite(parse_matpower(case14_text), ["4-7", "4-9", "5-6", "7-8", "7-9"], 2)
+    corpora = {
+        "twin-rich": twin_rich_corpus(seed=19, count=12, s_lo=10, s_hi=18),
+        "feasible": feasible_corpus(seed=20, count=40, s_lo=5, s_hi=14),
+        "case14": [case14],
+    }
+    for name, graphs in corpora.items():
+        quotients = 0
+        for g in graphs:
+            solved.clear()
+            table = diverse_mdcs._table(g)
+            m = brute_force_mdcs(g, max_sites=g.n_s).size
+            assert table.patterns.shape[1] == m
+            for q, cfg in solved:
+                assert (q.t_ids, q.s_ids) == (g.t_ids, tuple(ids[0] for ids in table.sites))
+                assert cfg.l == m
+                quotients += 1
+        assert quotients >= min(len(graphs), 5), name
+
+
+def test_case14_families_run_no_unranged_site_level_dcs_solve(monkeypatch, case14_text):
+    # cli._families on case14 (40 sites, 5 heard classes): every DCS program
+    # over all of g's sites wants size m, and m comes from two solves on the
+    # 5-site quotient, one per table
+    from gridmtd import build_bipartite, cli, parse_matpower
+
+    real, calls = diverse_mdcs.solve_bilp, []
+
+    def recorded(p, objective_range=None, **kw):
+        calls.append((len(p.objective), p.sense, objective_range))
+        return real(p, objective_range, **kw)
+
+    monkeypatch.setattr(diverse_mdcs, "solve_bilp", recorded)
+    g = build_bipartite(parse_matpower(case14_text), ["4-7", "4-9", "5-6", "7-8", "7-9"], 2)
+    optimal, greedy = cli._families(g)
+    m = optimal.l
+    assert (g.n_s, m, greedy.l) == (40, 4, m)
+    dcs = [(n, rng) for n, sense, rng in calls if sense == "min"]
+    assert [rng for n, rng in dcs if n == g.n_s] == [(m, m)]
+    assert sum(n == 5 for n, _ in dcs) == 2
+    assert all(rng == (m, m) for n, rng in dcs if n != 5)
 
 
 def test_greedy_drops_the_nodes_no_size_m_dcs_agrees_with(monkeypatch):

@@ -681,6 +681,21 @@ def test_run_trials_peak_is_bounded_by_the_stack_budget():
     assert peaks[1] - peaks[0] <= 0.1e6
 
 
+def test_run_trials_finds_each_games_live_columns_once(case14_families, monkeypatch):
+    # run_trials sizes its solve_sse calls by each game's live columns and
+    # solve_sse solves over them: one dominance test per game serves both,
+    # and the rows keep the bits of the games solved alone
+    g, greedy, optimal = case14_families
+    calls, real = [], mtd_game._live_columns
+    monkeypatch.setattr(mtd_game, "_live_columns", lambda am: calls.append(1) or real(am))
+    rep = run_trials(g, greedy, optimal, 12, seed=3, cost_on_miss=False, integer_utilities=True)
+    assert len(calls) == 2 * 12
+    for trial, row in enumerate(rep.values):
+        u = random_profile(g, trial_rng(3, trial), integer_utilities=True)
+        games = [build_game(g, cfg, u, cost_on_miss=False) for cfg in (greedy, optimal)]
+        assert list(row[2:]) == [s.defender_value for s in solve_sse(games)]
+
+
 def test_run_trials_rejects_zero_trials(tiny_graph):
     cfg = find_kmax(tiny_graph)
     with pytest.raises(ValueError, match="n_trials"):
