@@ -5,16 +5,18 @@ configuration; the attacker observes the mix and knocks out one sensor site.
 Payoffs follow residual identifiability: the defender collects the utility of
 every transformer still uniquely identified, the attacker collects the rest
 minus the attack cost. The optimal commitment is found by one LP per attacker
-action that no other action strictly dominates; solve_sse takes a sequence
-of games and solves the LPs of all of them that share a shape in stacks of
-at most _STACK_BYTES of simplex tableau, and run_trials hands it the games
-of as many trials at once as fit that budget, so memory is bounded by it.
+action that no other action strictly dominates, each with one row per
+maximal action and no phase 1; solve_sse takes a sequence of games and
+solves the LPs of all of them that share a shape in stacks of at most
+_STACK_BYTES of simplex tableau, and run_trials hands it the games of as
+many trials at once as fit that budget, so memory is bounded by it.
 Which transformers stay identified under each attack is found once per
 (graph, configuration); build_game sums only the payoffs per utility draw.
 
 Tolerances follow the policy stated in optim: dominance uses the LP's
 feasibility tolerance FEAS_TOL, since a column another beats by more than
-FEAS_TOL in every row already leaves its LP infeasible; among equilibrium
+FEAS_TOL in every row already leaves its LP infeasible; maximality compares
+exactly, so each row it drops is implied by a kept one; among equilibrium
 or best-response values within TIE_TOL of the best, the lowest index wins.
 """
 
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 UTILITY_RANGE = (0.0, 10.0)
-_STACK_BYTES = 640 * 1024  # simplex tableau bytes per SSE stack, and per solve_sse call of run_trials
+_STACK_BYTES = 320 * 1024  # simplex tableau bytes per SSE stack, and per solve_sse call of run_trials
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,10 @@ class GameMatrix:
     def _live(self) -> np.ndarray:
         return _live_columns(self.attacker_payoffs)
 
+    @cached_property
+    def _maximal(self) -> np.ndarray:
+        return _maximal_columns(self.attacker_payoffs, self._live)
+
 
 @dataclass(frozen=True)
 class SseSolution:
@@ -120,11 +126,12 @@ def _identified(
 
 def _sum_by_transformer(flags: np.ndarray, util: np.ndarray) -> np.ndarray:
     """Utility of the flagged transformers, added left to right in transformer
-    order so each entry equals the scalar sum over the same transformers."""
-    total = np.zeros(flags.shape[:-1])
-    for t, value in enumerate(util):
-        total += np.where(flags[..., t], value, 0.0)
-    return total
+    order so each entry equals the scalar sum over the same transformers. A
+    running sum adds in order; numpy's sum adds pairwise along the last axis,
+    and along a leading axis too once a single entry is left."""
+    if not util.size:
+        return np.zeros(flags.shape[:-1])
+    return np.where(flags, util, 0.0).cumsum(axis=-1)[..., -1] + 0.0  # + 0.0: as 0.0 + x, no -0.0
 
 
 def _utility(u: UtilityProfile, t_id: str) -> float:
@@ -227,17 +234,27 @@ def _live_columns(am: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~beats.any(axis=0))
 
 
+def _maximal_columns(am: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The live columns that no other live column is >= in every defender
+    row; of equal columns the lowest-indexed one stays. Every other live
+    column lies below one of them in every row."""
+    a, at = am[:, live], np.arange(live.size)
+    geq = (a[:, :, None] >= a[:, None, :]).all(axis=0)  # geq[i, j]: column i >= column j
+    beats = geq & (~geq.T | (at[:, None] < at))  # above it somewhere, or equal and earlier
+    return live[~beats.any(axis=0)]
+
+
 def _near_best(values: np.ndarray) -> np.ndarray:
     """Which values lie within TIE_TOL of the largest along the last axis;
     NaN, a value that is not a candidate, never does."""
     return values >= np.fmax.reduce(values, axis=-1, keepdims=True) - TIE_TOL
 
 
-def _lp_bytes(K: int, L: int) -> int:
-    """Tableau bytes of one SSE LP over K defender and L live attacker
-    actions: L + 1 rows once the simplex row's equality is split, plus the
-    cost row, by K variables, L + 1 slacks, one artificial and the rhs."""
-    return (L + 2) * (K + L + 3) * 8
+def _lp_bytes(K: int, R: int) -> int:
+    """Tableau bytes of one SSE LP over K defender actions and R maximal
+    attacker actions: the simplex row, R best-response rows and the cost row,
+    by K variables, R + 1 slacks and the rhs."""
+    return (R + 2) * (K + R + 2) * 8
 
 
 def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
@@ -248,46 +265,58 @@ def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
 
     An action that another beats by more than FEAS_TOL in every defender row
     gets no LP: its LP is infeasible at that tolerance, so it cannot win. The
-    remaining LPs keep only the rows against the other remaining actions; a
-    dropped row is implied by the row against a remaining action that
-    dominates the dropped one. The LPs of all games with equal defender and
-    live action counts share relations and right-hand sides, so they are
-    solved in stacks, in game order, each of at most _STACK_BYTES of tableau
-    (a single LP may exceed it) and built only when solved; a game's LPs may
-    span stacks, and each LP gets the bits it gets alone.
+    LP of each remaining action k keeps only the rows (a_k - a_j) . x >= 0
+    against the maximal remaining actions j (_maximal_columns); with x >= 0 a
+    dropped row is implied by the row against a maximal action at or above
+    the dropped one in every row. The simplex row is 1 . x <= 1 and the
+    objective d - min(d) + 1, every entry at least 1, where d is the
+    defender's payoff under k: any feasible x other than 0 scales up to
+    1 . x = 1, which raises that objective, so the optimum lies on the
+    simplex, where it is d's, and is x = 0 exactly when the LP over the
+    simplex is infeasible. x = 0 meets every row, so the LP starts from its
+    slack basis with no phase 1; its value is d . x.
+
+    The LPs of all games with equal defender and maximal action counts share
+    relations and right-hand sides, so they are solved in stacks, in game
+    order, each of at most _STACK_BYTES of tableau (a single LP may exceed
+    it) and built only when solved; a game's LPs may span stacks, and each
+    LP gets the bits it gets alone.
     """
     groups, out = {}, [None] * len(games)
     for i, game in enumerate(games):
         if game.n_defender < 1 or game.n_attacker < 1:
             raise ValueError("degenerate game shape")
-        groups.setdefault((game.n_defender, game._live.size), []).append(i)
-    for (K, L), members in groups.items():
-        cols = np.stack([games[i].attacker_payoffs[:, games[i]._live].T for i in members])  # (G, L, K)
-        dm = np.stack([games[i].defender_payoffs[:, games[i]._live].T for i in members])
-        value, mix, others = np.empty(cols.shape[:2]), np.empty(cols.shape), ~np.eye(L, dtype=bool)
-        step = max(1, _STACK_BYTES // _lp_bytes(K, L))
-        for first in range(0, value.size, step):
-            # LP k of a game keeps live[k] a best response: am[:, live[k]] - am[:, jp] >= 0
-            # for every other live jp, plus the simplex row (with x >= 0 it caps x at 1)
-            at, k = np.divmod(np.arange(first, min(first + step, value.size)), L)
+        groups.setdefault((game.n_defender, game._maximal.size), []).append(i)
+    for (K, R), members in groups.items():
+        lives = [games[i]._live for i in members]
+        sizes = [live.size for live in lives]
+        at = np.repeat(np.arange(len(members)), sizes)  # each LP's game, as a place in members
+        cols = np.concatenate([games[i].attacker_payoffs[:, live].T for i, live in zip(members, lives)])
+        dm = np.concatenate([games[i].defender_payoffs[:, live].T for i, live in zip(members, lives)])
+        top = np.stack([games[i].attacker_payoffs[:, games[i]._maximal].T for i in members])  # (G, R, K)
+        mix, step = np.empty(cols.shape), max(1, _STACK_BYTES // _lp_bytes(K, R))
+        for start in range(0, len(cols), step):
+            lp = slice(start, start + step)
+            d = dm[lp]
             sol = solve_lp(LinearProgram(
-                dm[at, k],
-                np.concatenate([
-                    np.ones((at.size, 1, K)),
-                    (cols[at, k, None] - cols[at])[others[k]].reshape(at.size, L - 1, K),
-                ], axis=1),
-                ("=",) + (">=",) * (L - 1),
-                np.r_[1.0, np.zeros(L - 1)],
+                d - d.min(axis=1, keepdims=True) + 1.0,
+                np.concatenate([np.ones((len(d), 1, K)), cols[lp, None] - top[at[lp]]], axis=1),
+                ("<=",) + (">=",) * R,
+                np.r_[1.0, np.zeros(R)],
             ))
             if sol.status == "unbounded":
                 raise SolverError("an SSE LP is unbounded")
-            value[at, k], mix[at, k] = sol.objective_value, sol.assignment
-        near = _near_best(value)
+            mix[lp] = sol.assignment
+        value = np.where(mix.any(axis=1), (dm * mix).sum(axis=1), np.nan)  # NaN: the optimum is x = 0
+        first = np.cumsum(sizes) - sizes  # each game's first LP
+        table = np.full((len(members), max(sizes)), np.nan)  # (game, live action), NaN-padded
+        table[at, np.arange(len(at)) - first[at]] = value
+        near = _near_best(table)
         if not near.any(axis=1).all():
             raise SolverError("no attacker action admitted a feasible best-response region")
-        for row, (i, k) in enumerate(zip(members, near.argmax(axis=1))):
-            j, x = int(games[i]._live[k]), mix[row, k]
-            out[i] = SseSolution(x, j, float(value[row, k]), float(np.dot(x, games[i].attacker_payoffs[:, j])))
+        for place, (i, k) in enumerate(zip(members, near.argmax(axis=1))):
+            j, x, v = int(lives[place][k]), mix[first[place] + k], value[first[place] + k]
+            out[i] = SseSolution(x, j, float(v), float(np.dot(x, games[i].attacker_payoffs[:, j])))
     return out
 
 
@@ -399,7 +428,7 @@ def run_trials(
     for trial in range(n_trials):
         u = random_profile(g, trial_rng(seed, trial), integer_utilities)
         pair = [build_game(g, cfg, u, cost_on_miss) for cfg in (config_greedy, config_opt)]
-        need = sum(x._live.size * _lp_bytes(x.n_defender, x._live.size) for x in pair)
+        need = sum(x._live.size * _lp_bytes(x.n_defender, x._maximal.size) for x in pair)
         if games and load + need > _STACK_BYTES:
             rows += _rows(games)
             games, load = [], 0

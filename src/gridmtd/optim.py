@@ -11,12 +11,13 @@ under one iteration cap. A stack of one, a LinearProgram of one objective
 or a DCS node's dual, runs on a scalar loop over its one 2D tableau, with
 no batch axis; a box node (below) pivots with the same in-place step. Only
 a row whose rhs lies on its relation's wrong side of 0 gets a phase-1
-artificial. Pivots update rows in place, and a member that is done is
-swapped behind those still going, so no stack is copied. Pivoting uses the
-largest-reduced-cost rule and falls back to Bland's rule whenever the
-objective stalls on a degenerate vertex, so termination is guaranteed. The
-fixed rules make solves deterministic: a program gets the same bits alone
-or in a stack.
+artificial; no LP the package builds itself has such a row, so phase 1
+serves only other callers of solve_lp. Pivots update rows in place, and a
+member that is done is swapped behind those still going, so no stack is
+copied. Pivoting uses the largest-reduced-cost rule and falls back to
+Bland's rule whenever the objective stalls on a degenerate vertex, so
+termination is guaranteed. The fixed rules make solves deterministic: a
+program gets the same bits alone or in a stack.
 
 Branch and bound solves its node LPs, each in the [0, 1] box, on one of
 two paths, by the sign of the maximized objective.
@@ -565,7 +566,9 @@ def solve_lp(p: LinearProgram) -> Solution:
     A, is_ge, b, src = _expanded(A, p.relations, p.rhs)
     status, x, prices = _solve_standard(A, is_ge, b, obj)
     statuses = tuple(status)
-    value = np.array([np.dot(o, y) if s == "optimal" else math.nan for s, o, y in zip(statuses, obj, x)]) + 0.0
+    # one row sum per member, pairwise over its n entries alone, so a stack
+    # member gets the bits it gets alone; + 0.0 clears a -0.0
+    value = np.where(status == "optimal", (obj * x).sum(axis=1), math.nan) + 0.0
     # an equality's price is the sum of its <= and >= halves
     duals = np.zeros((len(obj), len(p.relations)))
     np.add.at(duals, (slice(None), src), prices)

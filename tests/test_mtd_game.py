@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -34,8 +35,16 @@ from gridmtd import (
     solve_sse,
     urs_value,
 )
-from gridmtd import mtd_game
-from gridmtd.mtd_game import _STACK_BYTES, _live_columns, _lp_bytes, format_value, trial_rng
+from gridmtd import mtd_game, optim
+from gridmtd.mtd_game import (
+    _STACK_BYTES,
+    _live_columns,
+    _lp_bytes,
+    _maximal_columns,
+    _sum_by_transformer,
+    format_value,
+    trial_rng,
+)
 from gridmtd.optim import FEAS_TOL, TIE_TOL
 from conftest import FIXTURES, feasible_corpus
 
@@ -198,6 +207,23 @@ def assert_same_game(a, b):
     assert (a.defender_actions, a.attacker_actions) == (b.defender_actions, b.attacker_actions)
     for x, y in ((a.defender_payoffs, b.defender_payoffs), (a.attacker_payoffs, b.attacker_payoffs)):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_transformer_sums_keep_the_loops_bits():
+    # many transformers (pairwise summation starts at 9 terms) and utilities
+    # of mixed magnitude, so any other order of the adds shows in the bits
+    rng = np.random.default_rng(12)
+    for case in range(300):
+        T = int(rng.integers(9, 41))
+        shape = [(), (1,), (1, 1), tuple(int(n) for n in rng.integers(1, 12, size=2))][case % 4]
+        util = rng.uniform(0, 10, T) * 10.0 ** rng.integers(-3, 4, T)
+        flags = rng.random(shape + (T,)) < 0.7
+        total = np.zeros(shape)
+        for t, value in enumerate(util):
+            total += np.where(flags[..., t], value, 0.0)
+        got = _sum_by_transformer(flags, util)
+        assert got.shape == total.shape and got.tobytes() == total.tobytes()
+    assert _sum_by_transformer(np.zeros((2, 3, 0), dtype=bool), np.zeros(0)).tolist() == [[0.0] * 3] * 2
 
 
 def test_cached_frames_give_the_reference_games(case14_families):
@@ -420,19 +446,25 @@ def test_sse_pruning_margin_is_feas_tol():
     assert assert_pruning_exact(game) == 1
 
 
+def reduced_lp(game, j):
+    """solve_sse's LP of live action j, built alone: 1 . x <= 1 and a
+    best-response row against every maximal live action, maximizing the
+    defender's payoff under j shifted to a least entry of 1."""
+    am, d = game.attacker_payoffs, game.defender_payoffs[:, j]
+    top = _maximal_columns(am, _live_columns(am))
+    rows = [np.ones(game.n_defender)] + list((am[:, [j]] - am[:, top]).T)
+    return LinearProgram(d - d.min() + 1.0, rows, ("<=",) + (">=",) * top.size, [1.0] + [0.0] * top.size)
+
+
 def sequential_pick(game):
-    """solve_sse's rule with each of the game's live LPs solved alone: the
-    first optimal action whose value lies within TIE_TOL of the best."""
-    am, live = game.attacker_payoffs, _live_columns(game.attacker_payoffs)
+    """solve_sse's rule with each of the game's reduced LPs solved alone: the
+    first action whose optimum is not x = 0 and whose value d . x lies within
+    TIE_TOL of the best."""
     solved = []
-    for j in live:
-        gaps = am[:, [j]] - am[:, [jp for jp in live if jp != j]]
-        rows = [np.ones(game.n_defender)] + list(gaps.T)
-        sol = solve_lp(LinearProgram(
-            game.defender_payoffs[:, j], rows, ("=",) + (">=",) * gaps.shape[1], [1.0] + [0.0] * gaps.shape[1]
-        ))
-        if sol.status == "optimal":
-            solved.append((int(j), sol.objective_value, sol.assignment))
+    for j in _live_columns(game.attacker_payoffs):
+        x = solve_lp(reduced_lp(game, j)).assignment
+        if x.any():
+            solved.append((int(j), float((game.defender_payoffs[:, j] * x).sum()), x))
     top = max(value for _, value, _ in solved)
     return next(s for s in solved if s[1] >= top - TIE_TOL)
 
@@ -465,6 +497,9 @@ def test_sse_tie_goes_to_the_lowest_action():
         j, value, mix = sequential_pick(game)
         assert (sse.attacker_response, sse.defender_value) == (j, value)
         assert sse.defender_mix.tobytes() == mix.tobytes()
+        # and the full LPs, every row and the simplex as an equality, agree
+        response, full = reference_sse(game)
+        assert j == response and value == pytest.approx(full, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -482,24 +517,27 @@ def assert_same_sse(a, b):
 
 
 def stack_load(games):
-    """Tableau bytes of games' SSE LPs per (defender count, live count) shape."""
+    """Tableau bytes of games' SSE LPs, one per live action, per (defender
+    count, maximal count) shape."""
     load = Counter()
     for x in games:
-        L = _live_columns(x.attacker_payoffs).size
-        load[x.n_defender, L] += L * _lp_bytes(x.n_defender, L)
+        live = _live_columns(x.attacker_payoffs)
+        R = _maximal_columns(x.attacker_payoffs, live).size
+        load[x.n_defender, R] += live.size * _lp_bytes(x.n_defender, R)
     return load
 
 
 def test_batched_sse_equals_solo_sse(case14_families, monkeypatch):
-    # with a budget of 40,000 tableau bytes run_trials splits each run into
+    # with a budget of 7,000 tableau bytes run_trials splits each run into
     # several solve_sse calls, each stopping where the next trial's LPs would
     # take the call past the budget; every row must equal its two games
     # solved alone, bit for bit, and so must every game of every call, with
-    # calls mixing live counts under one defender count. Free misses leave 16
-    # live actions on the K_max family, 53 KB of LPs per game, so those runs
-    # call once per trial and cut each such game's LPs into two stacks
+    # calls mixing maximal counts under one defender count. Free misses leave
+    # 16 live actions on the K_max family, most often 4 of them maximal: 16
+    # LPs of 480 bytes, 7,680 bytes per game, so those runs call once per
+    # trial and cut each such game's LPs into stacks of 14 and 2
     g, greedy, optimal = case14_families
-    budget, n, mixed = 40_000, 19, 0
+    budget, n, mixed, spans = 7_000, 19, 0, 0
     monkeypatch.setattr(mtd_game, "_STACK_BYTES", budget)
     calls = []
     monkeypatch.setattr(mtd_game, "solve_sse", lambda games: calls.append((games, solve_sse(games))) or calls[-1][1])
@@ -513,6 +551,7 @@ def test_batched_sse_equals_solo_sse(case14_families, monkeypatch):
             assert load + sum(stack_load(after[:2]).values()) > budget
         for games, batch in calls:
             mixed += max(Counter(K for K, _ in stack_load(games)).values()) > 1
+            spans += any(load > budget for load in stack_load(games[1:]).values())
             for game, sse in zip(games, batch):
                 assert_same_sse(sse, solve_sse([game])[0])
         for trial in range(n):
@@ -520,7 +559,7 @@ def test_batched_sse_equals_solo_sse(case14_families, monkeypatch):
             games = [build_game(g, cfg, u, cost_on_miss) for cfg in (greedy, optimal)]
             alone = [solve_sse([game])[0] for game in games]
             assert rep.values[trial].tolist() == [urs_value(x) for x in games] + [s.defender_value for s in alone]
-    assert mixed > 0
+    assert mixed > 0 and spans > 0
 
 
 def assert_members_keep_alone_bits(stacks):
@@ -549,13 +588,14 @@ def test_case14_sse_stack_members_match_their_solves_alone(case14_families, monk
     assert max(len(p.objective) for p, _ in stacks) >= 2
     assert_members_keep_alone_bits(stacks)
     # a budget of 5 LPs' tableaux cuts the 48 LPs of 3 free-miss K_max games,
-    # 16 live actions each, into stacks of 5 LPs: a game's LPs span stacks and
-    # a stack holds LPs of two games; each game keeps its one-stack solution
+    # 16 live actions and 4 maximal ones each, into stacks of 5 LPs: a game's
+    # LPs span stacks and a stack holds LPs of two games; each game keeps its
+    # one-stack solution
     games = [build_game(g, optimal, random_profile(g, trial_rng(1, t), True), False) for t in range(3)]
-    assert stack_load(games) == {(4, 16): 48 * _lp_bytes(4, 16)} and 48 * _lp_bytes(4, 16) <= _STACK_BYTES
+    assert stack_load(games) == {(4, 4): 48 * _lp_bytes(4, 4)} and 48 * _lp_bytes(4, 4) <= _STACK_BYTES
     whole = solve_sse(games)
     stacks.clear()
-    monkeypatch.setattr(mtd_game, "_STACK_BYTES", 5 * _lp_bytes(4, 16))
+    monkeypatch.setattr(mtd_game, "_STACK_BYTES", 5 * _lp_bytes(4, 4))
     for a, b in zip(solve_sse(games), whole):
         assert_same_sse(a, b)
     assert [len(p.objective) for p, _ in stacks] == [5] * 9 + [3]
@@ -574,6 +614,98 @@ def test_batched_sse_matches_reference_on_corpus():
         response, value = reference_sse(game)
         assert sse.attacker_response == response
         assert sse.defender_value == pytest.approx(value, abs=1e-9)
+
+
+def test_maximal_columns_follow_their_definition():
+    # small integer payoffs make equal columns common
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        K, A = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        am = rng.integers(-2, 3, size=(K, A)).astype(float)
+        live = _live_columns(am)
+        above = {(i, j): bool(np.all(am[:, i] >= am[:, j])) for i in live for j in live}
+        want = [
+            j for j in live
+            if not any(i != j and above[i, j] and (not above[j, i] or i < j) for i in live)
+        ]
+        top = _maximal_columns(am, live)
+        assert top.tolist() == want
+        assert all(any(above[i, j] for i in top) for j in live)
+
+
+def sse_lp_corpus():
+    """Games over case14's, the 10x60 ladder graph's and random graphs'
+    greedy and K_max families, in all four cost and utility modes."""
+    text = (Path(__file__).parent.parent / "data" / "case14.m").read_text()
+    c14 = build_bipartite(parse_matpower(text), ["4-7", "4-9", "5-6", "7-8", "7-9"])
+    graphs = [(c14, 10), (load_graph(FIXTURES / "ladder5_10x60.graph"), 1)]
+    graphs += [(g, 1) for g in feasible_corpus(seed=83, count=40, s_lo=4, s_hi=10)]
+    for i, (g, trials) in enumerate(graphs):
+        families = (greedy_k(g), find_kmax(g))
+        for (cost_on_miss, integer_utilities), trial in itertools.product(
+            itertools.product((True, False), repeat=2), range(trials)
+        ):
+            u = random_profile(g, trial_rng(i, trial), integer_utilities)
+            for cfg in families:
+                yield build_game(g, cfg, u, cost_on_miss)
+
+
+def test_reduced_sse_lps_match_the_full_lps():
+    # each live action's reduced LP (maximal rows, 1 . x <= 1, shifted
+    # objective) is optimal, at x = 0 exactly when the full LP (a row per
+    # other action, 1 . x = 1) is infeasible, and otherwise gives the full
+    # LP's value as d . x
+    seen = Counter()
+    for game in sse_lp_corpus():
+        for j in _live_columns(game.attacker_payoffs):
+            reduced, full = solve_lp(reduced_lp(game, j)), solve_lp(full_lp(game, j))
+            assert reduced.status == "optimal"
+            x = reduced.assignment
+            assert full.status == ("optimal" if x.any() else "infeasible")
+            if x.any():
+                assert (game.defender_payoffs[:, j] * x).sum() == pytest.approx(full.objective_value, abs=1e-9)
+            seen[full.status] += 1
+    assert seen["optimal"] > 900 and seen["infeasible"] > 600
+
+
+def test_sse_lp_with_only_the_zero_point_is_nan(monkeypatch):
+    # no column beats action 0 in both rows, so it is live, but against
+    # actions 1 and 2 together no mix keeps it a best response: its reduced
+    # LP's only feasible point is x = 0, its value NaN, and action 0 cannot
+    # win though it pays the defender most
+    sets = (CodeSet(frozenset({"a"})), CodeSet(frozenset({"b"})))
+    am = np.array([[0.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    dm = np.array([[9.0, 1.0, 2.0], [9.0, 3.0, 1.0]])
+    game = GameMatrix(sets, ("s0", "s1", "s2"), dm, am)
+    assert _live_columns(am).tolist() == _maximal_columns(am, _live_columns(am)).tolist() == [0, 1, 2]
+    assert not solve_lp(reduced_lp(game, 0)).assignment.any()
+    assert solve_lp(full_lp(game, 0)).status == "infeasible"
+    values, real = [], mtd_game._near_best
+    monkeypatch.setattr(mtd_game, "_near_best", lambda v: values.append(v.copy()) or real(v))
+    sse = solve_sse([game])[0]
+    assert np.isnan(values[0][0, 0]) and np.isfinite(values[0][0, 1:]).all()
+    response, value = reference_sse(game)
+    assert sse.attacker_response == response != 0
+    assert sse.defender_value == pytest.approx(value, abs=1e-9)
+
+
+def test_game_free_miss_pass_pivots_little_and_skips_phase_1(monkeypatch):
+    # a pass of the benchmark's game-free-miss workload (case14's pinned
+    # families, free misses, integer utilities, 100 trials): 301 batched
+    # pivot steps in 26 stacks, each with a phase 1, before the LPs were
+    # reduced; now one simplex run per stack
+    spec = json.loads((Path(__file__).parent.parent / "bench" / "data" / "case14_families.json").read_text())
+    text = (Path(__file__).parent.parent / spec["case"]).read_text()
+    g = build_bipartite(parse_matpower(text), spec["hvts"], spec["hops"])
+    greedy, optimal = (ConfigurationSet(tuple(CodeSet(frozenset(s)) for s in spec[k])) for k in ("greedy", "optimal"))
+    counts = Counter()
+    for name in ("_pivot", "_run_simplex", "solve_lp"):
+        real = getattr(optim, name)
+        monkeypatch.setattr(optim, name, lambda *a, _n=name, _f=real: counts.update([_n]) or _f(*a))
+    monkeypatch.setattr(mtd_game, "solve_lp", optim.solve_lp)
+    run_trials(g, greedy, optimal, 100, seed=1, cost_on_miss=False, integer_utilities=True)
+    assert counts["_run_simplex"] == counts["solve_lp"] <= 20
+    assert counts["_pivot"] <= 60
 
 
 def test_attack_futility_bound(tiny_graph, tiny_config):
