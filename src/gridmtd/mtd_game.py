@@ -6,10 +6,9 @@ Payoffs follow residual identifiability: the defender collects the utility of
 every transformer still uniquely identified, the attacker collects the rest
 minus the attack cost. The optimal commitment is found by one LP per attacker
 action that no other action strictly dominates, each with one row per
-maximal action and no phase 1; solve_sse takes a sequence of games and
-solves the LPs of all of them that share a shape in stacks of at most
-_STACK_BYTES of simplex tableau, and run_trials hands it the games of as
-many trials at once as fit that budget, so memory is bounded by it.
+maximal action and no phase 1, in stacks of at most _STACK_BYTES of tableau
+per defender count (solve_sse); run_trials hands solve_sse as many trials
+as fit that budget in dominance comparisons, so memory is bounded by it.
 Which transformers stay identified under each attack is found once per
 (graph, configuration); build_game sums only the payoffs per utility draw.
 
@@ -23,7 +22,7 @@ or best-response values within TIE_TOL of the best, the lowest index wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -88,13 +87,13 @@ class GameMatrix:
     def n_attacker(self) -> int:
         return len(self.attacker_actions)
 
-    @cached_property  # once per game: run_trials and solve_sse both read it
-    def _live(self) -> np.ndarray:
-        return _live_columns(self.attacker_payoffs)
-
-    @cached_property
-    def _maximal(self) -> np.ndarray:
-        return _maximal_columns(self.attacker_payoffs, self._live)
+    def __post_init__(self):
+        shape = (self.n_defender, self.n_attacker)
+        for name, payoffs in (("defender", self.defender_payoffs), ("attacker", self.attacker_payoffs)):
+            if np.shape(payoffs) != shape:
+                raise ValueError(f"{name} payoffs have shape {np.shape(payoffs)}, not {shape}")
+            if not np.isfinite(payoffs).all():
+                raise ValueError(f"{name} payoffs contain NaN or infinite entries")
 
 
 @dataclass(frozen=True)
@@ -227,21 +226,19 @@ def build_game(
 # Equilibrium and baseline
 
 
-def _live_columns(am: np.ndarray) -> np.ndarray:
-    """Indices of the attacker columns that no other column beats by more than
-    FEAS_TOL in every defender row."""
-    beats = (am[:, :, None] - am[:, None, :] > FEAS_TOL).all(axis=0)  # beats[j, jp]
-    return np.flatnonzero(~beats.any(axis=0))
-
-
-def _maximal_columns(am: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """The live columns that no other live column is >= in every defender
-    row; of equal columns the lowest-indexed one stays. Every other live
-    column lies below one of them in every row."""
-    a, at = am[:, live], np.arange(live.size)
-    geq = (a[:, :, None] >= a[:, None, :]).all(axis=0)  # geq[i, j]: column i >= column j
-    beats = geq & (~geq.T | (at[:, None] < at))  # above it somewhere, or equal and earlier
-    return live[~beats.any(axis=0)]
+def _columns(am: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(live, maximal) masks (G, A) of a stack (G, K, A) of attacker payoffs,
+    from one difference tensor. Live: no other column beats it by more than
+    FEAS_TOL in every defender row. Maximal: no other column is >= it in
+    every row, of equal columns the lowest-indexed one staying. A column at
+    or above a live one is live, and one that is not live lies strictly
+    below a live one, so these are also the live columns' maximal ones."""
+    diff = am[:, :, :, None] - am[:, :, None, :]  # diff[g, k, i, j]: column i less column j
+    beats = (diff > FEAS_TOL).all(axis=1)
+    geq = (diff >= 0.0).all(axis=1)  # geq[g, i, j]: column i >= column j
+    at = np.arange(am.shape[2])
+    above = geq & (~geq.swapaxes(1, 2) | (at[:, None] < at))  # above it somewhere, or equal and earlier
+    return ~beats.any(axis=1), ~above.any(axis=1)
 
 
 def _near_best(values: np.ndarray) -> np.ndarray:
@@ -251,9 +248,9 @@ def _near_best(values: np.ndarray) -> np.ndarray:
 
 
 def _lp_bytes(K: int, R: int) -> int:
-    """Tableau bytes of one SSE LP over K defender actions and R maximal
-    attacker actions: the simplex row, R best-response rows and the cost row,
-    by K variables, R + 1 slacks and the rhs."""
+    """Tableau bytes of one SSE LP over K defender actions with R
+    best-response rows: those, the simplex row and the cost row, by K
+    variables, R + 1 slacks and the rhs."""
     return (R + 2) * (K + R + 2) * 8
 
 
@@ -266,41 +263,51 @@ def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
     An action that another beats by more than FEAS_TOL in every defender row
     gets no LP: its LP is infeasible at that tolerance, so it cannot win. The
     LP of each remaining action k keeps only the rows (a_k - a_j) . x >= 0
-    against the maximal remaining actions j (_maximal_columns); with x >= 0 a
-    dropped row is implied by the row against a maximal action at or above
-    the dropped one in every row. The simplex row is 1 . x <= 1 and the
-    objective d - min(d) + 1, every entry at least 1, where d is the
-    defender's payoff under k: any feasible x other than 0 scales up to
-    1 . x = 1, which raises that objective, so the optimum lies on the
-    simplex, where it is d's, and is x = 0 exactly when the LP over the
-    simplex is infeasible. x = 0 meets every row, so the LP starts from its
-    slack basis with no phase 1; its value is d . x.
+    against the maximal actions j (_columns); with x >= 0 a dropped row is
+    implied by the row against a maximal action at or above the dropped one
+    in every row. The simplex row is 1 . x <= 1 and the objective
+    d - min(d) + 1, every entry at least 1, where d is the defender's payoff
+    under k: any feasible x other than 0 scales up to 1 . x = 1, which
+    raises that objective, so the optimum lies on the simplex, where it is
+    d's, and is x = 0 exactly when the LP over the simplex is infeasible.
+    x = 0 meets every row, so the LP starts from its slack basis with no
+    phase 1; its value is d . x.
 
-    The LPs of all games with equal defender and maximal action counts share
-    relations and right-hand sides, so they are solved in stacks, in game
-    order, each of at most _STACK_BYTES of tableau (a single LP may exceed
-    it) and built only when solved; a game's LPs may span stacks, and each
-    LP gets the bits it gets alone.
+    _columns runs once per shape (K, A). The LPs of all games with K defender
+    actions are solved in stacks of at most _STACK_BYTES of tableau (one LP
+    may exceed it), built when solved, their best-response rows padded with
+    rows 0 >= 0 to the most maximal actions R of those games. Padding is
+    inert: no entry exceeds FEAS_TOL, so no ratio test or pivot touches it,
+    and its slacks follow every real column, so no pivot choice changes; each
+    LP gets the bits it gets alone, unpadded, and a game's LPs may span stacks.
     """
     groups, out = {}, [None] * len(games)
     for i, game in enumerate(games):
         if game.n_defender < 1 or game.n_attacker < 1:
             raise ValueError("degenerate game shape")
-        groups.setdefault((game.n_defender, game._maximal.size), []).append(i)
-    for (K, R), members in groups.items():
-        lives = [games[i]._live for i in members]
-        sizes = [live.size for live in lives]
-        at = np.repeat(np.arange(len(members)), sizes)  # each LP's game, as a place in members
-        cols = np.concatenate([games[i].attacker_payoffs[:, live].T for i, live in zip(members, lives)])
-        dm = np.concatenate([games[i].defender_payoffs[:, live].T for i, live in zip(members, lives)])
-        top = np.stack([games[i].attacker_payoffs[:, games[i]._maximal].T for i in members])  # (G, R, K)
+        groups.setdefault(game.n_defender, {}).setdefault(game.n_attacker, []).append(i)
+    for K, shapes in groups.items():
+        members, parts = [], []
+        for ids in shapes.values():
+            am = np.stack([games[i].attacker_payoffs for i in ids])
+            dm = np.stack([games[i].defender_payoffs for i in ids])
+            live, top = _columns(am)
+            at, action = live.nonzero()  # each LP's game, as a place in ids, and attacker action
+            am, dm = am.swapaxes(1, 2), dm.swapaxes(1, 2)  # (G, A, K): one row per attacker action
+            parts.append((am[live], dm[live], at + len(members), action, am[top], top.sum(axis=1)))
+            members += ids
+        cols, dm, at, action, tops, counts = (np.concatenate(x) for x in zip(*parts))  # at: a place in members
+        R = counts.max()
+        real = np.arange(R) < counts[:, None]  # (G, R): not padding
+        above = np.zeros((len(members), R, K))
+        above[real] = tops
         mix, step = np.empty(cols.shape), max(1, _STACK_BYTES // _lp_bytes(K, R))
         for start in range(0, len(cols), step):
             lp = slice(start, start + step)
-            d = dm[lp]
+            d, rows = dm[lp], np.where(real[at[lp], :, None], cols[lp, None] - above[at[lp]], 0.0)
             sol = solve_lp(LinearProgram(
                 d - d.min(axis=1, keepdims=True) + 1.0,
-                np.concatenate([np.ones((len(d), 1, K)), cols[lp, None] - top[at[lp]]], axis=1),
+                np.concatenate([np.ones((len(d), 1, K)), rows], axis=1),
                 ("<=",) + (">=",) * R,
                 np.r_[1.0, np.zeros(R)],
             ))
@@ -308,15 +315,14 @@ def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
                 raise SolverError("an SSE LP is unbounded")
             mix[lp] = sol.assignment
         value = np.where(mix.any(axis=1), (dm * mix).sum(axis=1), np.nan)  # NaN: the optimum is x = 0
-        first = np.cumsum(sizes) - sizes  # each game's first LP
-        table = np.full((len(members), max(sizes)), np.nan)  # (game, live action), NaN-padded
-        table[at, np.arange(len(at)) - first[at]] = value
+        table, mixes = np.full((len(members), max(shapes)), np.nan), np.zeros((len(members), max(shapes), K))
+        table[at, action], mixes[at, action] = value, mix  # by (game, attacker action); NaN unless live
         near = _near_best(table)
         if not near.any(axis=1).all():
             raise SolverError("no attacker action admitted a feasible best-response region")
-        for place, (i, k) in enumerate(zip(members, near.argmax(axis=1))):
-            j, x, v = int(lives[place][k]), mix[first[place] + k], value[first[place] + k]
-            out[i] = SseSolution(x, j, float(v), float(np.dot(x, games[i].attacker_payoffs[:, j])))
+        for place, (i, j) in enumerate(zip(members, near.argmax(axis=1))):
+            x, v = mixes[place, j], float(table[place, j])
+            out[i] = SseSolution(x, int(j), v, float(np.dot(x, games[i].attacker_payoffs[:, j])))
     return out
 
 
@@ -414,9 +420,9 @@ def run_trials(
     """Each trial draws a fresh utility profile and reports the defender value
     of URS and SSE play on the greedy (K) and optimal (K_max) configurations.
     Trials are sub-seeded independently, so results do not depend on execution
-    order. Trials' games wait for one solve_sse call while their LPs fit
-    _STACK_BYTES of tableau in total (a trial whose LPs alone exceed it goes
-    alone), so memory does not grow with n_trials beyond the result rows."""
+    order. Trials' games wait for one solve_sse call while their dominance
+    comparisons (K * A * A * 8 bytes a game) fit _STACK_BYTES, a trial over it
+    going alone, so memory does not grow with n_trials beyond the result rows."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if seed < 0:
@@ -424,11 +430,11 @@ def run_trials(
     config_greedy.validate(g)
     config_opt.validate(g)
 
-    rows, games, load = [], [], 0  # load: the LP tableau bytes of the games waiting
+    rows, games, load = [], [], 0  # load: the comparison bytes of the games waiting
     for trial in range(n_trials):
         u = random_profile(g, trial_rng(seed, trial), integer_utilities)
         pair = [build_game(g, cfg, u, cost_on_miss) for cfg in (config_greedy, config_opt)]
-        need = sum(x._live.size * _lp_bytes(x.n_defender, x._maximal.size) for x in pair)
+        need = sum(x.attacker_payoffs.size * x.n_attacker * 8 for x in pair)
         if games and load + need > _STACK_BYTES:
             rows += _rows(games)
             games, load = [], 0

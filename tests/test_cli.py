@@ -282,6 +282,41 @@ def test_experiment_case14_free_miss_integer_stdout(tmp_path, capsys):
     assert csv_sha256(tmp_path) == "c558d3fcfb3e6af32d52cc8ebd52c49e81e9fc2c84c8261c1a124ce7832ce6b8"
 
 
+def test_experiment_case14_cost_on_miss_integer_stdout(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, *CASE14_EXPERIMENT, "--cost-on-miss", "true", "--integer-utilities",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert out == (
+        "K=3 K_max=4 l=4\n"
+        "attacker_actions K*l=12 K_max*l=16\n"
+        "strategy mean std\n"
+        "urs_k 20.5233 5.4260\n"
+        "urs_kmax 21.9550 5.4580\n"
+        "sse_k 23.1710 5.5248\n"
+        "sse_kmax 24.2527 5.7607\n"
+        f"csv={tmp_path / 'trials.csv'}\n"
+    )
+    assert csv_sha256(tmp_path) == "3ce7d59e4930902bfc47a759baf2b9b893e46bb9810c6032239a9f56a1721b83"
+
+
+def test_experiment_case14_free_miss_float_stdout(tmp_path, capsys):
+    code, out, _ = run(capsys, *CASE14_EXPERIMENT, "--cost-on-miss", "false", "--out", str(tmp_path))
+    assert code == 0
+    assert out == (
+        "K=3 K_max=4 l=4\n"
+        "attacker_actions K*l=12 K_max*l=16\n"
+        "strategy mean std\n"
+        "urs_k 19.6021 5.1944\n"
+        "urs_kmax 20.8819 5.4877\n"
+        "sse_k 21.6946 5.4050\n"
+        "sse_kmax 22.5940 5.5913\n"
+        f"csv={tmp_path / 'trials.csv'}\n"
+    )
+    assert csv_sha256(tmp_path) == "080262411904600ce38c2b759893e3863162cb84063e16de51d68f308947aae3"
+
+
 def test_experiment_single_trial_reports_zero_std(tmp_path, capsys):
     code, out, _ = run(
         capsys,

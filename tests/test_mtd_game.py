@@ -2,6 +2,7 @@ import itertools
 import json
 import tracemalloc
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +39,8 @@ from gridmtd import (
 from gridmtd import mtd_game, optim
 from gridmtd.mtd_game import (
     _STACK_BYTES,
-    _live_columns,
+    _columns,
     _lp_bytes,
-    _maximal_columns,
     _sum_by_transformer,
     format_value,
     trial_rng,
@@ -129,6 +129,27 @@ def test_build_game_missing_utility(tiny_graph, tiny_config):
             tiny_config,
             UtilityProfile({"t1": 1.0, "t2": 1.0}, {"s1": 0.0}),
         )
+
+
+def test_game_matrix_rejects_payoffs_of_the_wrong_shape():
+    # three attacker names over (2, 2) payoffs once got an SseSolution
+    sets = (CodeSet(frozenset({"a"})), CodeSet(frozenset({"b"})))
+    names, ok = ("s0", "s1", "s2"), np.zeros((2, 3))
+    GameMatrix(sets, names, ok, ok)
+    for bad in (np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(6), np.zeros((1, 2, 3))):
+        for pay in ((bad, ok), (ok, bad)):
+            with pytest.raises(ValueError, match="shape"):
+                GameMatrix(sets, names, *pay)
+
+
+def test_game_matrix_rejects_non_finite_payoffs():
+    # a NaN attacker payoff once gave urs_value 1.0 while solve_sse raised
+    sets = (CodeSet(frozenset({"a"})), CodeSet(frozenset({"b"})))
+    for bad, which in itertools.product((np.nan, np.inf, -np.inf), (0, 1)):
+        pay = [np.ones((2, 2)), np.ones((2, 2))]
+        pay[which][1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            GameMatrix(sets, ("s0", "s1"), *pay)
 
 
 def test_utility_profile_range_check():
@@ -396,6 +417,11 @@ def reference_sse(game):
     return next(s for s in solved if s[1] >= top - TIE_TOL)
 
 
+def live_and_top(am):
+    """The live and the maximal attacker actions of one game's payoffs."""
+    return [np.flatnonzero(m[0]) for m in _columns(am[None])]
+
+
 def assert_pruning_exact(game):
     """solve_sse agrees with reference_sse, and every action it prunes has an
     infeasible full LP. Returns the number of pruned actions."""
@@ -403,7 +429,7 @@ def assert_pruning_exact(game):
     response, value = reference_sse(game)
     assert sse.attacker_response == response
     assert sse.defender_value == pytest.approx(value, abs=1e-9)
-    pruned = sorted(set(range(game.n_attacker)) - set(_live_columns(game.attacker_payoffs)))
+    pruned = sorted(set(range(game.n_attacker)) - set(live_and_top(game.attacker_payoffs)[0]))
     for j in pruned:
         assert solve_lp(full_lp(game, j)).status == "infeasible"
     return len(pruned)
@@ -442,7 +468,7 @@ def test_sse_pruning_margin_is_feas_tol():
     sets = (CodeSet(frozenset({"a"})), CodeSet(frozenset({"b"})))
     game = GameMatrix(sets, ("s0", "s1", "s2", "s3"), dm, am)
     assert solve_lp(full_lp(game, 1)).status == "optimal"
-    assert list(_live_columns(am)) == [0, 1, 3]
+    assert live_and_top(am)[0].tolist() == [0, 1, 3]
     assert assert_pruning_exact(game) == 1
 
 
@@ -451,7 +477,7 @@ def reduced_lp(game, j):
     best-response row against every maximal live action, maximizing the
     defender's payoff under j shifted to a least entry of 1."""
     am, d = game.attacker_payoffs, game.defender_payoffs[:, j]
-    top = _maximal_columns(am, _live_columns(am))
+    top = live_and_top(am)[1]
     rows = [np.ones(game.n_defender)] + list((am[:, [j]] - am[:, top]).T)
     return LinearProgram(d - d.min() + 1.0, rows, ("<=",) + (">=",) * top.size, [1.0] + [0.0] * top.size)
 
@@ -461,7 +487,7 @@ def sequential_pick(game):
     first action whose optimum is not x = 0 and whose value d . x lies within
     TIE_TOL of the best."""
     solved = []
-    for j in _live_columns(game.attacker_payoffs):
+    for j in live_and_top(game.attacker_payoffs)[0]:
         x = solve_lp(reduced_lp(game, j)).assignment
         if x.any():
             solved.append((int(j), float((game.defender_payoffs[:, j] * x).sum()), x))
@@ -516,28 +542,37 @@ def assert_same_sse(a, b):
     )
 
 
-def stack_load(games):
-    """Tableau bytes of games' SSE LPs, one per live action, per (defender
-    count, maximal count) shape."""
-    load = Counter()
+def comparison_bytes(games):
+    """run_trials' size of games: K * A * A * 8 bytes of dominance comparison
+    per game."""
+    return sum(x.n_defender * x.n_attacker**2 * 8 for x in games)
+
+
+def lp_load(games):
+    """Per defender count K: the tableau bytes of the games' SSE LPs, one per
+    live action, each with rows for the most maximal actions R of those
+    games, and the set of their maximal counts."""
+    counts = {}
     for x in games:
-        live = _live_columns(x.attacker_payoffs)
-        R = _maximal_columns(x.attacker_payoffs, live).size
-        load[x.n_defender, R] += live.size * _lp_bytes(x.n_defender, R)
-    return load
+        live, top = live_and_top(x.attacker_payoffs)
+        counts.setdefault(x.n_defender, []).append((live.size, top.size))
+    return {
+        K: (sum(n for n, _ in v) * _lp_bytes(K, max(r for _, r in v)), {r for _, r in v})
+        for K, v in counts.items()
+    }
 
 
 def test_batched_sse_equals_solo_sse(case14_families, monkeypatch):
-    # with a budget of 7,000 tableau bytes run_trials splits each run into
-    # several solve_sse calls, each stopping where the next trial's LPs would
-    # take the call past the budget; every row must equal its two games
+    # with a budget of 24,000 bytes run_trials sizes its solve_sse calls by
+    # comparison bytes (3,456 per greedy game, K=3 and A=12, and 8,192 per
+    # K_max game, K=4 and A=16), so each call stops where the next trial
+    # would take it past the budget; every row must equal its two games
     # solved alone, bit for bit, and so must every game of every call, with
-    # calls mixing maximal counts under one defender count. Free misses leave
-    # 16 live actions on the K_max family, most often 4 of them maximal: 16
-    # LPs of 480 bytes, 7,680 bytes per game, so those runs call once per
-    # trial and cut each such game's LPs into stacks of 14 and 2
+    # calls whose games of one defender count mix maximal counts, so rows
+    # are padded, and calls whose LPs of one defender count exceed the
+    # budget, so they are cut into several stacks
     g, greedy, optimal = case14_families
-    budget, n, mixed, spans = 7_000, 19, 0, 0
+    budget, n, mixed, spans = 24_000, 19, 0, 0
     monkeypatch.setattr(mtd_game, "_STACK_BYTES", budget)
     calls = []
     monkeypatch.setattr(mtd_game, "solve_sse", lambda games: calls.append((games, solve_sse(games))) or calls[-1][1])
@@ -546,12 +581,12 @@ def test_batched_sse_equals_solo_sse(case14_families, monkeypatch):
         rep = run_trials(g, greedy, optimal, n, seed, cost_on_miss, integer_utilities)
         assert len(calls) >= 3 and sum(len(games) for games, _ in calls) == 2 * n
         for (games, _), (after, _) in zip(calls, calls[1:]):
-            load = sum(stack_load(games).values())
-            assert load <= budget or len(games) == 2
-            assert load + sum(stack_load(after[:2]).values()) > budget
+            assert comparison_bytes(after[:2]) + comparison_bytes(games) > budget
+        assert all(comparison_bytes(games) <= budget or len(games) == 2 for games, _ in calls)
         for games, batch in calls:
-            mixed += max(Counter(K for K, _ in stack_load(games)).values()) > 1
-            spans += any(load > budget for load in stack_load(games[1:]).values())
+            loads = lp_load(games).values()
+            mixed += any(len(counts) > 1 for _, counts in loads)
+            spans += any(load > budget for load, _ in loads)
             for game, sse in zip(games, batch):
                 assert_same_sse(sse, solve_sse([game])[0])
         for trial in range(n):
@@ -592,7 +627,8 @@ def test_case14_sse_stack_members_match_their_solves_alone(case14_families, monk
     # LPs span stacks and a stack holds LPs of two games; each game keeps its
     # one-stack solution
     games = [build_game(g, optimal, random_profile(g, trial_rng(1, t), True), False) for t in range(3)]
-    assert stack_load(games) == {(4, 4): 48 * _lp_bytes(4, 4)} and 48 * _lp_bytes(4, 4) <= _STACK_BYTES
+    assert [[m.size for m in live_and_top(x.attacker_payoffs)] for x in games] == [[16, 4]] * 3
+    assert 48 * _lp_bytes(4, 4) <= _STACK_BYTES
     whole = solve_sse(games)
     stacks.clear()
     monkeypatch.setattr(mtd_game, "_STACK_BYTES", 5 * _lp_bytes(4, 4))
@@ -602,13 +638,83 @@ def test_case14_sse_stack_members_match_their_solves_alone(case14_families, monk
     assert_members_keep_alone_bits(stacks)
 
 
+def sse_stacks(monkeypatch, run):
+    """run() with the games of each solve_sse call and the (program,
+    solution) stacks that call solved recorded, as [(games, stacks), ...]."""
+    calls = []
+    monkeypatch.setattr(mtd_game, "solve_lp", lambda p: calls[-1][1].append((p, solve_lp(p))) or calls[-1][1][-1][1])
+    monkeypatch.setattr(mtd_game, "solve_sse", lambda games: calls.append((games, [])) or solve_sse(games))
+    run()
+    return calls
+
+
+def assert_padding_inert(games, stacks):
+    """solve_sse's stacks for games hold, per defender count and then per
+    attacker count in order of first appearance, the reduced LP of each
+    game's live actions in game order, padded with 0 >= 0 rows; each, solved
+    alone without its padding, gets the status, point, value and real rows'
+    duals it got padded. Returns how many stacks mix real row counts."""
+    want = [
+        reduced_lp(x, j)
+        for K in dict.fromkeys(x.n_defender for x in games)
+        for A in dict.fromkeys(x.n_attacker for x in games if x.n_defender == K)
+        for x in games if x.attacker_payoffs.shape == (K, A)
+        for j in live_and_top(x.attacker_payoffs)[0]
+    ]
+    assert sum(len(p.objective) for p, _ in stacks) == len(want)
+    mixed, lps = 0, iter(want)
+    for p, sol in stacks:
+        m = len(p.relations)
+        assert p.relations == ("<=",) + (">=",) * (m - 1) and p.rhs.tolist() == [1.0] + [0.0] * (m - 1)
+        real = set()
+        for k, q in zip(range(len(p.objective)), lps):
+            r = len(q.relations)
+            real.add(r)
+            assert p.objective[k].tobytes() == q.objective.tobytes()
+            assert p.constraints[k, :r].tobytes() == q.constraints.tobytes()
+            assert not p.constraints[k, r:].any()
+            alone = solve_lp(q)
+            assert alone.status == sol.statuses[k] == "optimal"
+            assert alone.assignment.tobytes() == sol.assignment[k].tobytes()
+            assert alone.objective_value == sol.objective_value[k]
+            assert alone.duals.tobytes() == sol.duals[k, :r].tobytes() and not sol.duals[k, r:].any()
+        mixed += len(real) > 1
+    return mixed
+
+
+def test_sse_padding_rows_are_inert(case14_families, monkeypatch):
+    # case14 in all four modes, the 10x60 ladder graph's families and the
+    # corpus games of test_batched_sse_matches_reference_on_corpus; some
+    # stacks pad LPs of several real row counts
+    g, greedy, optimal = case14_families
+    ladder = load_graph(FIXTURES / "ladder5_10x60.graph")
+    ladder_families = greedy_k(ladder), find_kmax(ladder)
+    runs = []
+    for cost_on_miss, integer_utilities in itertools.product((True, False), repeat=2):
+        runs.append(partial(run_trials, g, greedy, optimal, 20, 1, cost_on_miss, integer_utilities))
+        runs.append(partial(run_trials, ladder, *ladder_families, 1, 2, cost_on_miss, integer_utilities))
+    corpus = []
+    for i, h in enumerate(feasible_corpus(seed=67, count=20, s_lo=4, s_hi=10)):
+        u = random_profile(h, np.random.default_rng(i), integer_utilities=i % 2 == 1)
+        for cfg, cost_on_miss in itertools.product((find_kmax(h), greedy_k(h)), (True, False)):
+            corpus.append(build_game(h, cfg, u, cost_on_miss))
+    runs.append(lambda: mtd_game.solve_sse(corpus))
+    mixed = 0
+    for run in runs:
+        calls = sse_stacks(monkeypatch, run)
+        assert len(calls) == 1
+        mixed += assert_padding_inert(*calls[0])
+        monkeypatch.undo()
+    assert mixed > 0
+
+
 def test_batched_sse_matches_reference_on_corpus():
     games = []
     for i, g in enumerate(feasible_corpus(seed=67, count=20, s_lo=4, s_hi=10)):
         u = random_profile(g, np.random.default_rng(i), integer_utilities=i % 2 == 1)
         for cfg, cost_on_miss in itertools.product((find_kmax(g), greedy_k(g)), (True, False)):
             games.append(build_game(g, cfg, u, cost_on_miss))
-    assert len({(x.n_defender, _live_columns(x.attacker_payoffs).size) for x in games}) > 3
+    assert len({(x.n_defender, live_and_top(x.attacker_payoffs)[0].size) for x in games}) > 3
     for game, sse in zip(games, solve_sse(games)):
         assert_same_sse(sse, solve_sse([game])[0])
         response, value = reference_sse(game)
@@ -616,21 +722,36 @@ def test_batched_sse_matches_reference_on_corpus():
         assert sse.defender_value == pytest.approx(value, abs=1e-9)
 
 
-def test_maximal_columns_follow_their_definition():
-    # small integer payoffs make equal columns common
+def test_columns_follow_their_definition():
+    # small integer payoffs make equal columns common, and nudges of half
+    # and twice FEAS_TOL put columns on either side of the live margin
     rng = np.random.default_rng(5)
-    for _ in range(300):
+    for t in range(400):
         K, A = int(rng.integers(1, 4)), int(rng.integers(1, 9))
-        am = rng.integers(-2, 3, size=(K, A)).astype(float)
-        live = _live_columns(am)
-        above = {(i, j): bool(np.all(am[:, i] >= am[:, j])) for i in live for j in live}
-        want = [
-            j for j in live
-            if not any(i != j and above[i, j] and (not above[j, i] or i < j) for i in live)
-        ]
-        top = _maximal_columns(am, live)
-        assert top.tolist() == want
+        am = rng.integers(-2, 3, size=(K, A)) + (t % 2) * rng.choice([0.0, 0.5, 2.0], size=(K, A)) * FEAS_TOL
+        live, top = live_and_top(am)
+        beats = {(i, j): bool(np.all(am[:, i] - am[:, j] > FEAS_TOL)) for i in range(A) for j in range(A)}
+        assert live.tolist() == [j for j in range(A) if not any(beats[i, j] for i in range(A))]
+        above = {(i, j): bool(np.all(am[:, i] >= am[:, j])) for i in range(A) for j in range(A)}
+
+        def maximal(cols):
+            return [j for j in cols if not any(i != j and above[i, j] and (not above[j, i] or i < j) for i in cols)]
+
+        assert top.tolist() == maximal(range(A)) == maximal(live.tolist())
         assert all(any(above[i, j] for i in top) for j in live)
+
+
+def test_columns_of_a_stack_equal_each_games_alone():
+    # tie-rich integer payoffs with a twin of column 0 in every game
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        G, K, A = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 8))
+        am = rng.integers(-1, 2, size=(G, K, A)).astype(float)
+        am[:, :, -1] = am[:, :, 0]
+        live, top = _columns(am)
+        assert live.shape == top.shape == (G, A)
+        for one, x, y in zip(am, live, top):
+            assert [x.tolist(), y.tolist()] == [m[0].tolist() for m in _columns(one[None])]
 
 
 def sse_lp_corpus():
@@ -657,7 +778,7 @@ def test_reduced_sse_lps_match_the_full_lps():
     # LP's value as d . x
     seen = Counter()
     for game in sse_lp_corpus():
-        for j in _live_columns(game.attacker_payoffs):
+        for j in live_and_top(game.attacker_payoffs)[0]:
             reduced, full = solve_lp(reduced_lp(game, j)), solve_lp(full_lp(game, j))
             assert reduced.status == "optimal"
             x = reduced.assignment
@@ -677,7 +798,7 @@ def test_sse_lp_with_only_the_zero_point_is_nan(monkeypatch):
     am = np.array([[0.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     dm = np.array([[9.0, 1.0, 2.0], [9.0, 3.0, 1.0]])
     game = GameMatrix(sets, ("s0", "s1", "s2"), dm, am)
-    assert _live_columns(am).tolist() == _maximal_columns(am, _live_columns(am)).tolist() == [0, 1, 2]
+    assert [x.tolist() for x in live_and_top(am)] == [[0, 1, 2], [0, 1, 2]]
     assert not solve_lp(reduced_lp(game, 0)).assignment.any()
     assert solve_lp(full_lp(game, 0)).status == "infeasible"
     values, real = [], mtd_game._near_best
@@ -813,19 +934,35 @@ def test_run_trials_peak_is_bounded_by_the_stack_budget():
     assert peaks[1] - peaks[0] <= 0.1e6
 
 
-def test_run_trials_finds_each_games_live_columns_once(case14_families, monkeypatch):
-    # run_trials sizes its solve_sse calls by each game's live columns and
-    # solve_sse solves over them: one dominance test per game serves both,
-    # and the rows keep the bits of the games solved alone
+def test_run_trials_compares_each_shape_once_per_call(case14_families, monkeypatch):
+    # at 11,648 comparison bytes a trial, 40 trials take calls of 28 and 12;
+    # each solve_sse call runs _columns once per (defender, attacker) count,
+    # on that shape's games stacked in game order, and nothing else runs it;
+    # the rows keep the bits of each game solved alone
     g, greedy, optimal = case14_families
-    calls, real = [], mtd_game._live_columns
-    monkeypatch.setattr(mtd_game, "_live_columns", lambda am: calls.append(1) or real(am))
-    rep = run_trials(g, greedy, optimal, 12, seed=3, cost_on_miss=False, integer_utilities=True)
-    assert len(calls) == 2 * 12
+    every, calls, real = [], [], mtd_game._columns
+    monkeypatch.setattr(mtd_game, "_columns", lambda am: every.append(am.copy()) or real(am))
+
+    def traced(games):
+        before = len(every)
+        out = solve_sse(games)
+        calls.append((games, every[before:]))
+        return out
+
+    monkeypatch.setattr(mtd_game, "solve_sse", traced)
+    rep = run_trials(g, greedy, optimal, 40, seed=3, cost_on_miss=False, integer_utilities=True)
+    assert [len(games) for games, _ in calls] == [56, 24] and len(every) == 4
+    for games, compared in calls:
+        shapes = {}
+        for x in games:
+            shapes.setdefault(x.attacker_payoffs.shape, []).append(x.attacker_payoffs)
+        assert len(compared) == len(shapes) == 2
+        stacked = map(np.stack, shapes.values())
+        assert {(am.shape, am.tobytes()) for am in compared} == {(am.shape, am.tobytes()) for am in stacked}
     for trial, row in enumerate(rep.values):
         u = random_profile(g, trial_rng(3, trial), integer_utilities=True)
         games = [build_game(g, cfg, u, cost_on_miss=False) for cfg in (greedy, optimal)]
-        assert list(row[2:]) == [s.defender_value for s in solve_sse(games)]
+        assert list(row[2:]) == [solve_sse([x])[0].defender_value for x in games]
 
 
 def test_run_trials_rejects_zero_trials(tiny_graph):
