@@ -5,16 +5,18 @@ configuration; the attacker observes the mix and knocks out one sensor site.
 Payoffs follow residual identifiability: the defender collects the utility of
 every transformer still uniquely identified, the attacker collects the rest
 minus the attack cost. The optimal commitment is found by one LP per attacker
-action that no other action strictly dominates, each with one row per
-maximal action and no phase 1, in stacks of at most _STACK_BYTES of tableau
-per defender count (solve_sse); run_trials hands solve_sse as many trials
-as fit that budget in dominance comparisons, so memory is bounded by it.
+action, each with one row per maximal action and no phase 1; a presolve
+drops the LPs whose only point is x = 0, and the rest of a call's LPs, all
+defender counts together, run in one sequence of stacks of at most
+_STACK_BYTES of tableau (solve_sse); run_trials hands solve_sse as many
+trials as fit that budget in the bytes it holds per game (_game_bytes), so
+memory is bounded by it.
 Which transformers stay identified under each attack is found once per
 (graph, configuration); build_game sums only the payoffs per utility draw.
 
-Tolerances follow the policy stated in optim: dominance uses the LP's
-feasibility tolerance FEAS_TOL, since a column another beats by more than
-FEAS_TOL in every row already leaves its LP infeasible; maximality compares
+Tolerances follow the policy stated in optim: the presolve fixes a variable
+only on an entry below -FEAS_TOL, the smallest entry the simplex pivots on,
+and each LP it drops has x = 0 as its only point; maximality compares
 exactly, so each row it drops is implied by a kept one; among equilibrium
 or best-response values within TIE_TOL of the best, the lowest index wins.
 """
@@ -133,18 +135,12 @@ def _sum_by_transformer(flags: np.ndarray, util: np.ndarray) -> np.ndarray:
     return np.where(flags, util, 0.0).cumsum(axis=-1)[..., -1] + 0.0  # + 0.0: as 0.0 + x, no -0.0
 
 
-def _utility(u: UtilityProfile, t_id: str) -> float:
+def _lookup(table: Mapping[str, float], ids: Sequence[str], what: str) -> np.ndarray:
+    """table's values at ids, in order, as floats; a missing id is a ValueError."""
     try:
-        return u.transformer_utility[t_id]
-    except KeyError:
-        raise ValueError(f"utility profile is missing transformer {t_id!r}") from None
-
-
-def _cost(u: UtilityProfile, s_id: str) -> float:
-    try:
-        return u.attack_cost[s_id]
-    except KeyError:
-        raise ValueError(f"utility profile is missing attack cost for {s_id!r}") from None
+        return np.fromiter(map(table.__getitem__, ids), float, len(ids))
+    except KeyError as e:
+        raise ValueError(f"utility profile is missing {what} {e.args[0]!r}") from None
 
 
 def _pair_payoffs(
@@ -156,7 +152,7 @@ def _pair_payoffs(
     if attacked not in g.s_index:
         raise ValueError(f"unknown sensor site {attacked!r}")
     flags = _identified(g, [g.site_indices(sensors)], [g.s_index[attacked]])[0, 0]
-    util = np.array([_utility(u, tid) for tid in g.t_ids])
+    util = _lookup(u.transformer_utility, g.t_ids, "transformer")
     kept = _sum_by_transformer(flags, util)
     return sensors, float(kept), float(_sum_by_transformer(~flags, util))
 
@@ -186,16 +182,18 @@ def attacker_payoff(
     sensors, _, gained = _pair_payoffs(g, active, attacked, u)
     if not cost_on_miss and attacked not in sensors:
         return gained
-    return gained - _cost(u, attacked)
+    return gained - float(_lookup(u.attack_cost, [attacked], "attack cost for")[0])
 
 
 @lru_cache(maxsize=8)
 def _frame(g: BipartiteGraph, config: ConfigurationSet) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Attacker actions, (K, A, |T|) _identified flags and (K, A) hit mask of
-    config on g, which no utility draw changes; arrays read-only."""
+    """Attacker actions, (2, K, A, |T|) flags of the transformers kept and
+    lost (_identified and its negation) and (K, A) hit mask of config on g,
+    which no utility draw changes; arrays read-only."""
     site_idx = sorted(g.site_indices(config.all_sites()))
     sets = [g.site_indices(cs.sensors) for cs in config.sets]
-    flags = _identified(g, sets, site_idx)
+    kept = _identified(g, sets, site_idx)
+    flags = np.stack([kept, ~kept])
     hit = np.array([[s in st for s in site_idx] for st in sets])
     flags.flags.writeable = hit.flags.writeable = False
     return tuple(g.s_ids[s] for s in site_idx), flags, hit
@@ -212,33 +210,46 @@ def build_game(
     Attacker actions are the sites used by any set of the configuration, in
     graph order; disjointness makes that exactly K*l actions.
     """
-    util = np.array([_utility(u, tid) for tid in g.t_ids])
+    util = _lookup(u.transformer_utility, g.t_ids, "transformer")
     attacker_actions, flags, hit = _frame(g, config)
-    cost = np.array([_cost(u, sid) for sid in attacker_actions])
+    cost = _lookup(u.attack_cost, attacker_actions, "attack cost for")
     if len(attacker_actions) != config.K * config.l:
         raise ValueError("configuration sets overlap; attacker action count broken")
-    dm = _sum_by_transformer(flags, util)
-    am = _sum_by_transformer(~flags, util) - (cost if cost_on_miss else hit * cost)
-    return GameMatrix(config.sets, attacker_actions, dm, am)
+    dm, lost = _sum_by_transformer(flags, util)
+    return GameMatrix(config.sets, attacker_actions, dm, lost - (cost if cost_on_miss else hit * cost))
 
 
 # ---------------------------------------------------------------------------
 # Equilibrium and baseline
 
 
-def _columns(am: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(live, maximal) masks (G, A) of a stack (G, K, A) of attacker payoffs,
-    from one difference tensor. Live: no other column beats it by more than
-    FEAS_TOL in every defender row. Maximal: no other column is >= it in
-    every row, of equal columns the lowest-indexed one staying. A column at
-    or above a live one is live, and one that is not live lies strictly
-    below a live one, so these are also the live columns' maximal ones."""
-    diff = am[:, :, :, None] - am[:, :, None, :]  # diff[g, k, i, j]: column i less column j
-    beats = (diff > FEAS_TOL).all(axis=1)
-    geq = (diff >= 0.0).all(axis=1)  # geq[g, i, j]: column i >= column j
-    at = np.arange(am.shape[2])
+def _columns(am: np.ndarray) -> np.ndarray:
+    """Maximal mask (G, A) of a stack (G, K, A) of attacker payoffs: no other
+    column is >= it in every defender row, of equal columns the lowest-indexed
+    one staying. Compares one defender row at a time."""
+    G, _, A = am.shape
+    geq = np.ones((G, A, A), dtype=bool)  # geq[g, i, j]: column i >= column j
+    for row in am.swapaxes(0, 1):
+        geq &= row[:, :, None] >= row[:, None, :]
+    at = np.arange(A)
     above = geq & (~geq.swapaxes(1, 2) | (at[:, None] < at))  # above it somewhere, or equal and earlier
-    return ~beats.any(axis=1), ~above.any(axis=1)
+    return ~above.any(axis=1)
+
+
+def _zero_only(rows: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Which LPs of a stack of best-response rows r . x >= 0, rows (n, R, K)
+    over the variables free (n, K) marks, x >= 0, have x = 0 as their only
+    point: a row with no positive entry on the variables still free fixes at
+    0 each free one whose entry is below -FEAS_TOL, until nothing changes.
+    Below -FEAS_TOL, so no LP goes on an entry the simplex's ratio test does
+    not pivot on."""
+    neg, pos = rows < -FEAS_TOL, rows > 0.0
+    while True:
+        tight = ~(pos @ free[:, :, None])  # (n, R, 1): no positive entry on a free variable; boolean products
+        fix = free & (tight.swapaxes(1, 2) @ neg)[:, 0]
+        if not fix.any():
+            return ~free.any(axis=1)
+        free = free & ~fix
 
 
 def _near_best(values: np.ndarray) -> np.ndarray:
@@ -254,75 +265,114 @@ def _lp_bytes(K: int, R: int) -> int:
     return (R + 2) * (K + R + 2) * 8
 
 
+def _game_bytes(K: int, A: int) -> int:
+    """Bytes solve_sse holds for a game of K defender and A attacker actions
+    besides its one stack at a time, before padding to the call's largest
+    shape: the A by A maximality comparison and at most four K by A arrays
+    at once (the maximal columns, and both payoffs or each kept LP's two
+    payoff columns and mix)."""
+    return (A + 4 * K) * A * 8
+
+
 def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
     """Strong Stackelberg commitment of each game via one LP per attacker
     action: maximize defender expectation over mixes keeping that action a
     best response; the lowest-indexed feasible action whose value lies
     within TIE_TOL of the best wins.
 
-    An action that another beats by more than FEAS_TOL in every defender row
-    gets no LP: its LP is infeasible at that tolerance, so it cannot win. The
-    LP of each remaining action k keeps only the rows (a_k - a_j) . x >= 0
-    against the maximal actions j (_columns); with x >= 0 a dropped row is
-    implied by the row against a maximal action at or above the dropped one
-    in every row. The simplex row is 1 . x <= 1 and the objective
-    d - min(d) + 1, every entry at least 1, where d is the defender's payoff
-    under k: any feasible x other than 0 scales up to 1 . x = 1, which
-    raises that objective, so the optimum lies on the simplex, where it is
-    d's, and is x = 0 exactly when the LP over the simplex is infeasible.
-    x = 0 meets every row, so the LP starts from its slack basis with no
-    phase 1; its value is d . x.
+    The LP of action k keeps only the rows (a_k - a_j) . x >= 0 against the
+    maximal actions j (_columns); with x >= 0 a dropped row is implied by
+    the row against a maximal action at or above the dropped one in every
+    row. The simplex row is 1 . x <= 1 and the objective d - min(d) + 1,
+    every entry at least 1, where d is the defender's payoff under k: any
+    feasible x other than 0 scales up to 1 . x = 1, which raises that
+    objective, so the optimum lies on the simplex, where it is d's, and is
+    x = 0 exactly when the LP over the simplex is infeasible. x = 0 meets
+    every row, so the LP starts from its slack basis with no phase 1; its
+    value is d . x, NaN at x = 0.
 
-    _columns runs once per shape (K, A). The LPs of all games with K defender
-    actions are solved in stacks of at most _STACK_BYTES of tableau (one LP
-    may exceed it), built when solved, their best-response rows padded with
-    rows 0 >= 0 to the most maximal actions R of those games. Padding is
-    inert: no entry exceeds FEAS_TOL, so no ratio test or pivot touches it,
-    and its slacks follow every real column, so no pivot choice changes; each
-    LP gets the bits it gets alone, unpadded, and a game's LPs may span stacks.
+    A presolve (_zero_only) finds the LPs whose only point is x = 0, by
+    fixings that rows with no positive entry force; each gets value NaN and
+    mix 0 without a solve. An action another beats by more than FEAS_TOL in
+    every row is one of them: the row against a maximal action at or above
+    its beater fixes every variable at once.
+
+    _columns runs once per shape (K, A). The presolve takes the LPs a stack
+    at a time; those it keeps, of every game in the call, are solved in one
+    run of stacks of at most _STACK_BYTES of tableau (one LP may exceed it),
+    each built when solved, so memory stays near _game_bytes per game plus
+    one stack. Each LP is padded to the call's largest K with zero columns
+    (objective 0, no entry in any row) and to its most maximal actions R
+    with rows 0 >= 0. Padding is inert: a zero column's reduced cost stays
+    0, so it never enters, and a zero row has no entry above FEAS_TOL, so no
+    ratio test or pivot touches it; the slacks keep their order after every
+    real column, so no pivot choice changes, and each LP gets the bits it
+    gets alone, unpadded.
     """
-    groups, out = {}, [None] * len(games)
+    shapes, out = {}, [None] * len(games)
     for i, game in enumerate(games):
         if game.n_defender < 1 or game.n_attacker < 1:
             raise ValueError("degenerate game shape")
-        groups.setdefault(game.n_defender, {}).setdefault(game.n_attacker, []).append(i)
-    for K, shapes in groups.items():
-        members, parts = [], []
-        for ids in shapes.values():
-            am = np.stack([games[i].attacker_payoffs for i in ids])
-            dm = np.stack([games[i].defender_payoffs for i in ids])
-            live, top = _columns(am)
-            at, action = live.nonzero()  # each LP's game, as a place in ids, and attacker action
-            am, dm = am.swapaxes(1, 2), dm.swapaxes(1, 2)  # (G, A, K): one row per attacker action
-            parts.append((am[live], dm[live], at + len(members), action, am[top], top.sum(axis=1)))
-            members += ids
-        cols, dm, at, action, tops, counts = (np.concatenate(x) for x in zip(*parts))  # at: a place in members
-        R = counts.max()
-        real = np.arange(R) < counts[:, None]  # (G, R): not padding
-        above = np.zeros((len(members), R, K))
-        above[real] = tops
-        mix, step = np.empty(cols.shape), max(1, _STACK_BYTES // _lp_bytes(K, R))
-        for start in range(0, len(cols), step):
-            lp = slice(start, start + step)
-            d, rows = dm[lp], np.where(real[at[lp], :, None], cols[lp, None] - above[at[lp]], 0.0)
-            sol = solve_lp(LinearProgram(
-                d - d.min(axis=1, keepdims=True) + 1.0,
-                np.concatenate([np.ones((len(d), 1, K)), rows], axis=1),
-                ("<=",) + (">=",) * R,
-                np.r_[1.0, np.zeros(R)],
-            ))
-            if sol.status == "unbounded":
-                raise SolverError("an SSE LP is unbounded")
-            mix[lp] = sol.assignment
-        value = np.where(mix.any(axis=1), (dm * mix).sum(axis=1), np.nan)  # NaN: the optimum is x = 0
-        table, mixes = np.full((len(members), max(shapes)), np.nan), np.zeros((len(members), max(shapes), K))
-        table[at, action], mixes[at, action] = value, mix  # by (game, attacker action); NaN unless live
-        near = _near_best(table)
-        if not near.any(axis=1).all():
-            raise SolverError("no attacker action admitted a feasible best-response region")
-        for place, (i, j) in enumerate(zip(members, near.argmax(axis=1))):
-            x, v = mixes[place, j], float(table[place, j])
-            out[i] = SseSolution(x, int(j), v, float(np.dot(x, games[i].attacker_payoffs[:, j])))
+        shapes.setdefault(game.attacker_payoffs.shape, []).append(i)
+    if not shapes:
+        return out
+    members = [i for ids in shapes.values() for i in ids]  # a game's place in the call
+    K, A = (max(shape[n] for shape in shapes) for n in (0, 1))
+    # per place, one row per attacker action, zero-padded to (A, K)
+    size = (len(members), A, K)
+    am, dm, top = np.zeros(size), np.zeros(size), np.zeros(size[:2], bool)
+    start = 0
+    for (k, a), ids in shapes.items():
+        part = slice(start, start + len(ids))
+        am[part, :a, :k] = np.stack([games[i].attacker_payoffs.T for i in ids])
+        dm[part, :a, :k] = np.stack([games[i].defender_payoffs.T for i in ids])
+        top[part, :a] = _columns(am[part, :a, :k].swapaxes(1, 2))
+        start += len(ids)
+    counts, defenders = top.sum(axis=1), np.array([games[i].n_defender for i in members])
+    R = counts.max()
+    real, free = np.arange(R) < counts[:, None], np.arange(K) < defenders[:, None]  # (G, R) and (G, K): not padding
+    above = np.zeros((len(members), R, K))
+    above[real] = am[top]
+
+    def rows(at, col):  # the best-response rows of the LPs of attacker columns col (n, K) in the games at places at
+        return np.where(real[at, :, None], col[:, None] - above[at], 0.0)
+
+    step = max(1, _STACK_BYTES // _lp_bytes(K, R))
+    actions = np.flatnonzero(np.arange(A) < np.array([games[i].n_attacker for i in members])[:, None])
+    lps = np.concatenate([  # place * A + action of each LP the presolve keeps, in order
+        c[~_zero_only(rows(c // A, am.reshape(-1, K)[c]), free[c // A])]
+        for c in (actions[s : s + step] for s in range(0, actions.size, step))
+    ])
+    at, action = np.divmod(lps, A)
+    am, dm = am[at, action], dm[at, action]  # each LP's attacker and defender columns
+    mix = np.empty(am.shape)
+    for s in range(0, lps.size, step):
+        lp = slice(s, s + step)
+        use = free[at[lp]]
+        low = np.where(use, dm[lp], np.inf).min(axis=1, keepdims=True)
+        sol = solve_lp(LinearProgram(
+            np.where(use, dm[lp] - low + 1.0, 0.0),
+            np.concatenate([use[:, None] * 1.0, rows(at[lp], am[lp])], axis=1),
+            ("<=",) + (">=",) * R,
+            np.r_[1.0, np.zeros(R)],
+        ))
+        if sol.status == "unbounded":
+            raise SolverError("an SSE LP is unbounded")
+        mix[lp] = sol.assignment
+    value = np.full(lps.size, np.nan)  # NaN: the optimum is x = 0
+    for k in {shape[0] for shape in shapes}:
+        on = mix.any(axis=1) & (defenders[at] == k)
+        value[on] = (dm[on, :k] * mix[on, :k]).sum(axis=1)
+    table = np.full((len(members), A), np.nan)
+    table[at, action] = value
+    near = _near_best(table)
+    if not near.any(axis=1).all():
+        raise SolverError("no attacker action admitted a feasible best-response region")
+    best = near.argmax(axis=1)
+    won = np.searchsorted(lps, np.arange(len(members)) * A + best)  # each game's winning LP
+    for i, j, w in zip(members, best, won):
+        x = mix[w, : games[i].n_defender]
+        out[i] = SseSolution(x, int(j), float(value[w]), float(np.dot(x, games[i].attacker_payoffs[:, j])))
     return out
 
 
@@ -397,10 +447,7 @@ def random_profile(
     else:
         t_vals = rng.uniform(lo, hi, size=g.n_t)
         s_vals = rng.uniform(lo, hi, size=g.n_s)
-    return UtilityProfile(
-        {tid: float(t_vals[i]) for i, tid in enumerate(g.t_ids)},
-        {sid: float(s_vals[i]) for i, sid in enumerate(g.s_ids)},
-    )
+    return UtilityProfile(dict(zip(g.t_ids, t_vals.tolist())), dict(zip(g.s_ids, s_vals.tolist())))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -420,9 +467,9 @@ def run_trials(
     """Each trial draws a fresh utility profile and reports the defender value
     of URS and SSE play on the greedy (K) and optimal (K_max) configurations.
     Trials are sub-seeded independently, so results do not depend on execution
-    order. Trials' games wait for one solve_sse call while their dominance
-    comparisons (K * A * A * 8 bytes a game) fit _STACK_BYTES, a trial over it
-    going alone, so memory does not grow with n_trials beyond the result rows."""
+    order. Trials' games wait for one solve_sse call while the bytes it holds
+    for them (_game_bytes) fit _STACK_BYTES, a trial over it going alone, so
+    memory does not grow with n_trials beyond the result rows."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if seed < 0:
@@ -430,11 +477,11 @@ def run_trials(
     config_greedy.validate(g)
     config_opt.validate(g)
 
-    rows, games, load = [], [], 0  # load: the comparison bytes of the games waiting
+    rows, games, load = [], [], 0  # load: the bytes solve_sse holds for the games waiting
     for trial in range(n_trials):
         u = random_profile(g, trial_rng(seed, trial), integer_utilities)
         pair = [build_game(g, cfg, u, cost_on_miss) for cfg in (config_greedy, config_opt)]
-        need = sum(x.attacker_payoffs.size * x.n_attacker * 8 for x in pair)
+        need = sum(_game_bytes(*x.attacker_payoffs.shape) for x in pair)
         if games and load + need > _STACK_BYTES:
             rows += _rows(games)
             games, load = [], 0

@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,8 +41,10 @@ from gridmtd import mtd_game, optim
 from gridmtd.mtd_game import (
     _STACK_BYTES,
     _columns,
+    _game_bytes,
     _lp_bytes,
     _sum_by_transformer,
+    _zero_only,
     format_value,
     trial_rng,
 )
@@ -212,10 +215,10 @@ def test_payoff_matrix_matches_direct_calls():
 def reference_build_game(g, config, u, cost_on_miss=True):
     """build_game as it was before its frame was cached: every array from
     scratch on each call."""
-    util = np.array([mtd_game._utility(u, tid) for tid in g.t_ids])
+    util = np.array([u.transformer_utility[tid] for tid in g.t_ids])
     site_idx = sorted(g.site_indices(config.all_sites()))
     attacker_actions = tuple(g.s_ids[s] for s in site_idx)
-    cost = np.array([mtd_game._cost(u, sid) for sid in attacker_actions])
+    cost = np.array([u.attack_cost[sid] for sid in attacker_actions])
     sets = [g.site_indices(cs.sensors) for cs in config.sets]
     flags = mtd_game._identified(g, sets, site_idx)
     hit = np.array([[s in st for s in site_idx] for st in sets])
@@ -417,19 +420,32 @@ def reference_sse(game):
     return next(s for s in solved if s[1] >= top - TIE_TOL)
 
 
-def live_and_top(am):
-    """The live and the maximal attacker actions of one game's payoffs."""
-    return [np.flatnonzero(m[0]) for m in _columns(am[None])]
+def maximal(am):
+    """The maximal attacker actions of one game's payoffs."""
+    return np.flatnonzero(_columns(am[None])[0])
+
+
+def best_response_rows(game):
+    """(A, R, K): the rows a_j - a_i of each action j's LP, one against each
+    maximal action i."""
+    am = game.attacker_payoffs
+    return np.stack([(am[:, [j]] - am[:, maximal(am)]).T for j in range(game.n_attacker)])
+
+
+def presolved(game):
+    """The attacker actions whose LPs survive solve_sse's presolve."""
+    free = np.ones((game.n_attacker, game.n_defender), dtype=bool)
+    return np.flatnonzero(~_zero_only(best_response_rows(game), free))
 
 
 def assert_pruning_exact(game):
-    """solve_sse agrees with reference_sse, and every action it prunes has an
-    infeasible full LP. Returns the number of pruned actions."""
+    """solve_sse agrees with reference_sse, and every action whose LP the
+    presolve drops has an infeasible full LP. Returns the number dropped."""
     sse = solve_sse([game])[0]
     response, value = reference_sse(game)
     assert sse.attacker_response == response
     assert sse.defender_value == pytest.approx(value, abs=1e-9)
-    pruned = sorted(set(range(game.n_attacker)) - set(live_and_top(game.attacker_payoffs)[0]))
+    pruned = sorted(set(range(game.n_attacker)) - set(presolved(game)))
     for j in pruned:
         assert solve_lp(full_lp(game, j)).status == "infeasible"
     return len(pruned)
@@ -468,26 +484,26 @@ def test_sse_pruning_margin_is_feas_tol():
     sets = (CodeSet(frozenset({"a"})), CodeSet(frozenset({"b"})))
     game = GameMatrix(sets, ("s0", "s1", "s2", "s3"), dm, am)
     assert solve_lp(full_lp(game, 1)).status == "optimal"
-    assert live_and_top(am)[0].tolist() == [0, 1, 3]
+    assert presolved(game).tolist() == [0, 1, 3]
     assert assert_pruning_exact(game) == 1
 
 
 def reduced_lp(game, j):
-    """solve_sse's LP of live action j, built alone: 1 . x <= 1 and a
-    best-response row against every maximal live action, maximizing the
+    """solve_sse's LP of action j, built alone: 1 . x <= 1 and a
+    best-response row against every maximal action, maximizing the
     defender's payoff under j shifted to a least entry of 1."""
     am, d = game.attacker_payoffs, game.defender_payoffs[:, j]
-    top = live_and_top(am)[1]
+    top = maximal(am)
     rows = [np.ones(game.n_defender)] + list((am[:, [j]] - am[:, top]).T)
     return LinearProgram(d - d.min() + 1.0, rows, ("<=",) + (">=",) * top.size, [1.0] + [0.0] * top.size)
 
 
 def sequential_pick(game):
-    """solve_sse's rule with each of the game's reduced LPs solved alone: the
-    first action whose optimum is not x = 0 and whose value d . x lies within
-    TIE_TOL of the best."""
+    """solve_sse's rule with each of the game's presolved LPs solved alone:
+    the first action whose optimum is not x = 0 and whose value d . x lies
+    within TIE_TOL of the best."""
     solved = []
-    for j in live_and_top(game.attacker_payoffs)[0]:
+    for j in presolved(game):
         x = solve_lp(reduced_lp(game, j)).assignment
         if x.any():
             solved.append((int(j), float((game.defender_payoffs[:, j] * x).sum()), x))
@@ -542,68 +558,88 @@ def assert_same_sse(a, b):
     )
 
 
-def comparison_bytes(games):
-    """run_trials' size of games: K * A * A * 8 bytes of dominance comparison
-    per game."""
-    return sum(x.n_defender * x.n_attacker**2 * 8 for x in games)
+def held_bytes(games):
+    """run_trials' size of games: the bytes solve_sse holds for them."""
+    return sum(_game_bytes(x.n_defender, x.n_attacker) for x in games)
 
 
-def lp_load(games):
-    """Per defender count K: the tableau bytes of the games' SSE LPs, one per
-    live action, each with rows for the most maximal actions R of those
-    games, and the set of their maximal counts."""
-    counts = {}
-    for x in games:
-        live, top = live_and_top(x.attacker_payoffs)
-        counts.setdefault(x.n_defender, []).append((live.size, top.size))
-    return {
-        K: (sum(n for n, _ in v) * _lp_bytes(K, max(r for _, r in v)), {r for _, r in v})
-        for K, v in counts.items()
-    }
+def defender_counts(p):
+    """The defender count of each member of an SSE stack: the ones of its
+    simplex row, padding columns holding 0 there."""
+    return (p.constraints[:, 0] == 1.0).sum(axis=1)
+
+
+def sse_stacks(monkeypatch, run):
+    """run() with each solve_sse call recorded as (games, the (program,
+    solution) stacks it solved, its SseSolutions), in a list."""
+    calls = []
+
+    def traced(games):
+        stacks, out = [], []
+        calls.append((games, stacks, out))
+        out += solve_sse(games)
+        return out
+
+    monkeypatch.setattr(mtd_game, "solve_lp", lambda p: calls[-1][1].append((p, solve_lp(p))) or calls[-1][1][-1][1])
+    monkeypatch.setattr(mtd_game, "solve_sse", traced)
+    run()
+    return calls
 
 
 def test_batched_sse_equals_solo_sse(case14_families, monkeypatch):
     # with a budget of 24,000 bytes run_trials sizes its solve_sse calls by
-    # comparison bytes (3,456 per greedy game, K=3 and A=12, and 8,192 per
-    # K_max game, K=4 and A=16), so each call stops where the next trial
-    # would take it past the budget; every row must equal its two games
-    # solved alone, bit for bit, and so must every game of every call, with
-    # calls whose games of one defender count mix maximal counts, so rows
-    # are padded, and calls whose LPs of one defender count exceed the
-    # budget, so they are cut into several stacks
+    # the bytes solve_sse holds per game (2,304 per greedy game, K=3 and
+    # A=12, and 4,096 per K_max game, K=4 and A=16), so each call stops
+    # where the next trial would take it past the budget; every row must
+    # equal its two games solved alone, bit for bit, and so must every game
+    # of every call, with stacks that mix defender counts (padded columns),
+    # calls that mix maximal counts (padded rows) and calls whose LPs
+    # exceed the budget, so they run in several stacks
     g, greedy, optimal = case14_families
-    budget, n, mixed, spans = 24_000, 19, 0, 0
-    monkeypatch.setattr(mtd_game, "_STACK_BYTES", budget)
-    calls = []
-    monkeypatch.setattr(mtd_game, "solve_sse", lambda games: calls.append((games, solve_sse(games))) or calls[-1][1])
+    assert [_game_bytes(c.K, c.K * c.l) for c in (greedy, optimal)] == [2_304, 4_096]
+    budget, n, seen = 24_000, 19, Counter()
     for seed, cost_on_miss, integer_utilities in itertools.product((1, 2, 3), (True, False), (True, False)):
-        calls.clear()
-        rep = run_trials(g, greedy, optimal, n, seed, cost_on_miss, integer_utilities)
-        assert len(calls) >= 3 and sum(len(games) for games, _ in calls) == 2 * n
-        for (games, _), (after, _) in zip(calls, calls[1:]):
-            assert comparison_bytes(after[:2]) + comparison_bytes(games) > budget
-        assert all(comparison_bytes(games) <= budget or len(games) == 2 for games, _ in calls)
-        for games, batch in calls:
-            loads = lp_load(games).values()
-            mixed += any(len(counts) > 1 for _, counts in loads)
-            spans += any(load > budget for load, _ in loads)
+        monkeypatch.setattr(mtd_game, "_STACK_BYTES", budget)
+        reps = []
+        calls = sse_stacks(monkeypatch, lambda: reps.append(
+            run_trials(g, greedy, optimal, n, seed, cost_on_miss, integer_utilities)))
+        monkeypatch.undo()
+        assert len(calls) >= 3 and sum(len(games) for games, _, _ in calls) == 2 * n
+        for (games, _, _), (after, _, _) in zip(calls, calls[1:]):
+            assert held_bytes(after[:2]) + held_bytes(games) > budget
+        assert all(held_bytes(games) <= budget or len(games) == 2 for games, _, _ in calls)
+        for games, stacks, batch in calls:
+            seen["spans"] += len(stacks) > 1
+            seen["columns"] += any(len(set(defender_counts(p))) > 1 for p, _ in stacks)
+            seen["rows"] += len({maximal(x.attacker_payoffs).size for x in games}) > 1
             for game, sse in zip(games, batch):
                 assert_same_sse(sse, solve_sse([game])[0])
         for trial in range(n):
             u = random_profile(g, trial_rng(seed, trial), integer_utilities)
             games = [build_game(g, cfg, u, cost_on_miss) for cfg in (greedy, optimal)]
             alone = [solve_sse([game])[0] for game in games]
-            assert rep.values[trial].tolist() == [urs_value(x) for x in games] + [s.defender_value for s in alone]
-    assert mixed > 0 and spans > 0
+            assert reps[0].values[trial].tolist() == [urs_value(x) for x in games] + [s.defender_value for s in alone]
+    assert min(seen["spans"], seen["columns"], seen["rows"]) > 0
+
+
+def member_results(p):
+    """Each member of the stack p solved as its own LinearProgram (a stack
+    of one, on the scalar loop): its Solution, or the SolverError it
+    raises."""
+    out = []
+    for obj, matrix in zip(p.objective, p.constraints):
+        try:
+            out.append(solve_lp(LinearProgram(obj, matrix, p.relations, p.rhs)))
+        except SolverError as e:
+            out.append(e)
+    return out
 
 
 def assert_members_keep_alone_bits(stacks):
     """Every member of each (program, solution) stack, solved as its own
-    LinearProgram (a stack of one, on the scalar loop), gets the bits it got
-    in its stack."""
+    LinearProgram, gets the bits it got in its stack."""
     for p, sol in stacks:
-        for k, (obj, matrix) in enumerate(zip(p.objective, p.constraints)):
-            single = solve_lp(LinearProgram(obj, matrix, p.relations, p.rhs))
+        for k, single in enumerate(member_results(p)):
             assert single.status == sol.statuses[k]
             if single.status == "optimal":
                 assert single.assignment.tobytes() == sol.assignment[k].tobytes()
@@ -612,80 +648,77 @@ def assert_members_keep_alone_bits(stacks):
 
 
 def test_case14_sse_stack_members_match_their_solves_alone(case14_families, monkeypatch):
-    # every stack of one whole case14 run, which fits one solve_sse call
+    # the one stack of a whole case14 run, which fits one solve_sse call and
+    # holds the LPs of both defender counts
     g, greedy, optimal = case14_families
-    stacks = []
-    monkeypatch.setattr(mtd_game, "solve_lp", lambda p: stacks.append((p, solve_lp(p))) or stacks[-1][1])
-    calls = []
-    monkeypatch.setattr(mtd_game, "solve_sse", lambda games: calls.append(games) or solve_sse(games))
-    run_trials(g, greedy, optimal, 20, seed=1, integer_utilities=True)
-    assert len(calls) == 1 and len(stacks) > 1
-    assert max(len(p.objective) for p, _ in stacks) >= 2
+    [(_, stacks, _)] = sse_stacks(monkeypatch, lambda: run_trials(g, greedy, optimal, 20, seed=1, integer_utilities=True))
+    monkeypatch.undo()
+    assert len(stacks) == 1 and sorted(set(defender_counts(stacks[0][0]))) == [3, 4]
     assert_members_keep_alone_bits(stacks)
-    # a budget of 5 LPs' tableaux cuts the 48 LPs of 3 free-miss K_max games,
-    # 16 live actions and 4 maximal ones each, into stacks of 5 LPs: a game's
-    # LPs span stacks and a stack holds LPs of two games; each game keeps its
-    # one-stack solution
-    games = [build_game(g, optimal, random_profile(g, trial_rng(1, t), True), False) for t in range(3)]
-    assert [[m.size for m in live_and_top(x.attacker_payoffs)] for x in games] == [[16, 4]] * 3
-    assert 48 * _lp_bytes(4, 4) <= _STACK_BYTES
+    # a budget of 5 LPs' tableaux cuts the presolved LPs of 3 free-miss
+    # trials, both families, into stacks of 5 after the presolve: a game's
+    # LPs span stacks, a stack holds LPs of several games and of both
+    # defender counts, and each game keeps its one-stack solution
+    games = [
+        build_game(g, cfg, random_profile(g, trial_rng(1, t), True), False)
+        for t in range(3) for cfg in (greedy, optimal)
+    ]
+    n = sum(presolved(x).size for x in games)
+    R = max(maximal(x.attacker_payoffs).size for x in games)
+    assert n < sum(x.n_attacker for x in games) and n % 5
     whole = solve_sse(games)
-    stacks.clear()
-    monkeypatch.setattr(mtd_game, "_STACK_BYTES", 5 * _lp_bytes(4, 4))
-    for a, b in zip(solve_sse(games), whole):
+    monkeypatch.setattr(mtd_game, "_STACK_BYTES", 5 * _lp_bytes(4, R))
+    [(_, stacks, cut)] = sse_stacks(monkeypatch, lambda: mtd_game.solve_sse(games))
+    for a, b in zip(cut, whole):
         assert_same_sse(a, b)
-    assert [len(p.objective) for p, _ in stacks] == [5] * 9 + [3]
+    assert [len(p.objective) for p, _ in stacks] == [5] * (n // 5) + [n % 5]
+    assert any(len(set(defender_counts(p))) > 1 for p, _ in stacks)
     assert_members_keep_alone_bits(stacks)
-
-
-def sse_stacks(monkeypatch, run):
-    """run() with the games of each solve_sse call and the (program,
-    solution) stacks that call solved recorded, as [(games, stacks), ...]."""
-    calls = []
-    monkeypatch.setattr(mtd_game, "solve_lp", lambda p: calls[-1][1].append((p, solve_lp(p))) or calls[-1][1][-1][1])
-    monkeypatch.setattr(mtd_game, "solve_sse", lambda games: calls.append((games, [])) or solve_sse(games))
-    run()
-    return calls
 
 
 def assert_padding_inert(games, stacks):
-    """solve_sse's stacks for games hold, per defender count and then per
-    attacker count in order of first appearance, the reduced LP of each
-    game's live actions in game order, padded with 0 >= 0 rows; each, solved
-    alone without its padding, gets the status, point, value and real rows'
-    duals it got padded. Returns how many stacks mix real row counts."""
+    """solve_sse's stacks for games hold, per game shape in order of first
+    appearance, the reduced LP of each presolved action of those games in
+    game order, padded with zero columns to the largest defender count and
+    with 0 >= 0 rows to the most maximal actions; each, solved alone without
+    its padding, gets the status, point, value and real rows' duals it got
+    padded, and its padding gets 0 in the point and the duals. Returns how
+    many stacks mix real row counts and how many mix real column counts."""
     want = [
         reduced_lp(x, j)
-        for K in dict.fromkeys(x.n_defender for x in games)
-        for A in dict.fromkeys(x.n_attacker for x in games if x.n_defender == K)
-        for x in games if x.attacker_payoffs.shape == (K, A)
-        for j in live_and_top(x.attacker_payoffs)[0]
+        for shape in dict.fromkeys(x.attacker_payoffs.shape for x in games)
+        for x in games if x.attacker_payoffs.shape == shape
+        for j in presolved(x)
     ]
     assert sum(len(p.objective) for p, _ in stacks) == len(want)
-    mixed, lps = 0, iter(want)
+    rows = columns = 0
+    lps = iter(want)
     for p, sol in stacks:
         m = len(p.relations)
         assert p.relations == ("<=",) + (">=",) * (m - 1) and p.rhs.tolist() == [1.0] + [0.0] * (m - 1)
         real = set()
         for k, q in zip(range(len(p.objective)), lps):
-            r = len(q.relations)
-            real.add(r)
-            assert p.objective[k].tobytes() == q.objective.tobytes()
-            assert p.constraints[k, :r].tobytes() == q.constraints.tobytes()
-            assert not p.constraints[k, r:].any()
+            r, n = q.constraints.shape
+            real.add((r, n))
+            assert p.objective[k, :n].tobytes() == q.objective.tobytes() and not p.objective[k, n:].any()
+            padding = p.constraints[k].copy()
+            padding[:r, :n] = 0.0
+            assert p.constraints[k, :r, :n].tobytes() == q.constraints.tobytes() and not padding.any()
             alone = solve_lp(q)
             assert alone.status == sol.statuses[k] == "optimal"
-            assert alone.assignment.tobytes() == sol.assignment[k].tobytes()
+            assert alone.assignment.tobytes() == sol.assignment[k, :n].tobytes() and not sol.assignment[k, n:].any()
             assert alone.objective_value == sol.objective_value[k]
             assert alone.duals.tobytes() == sol.duals[k, :r].tobytes() and not sol.duals[k, r:].any()
-        mixed += len(real) > 1
-    return mixed
+        rows += len({r for r, _ in real}) > 1
+        columns += len({n for _, n in real}) > 1
+    return rows, columns
 
 
-def test_sse_padding_rows_are_inert(case14_families, monkeypatch):
+def test_sse_padding_rows_and_columns_are_inert(case14_families, monkeypatch):
     # case14 in all four modes, the 10x60 ladder graph's families and the
     # corpus games of test_batched_sse_matches_reference_on_corpus; some
-    # stacks pad LPs of several real row counts
+    # stacks pad LPs of several real row counts, and some of several
+    # defender counts
     g, greedy, optimal = case14_families
     ladder = load_graph(FIXTURES / "ladder5_10x60.graph")
     ladder_families = greedy_k(ladder), find_kmax(ladder)
@@ -699,13 +732,13 @@ def test_sse_padding_rows_are_inert(case14_families, monkeypatch):
         for cfg, cost_on_miss in itertools.product((find_kmax(h), greedy_k(h)), (True, False)):
             corpus.append(build_game(h, cfg, u, cost_on_miss))
     runs.append(lambda: mtd_game.solve_sse(corpus))
-    mixed = 0
+    rows = columns = 0
     for run in runs:
-        calls = sse_stacks(monkeypatch, run)
-        assert len(calls) == 1
-        mixed += assert_padding_inert(*calls[0])
+        [(games, stacks, _)] = sse_stacks(monkeypatch, run)
+        r, c = assert_padding_inert(games, stacks)
+        rows, columns = rows + r, columns + c
         monkeypatch.undo()
-    assert mixed > 0
+    assert rows > 0 and columns > 0
 
 
 def test_batched_sse_matches_reference_on_corpus():
@@ -714,7 +747,7 @@ def test_batched_sse_matches_reference_on_corpus():
         u = random_profile(g, np.random.default_rng(i), integer_utilities=i % 2 == 1)
         for cfg, cost_on_miss in itertools.product((find_kmax(g), greedy_k(g)), (True, False)):
             games.append(build_game(g, cfg, u, cost_on_miss))
-    assert len({(x.n_defender, live_and_top(x.attacker_payoffs)[0].size) for x in games}) > 3
+    assert len({(x.n_defender, presolved(x).size) for x in games}) > 3
     for game, sse in zip(games, solve_sse(games)):
         assert_same_sse(sse, solve_sse([game])[0])
         response, value = reference_sse(game)
@@ -724,21 +757,28 @@ def test_batched_sse_matches_reference_on_corpus():
 
 def test_columns_follow_their_definition():
     # small integer payoffs make equal columns common, and nudges of half
-    # and twice FEAS_TOL put columns on either side of the live margin
+    # and twice FEAS_TOL put columns on either side of the presolve's margin
     rng = np.random.default_rng(5)
+    beaten = 0
     for t in range(400):
         K, A = int(rng.integers(1, 4)), int(rng.integers(1, 9))
         am = rng.integers(-2, 3, size=(K, A)) + (t % 2) * rng.choice([0.0, 0.5, 2.0], size=(K, A)) * FEAS_TOL
-        live, top = live_and_top(am)
-        beats = {(i, j): bool(np.all(am[:, i] - am[:, j] > FEAS_TOL)) for i in range(A) for j in range(A)}
-        assert live.tolist() == [j for j in range(A) if not any(beats[i, j] for i in range(A))]
+        top = maximal(am)
         above = {(i, j): bool(np.all(am[:, i] >= am[:, j])) for i in range(A) for j in range(A)}
-
-        def maximal(cols):
-            return [j for j in cols if not any(i != j and above[i, j] and (not above[j, i] or i < j) for i in cols)]
-
-        assert top.tolist() == maximal(range(A)) == maximal(live.tolist())
-        assert all(any(above[i, j] for i in top) for j in live)
+        assert top.tolist() == [
+            j for j in range(A) if not any(i != j and above[i, j] and (not above[j, i] or i < j) for i in range(A))
+        ]
+        assert all(any(above[i, j] for i in top) for j in range(A))
+        # a column another beats by more than FEAS_TOL in every row has a
+        # row against a maximal column with every entry below -FEAS_TOL, so
+        # the presolve fixes all its variables at once
+        game = GameMatrix(tuple(CodeSet(frozenset({f"d{k}"})) for k in range(K)), tuple(map(str, range(A))), am, am)
+        rows, kept = best_response_rows(game), presolved(game)
+        for j in range(A):
+            if any(np.all(am[:, i] - am[:, j] > FEAS_TOL) for i in range(A)):
+                assert (rows[j] < -FEAS_TOL).all(axis=1).any() and j not in kept
+                beaten += 1
+    assert beaten > 100
 
 
 def test_columns_of_a_stack_equal_each_games_alone():
@@ -748,10 +788,10 @@ def test_columns_of_a_stack_equal_each_games_alone():
         G, K, A = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 8))
         am = rng.integers(-1, 2, size=(G, K, A)).astype(float)
         am[:, :, -1] = am[:, :, 0]
-        live, top = _columns(am)
-        assert live.shape == top.shape == (G, A)
-        for one, x, y in zip(am, live, top):
-            assert [x.tolist(), y.tolist()] == [m[0].tolist() for m in _columns(one[None])]
+        top = _columns(am)
+        assert top.shape == (G, A)
+        for one, x in zip(am, top):
+            assert x.tolist() == _columns(one[None])[0].tolist()
 
 
 def sse_lp_corpus():
@@ -772,33 +812,40 @@ def sse_lp_corpus():
 
 
 def test_reduced_sse_lps_match_the_full_lps():
-    # each live action's reduced LP (maximal rows, 1 . x <= 1, shifted
-    # objective) is optimal, at x = 0 exactly when the full LP (a row per
-    # other action, 1 . x = 1) is infeasible, and otherwise gives the full
+    # each action's full LP (a row per other action, 1 . x = 1) is
+    # infeasible when the presolve drops its reduced LP (maximal rows,
+    # 1 . x <= 1, shifted objective); a kept reduced LP is optimal, at x = 0
+    # exactly when the full LP is infeasible, and otherwise gives the full
     # LP's value as d . x
     seen = Counter()
     for game in sse_lp_corpus():
-        for j in live_and_top(game.attacker_payoffs)[0]:
-            reduced, full = solve_lp(reduced_lp(game, j)), solve_lp(full_lp(game, j))
+        kept = presolved(game)
+        for j in range(game.n_attacker):
+            full = solve_lp(full_lp(game, j))
+            seen[full.status, j in kept] += 1
+            if j not in kept:
+                assert full.status == "infeasible"
+                continue
+            reduced = solve_lp(reduced_lp(game, j))
             assert reduced.status == "optimal"
             x = reduced.assignment
             assert full.status == ("optimal" if x.any() else "infeasible")
             if x.any():
                 assert (game.defender_payoffs[:, j] * x).sum() == pytest.approx(full.objective_value, abs=1e-9)
-            seen[full.status] += 1
-    assert seen["optimal"] > 900 and seen["infeasible"] > 600
+    assert seen["optimal", True] > 900 and seen["infeasible", False] > 600 and seen["infeasible", True] > 10
 
 
 def test_sse_lp_with_only_the_zero_point_is_nan(monkeypatch):
-    # no column beats action 0 in both rows, so it is live, but against
-    # actions 1 and 2 together no mix keeps it a best response: its reduced
-    # LP's only feasible point is x = 0, its value NaN, and action 0 cannot
-    # win though it pays the defender most
+    # no column is at or above action 0 in both rows, and each of its rows
+    # has a positive entry, so the presolve keeps it; but against actions 1
+    # and 2 together no mix keeps it a best response: its reduced LP's only
+    # feasible point is x = 0, its value NaN, and action 0 cannot win though
+    # it pays the defender most
     sets = (CodeSet(frozenset({"a"})), CodeSet(frozenset({"b"})))
     am = np.array([[0.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     dm = np.array([[9.0, 1.0, 2.0], [9.0, 3.0, 1.0]])
     game = GameMatrix(sets, ("s0", "s1", "s2"), dm, am)
-    assert [x.tolist() for x in live_and_top(am)] == [[0, 1, 2], [0, 1, 2]]
+    assert maximal(am).tolist() == presolved(game).tolist() == [0, 1, 2]
     assert not solve_lp(reduced_lp(game, 0)).assignment.any()
     assert solve_lp(full_lp(game, 0)).status == "infeasible"
     values, real = [], mtd_game._near_best
@@ -810,11 +857,152 @@ def test_sse_lp_with_only_the_zero_point_is_nan(monkeypatch):
     assert sse.defender_value == pytest.approx(value, abs=1e-9)
 
 
+def test_presolve_fixes_only_what_rows_force():
+    # action 0's row against action 1 is (e, -1), e = FEAS_TOL / 2, and
+    # against action 2 is (-1, 4e6): x_1 <= e x_0 and x_0 <= 4e6 x_1 meet at
+    # x = (1, e) scaled onto the simplex, so neither row may fix anything,
+    # the tiny positive entry included, and HiGHS finds the LP feasible
+    e = FEAS_TOL / 2
+    am = np.array([[0.0, -e, 1.0], [0.0, 1.0, -4e6]])
+    game = GameMatrix((CodeSet(frozenset({"a"})), CodeSet(frozenset({"b"}))), ("s0", "s1", "s2"), np.ones((2, 3)), am)
+    assert maximal(am).tolist() == presolved(game).tolist() == [0, 1, 2]
+    assert highs_values(game, [0]) == [pytest.approx(1.0)]
+    # a chain of fixings: row 1 fixes x_2, then row 0 fixes x_1, then row 2
+    # fixes x_0, so x = 0 is the only point; without row 1 nothing is fixed
+    rows = np.array([[[0.0, -1.0, 1.0], [0.0, 0.0, -1.0], [-1.0, 3.0, 0.0]]])
+    free = np.ones((1, 3), dtype=bool)
+    assert _zero_only(rows, free).tolist() == [True]
+    assert _zero_only(rows[:, [0, 2]], free).tolist() == [False]
+
+
+def jittered_game(dm, integers, jitter):
+    """A game of defender payoffs dm and attacker payoffs integers plus
+    jitter, given in units of 1e-7 (10 * 1e-7 == 1e-6 and so on)."""
+    dm = np.array(dm, dtype=float)
+    am = np.array(integers, dtype=float) + np.array(jitter) * 1e-7
+    K, A = dm.shape
+    return GameMatrix(tuple(CodeSet(frozenset({f"d{k}"})) for k in range(K)), tuple(f"s{j}" for j in range(A)), dm, am)
+
+
+def highs_values(game, actions):
+    """scipy's HiGHS on the full LP of each of actions, over the simplex:
+    its value, or None where HiGHS finds it infeasible."""
+    opt = pytest.importorskip("scipy.optimize")
+    am, out = game.attacker_payoffs, []
+    for j in actions:
+        ref = opt.linprog(
+            -game.defender_payoffs[:, j], A_ub=(am - am[:, [j]]).T, b_ub=np.zeros(game.n_attacker),
+            A_eq=np.ones((1, game.n_defender)), b_eq=[1.0], method="highs",
+        )
+        assert ref.status in (0, 2)
+        out.append(-ref.fun if ref.status == 0 else None)
+    return out
+
+
+def assert_dropped_lps_infeasible(games):
+    """HiGHS finds the full LP of every action whose LP the presolve drops
+    infeasible over the simplex. Returns how many were dropped."""
+    dropped = 0
+    for game in games:
+        actions = sorted(set(range(game.n_attacker)) - set(presolved(game)))
+        assert highs_values(game, actions) == [None] * len(actions)
+        dropped += len(actions)
+    return dropped
+
+
+def test_sse_drops_the_zero_only_lp_the_simplex_missed_a_row_on():
+    # action 2's LP has x = 0 as its only point, which the presolve finds;
+    # the simplex, handed that LP, let a variable move past a -1.5e-6 entry
+    # and raised "simplex point misses a constraint row by more than
+    # FEAS_TOL". HiGHS finds actions 0 and 2 infeasible and action 4 best
+    game = jittered_game(
+        [[3, 5, 5, 1, 3, 0, 0], [2, 1, 2, 5, 4, 3, 2], [1, 0, 5, 2, 4, 1, 4], [4, 3, 3, 3, 4, 5, 0]],
+        [[-1, 0, -2, 2, 0, 2, 1], [-2, 2, -1, -3, 3, 2, -1], [-3, 1, 3, 3, 3, 0, 2], [-3, 1, -1, 2, 0, -3, 3]],
+        [[10, -5, -10, 20, 10, -20, 20], [5, -10, -20, -20, -5, 10, 10], [-5, 5, -20, -5, -20, 5, 0],
+         [5, 0, 0, 0, 10, 20, -5]],
+    )
+    assert 2 not in presolved(game)
+    sse = solve_sse([game])[0]
+    assert (sse.attacker_response, sse.defender_value) == (4, 4.0)
+    assert sse.defender_mix.tolist() == [0.0, 1.0, 0.0, 0.0]
+    values = highs_values(game, range(game.n_attacker))
+    assert values[0] is None and values[2] is None
+    best = max(v for v in values if v is not None)
+    assert values.index(best) == 4 and best == pytest.approx(4.0, abs=1e-9)
+
+
+def test_presolve_is_sound_on_case14_and_the_ladder_graph(case14_families, monkeypatch):
+    # case14 and the 10x60 ladder graph in all four miss and utility modes:
+    # HiGHS finds every dropped LP infeasible, and every kept LP gets the
+    # same bits in its stack as solved alone
+    g, greedy, optimal = case14_families
+    ladder = load_graph(FIXTURES / "ladder5_10x60.graph")
+    ladder_families = greedy_k(ladder), find_kmax(ladder)
+    dropped = kept = 0
+    for cost_on_miss, integer_utilities in itertools.product((True, False), repeat=2):
+        for run in (
+            partial(run_trials, g, greedy, optimal, 10, 1, cost_on_miss, integer_utilities),
+            partial(run_trials, ladder, *ladder_families, 2, 1, cost_on_miss, integer_utilities),
+        ):
+            calls = sse_stacks(monkeypatch, run)
+            monkeypatch.undo()
+            for games, stacks, _ in calls:
+                dropped += assert_dropped_lps_infeasible(games)
+                kept += sum(len(p.objective) for p, _ in stacks)
+                assert_members_keep_alone_bits(stacks)
+    assert dropped > kept > 0
+
+
+JITTER = (0.0, 5e-7, -5e-7, 1e-6, -1e-6, 2e-6, -2e-6)
+
+
+@st.composite
+def arbitrary_games(draw):
+    """Games of up to 5 x 8 payoffs: attacker payoffs integers in [-3, 3]
+    plus a jitter from JITTER, defender payoffs integers in [-3, 3], or
+    both uniform floats."""
+    K, A = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+
+    def cells(values):
+        return np.array(draw(st.lists(values, min_size=K * A, max_size=K * A)), dtype=float).reshape(K, A)
+
+    if draw(st.booleans()):
+        am, dm = cells(st.integers(-3, 3)) + cells(st.sampled_from(JITTER)), cells(st.integers(-3, 3))
+    else:
+        am, dm = (cells(st.floats(-10, 10, allow_subnormal=False)) for _ in range(2))
+    return GameMatrix(tuple(CodeSet(frozenset({f"d{k}"})) for k in range(K)), tuple(f"s{j}" for j in range(A)), dm, am)
+
+
+@settings(max_examples=40, deadline=None)
+@given(games=st.lists(arbitrary_games(), min_size=1, max_size=5))
+def test_presolve_is_sound_on_arbitrary_payoffs(games):
+    # HiGHS finds every dropped LP infeasible; every kept LP gets the same
+    # result in its stack as solved alone, a SolverError included: a stack
+    # raises exactly when one of its members raises alone
+    assert_dropped_lps_infeasible(games)
+    stacks = []
+    with mock.patch.object(mtd_game, "solve_lp", lambda p: stacks.append(p) or solve_lp(p)):
+        try:
+            solve_sse(games)
+        except SolverError:
+            pass
+    for p in stacks:
+        alone = member_results(p)
+        try:
+            sol = solve_lp(p)
+        except SolverError:
+            assert any(isinstance(x, SolverError) for x in alone)
+            continue
+        assert not any(isinstance(x, SolverError) for x in alone)
+        assert_members_keep_alone_bits([(p, sol)])
+
+
 def test_game_free_miss_pass_pivots_little_and_skips_phase_1(monkeypatch):
     # a pass of the benchmark's game-free-miss workload (case14's pinned
     # families, free misses, integer utilities, 100 trials): 301 batched
     # pivot steps in 26 stacks, each with a phase 1, before the LPs were
-    # reduced; now one simplex run per stack
+    # reduced; 2,800 LPs in 8 stacks before the presolve; now at most 900
+    # LPs, in at most 4 stacks, one simplex run each
     spec = json.loads((Path(__file__).parent.parent / "bench" / "data" / "case14_families.json").read_text())
     text = (Path(__file__).parent.parent / spec["case"]).read_text()
     g = build_bipartite(parse_matpower(text), spec["hvts"], spec["hops"])
@@ -823,9 +1011,10 @@ def test_game_free_miss_pass_pivots_little_and_skips_phase_1(monkeypatch):
     for name in ("_pivot", "_run_simplex", "solve_lp"):
         real = getattr(optim, name)
         monkeypatch.setattr(optim, name, lambda *a, _n=name, _f=real: counts.update([_n]) or _f(*a))
-    monkeypatch.setattr(mtd_game, "solve_lp", optim.solve_lp)
+    monkeypatch.setattr(mtd_game, "solve_lp", lambda p: counts.update(lps=len(p.objective)) or optim.solve_lp(p))
     run_trials(g, greedy, optimal, 100, seed=1, cost_on_miss=False, integer_utilities=True)
-    assert counts["_run_simplex"] == counts["solve_lp"] <= 20
+    assert counts["_run_simplex"] == counts["solve_lp"] <= 4
+    assert counts["lps"] <= 900
     assert counts["_pivot"] <= 60
 
 
@@ -935,9 +1124,9 @@ def test_run_trials_peak_is_bounded_by_the_stack_budget():
 
 
 def test_run_trials_compares_each_shape_once_per_call(case14_families, monkeypatch):
-    # at 11,648 comparison bytes a trial, 40 trials take calls of 28 and 12;
-    # each solve_sse call runs _columns once per (defender, attacker) count,
-    # on that shape's games stacked in game order, and nothing else runs it;
+    # at 6,400 bytes held a trial, 60 trials take calls of 51 and 9; each
+    # solve_sse call runs _columns once per (defender, attacker) count, on
+    # that shape's games stacked in game order, and nothing else runs it;
     # the rows keep the bits of each game solved alone
     g, greedy, optimal = case14_families
     every, calls, real = [], [], mtd_game._columns
@@ -950,8 +1139,9 @@ def test_run_trials_compares_each_shape_once_per_call(case14_families, monkeypat
         return out
 
     monkeypatch.setattr(mtd_game, "solve_sse", traced)
-    rep = run_trials(g, greedy, optimal, 40, seed=3, cost_on_miss=False, integer_utilities=True)
-    assert [len(games) for games, _ in calls] == [56, 24] and len(every) == 4
+    rep = run_trials(g, greedy, optimal, 60, seed=3, cost_on_miss=False, integer_utilities=True)
+    assert held_bytes(calls[0][0][:2]) == 6_400 and _STACK_BYTES // 6_400 == 51
+    assert [len(games) for games, _ in calls] == [102, 18] and len(every) == 4
     for games, compared in calls:
         shapes = {}
         for x in games:
