@@ -15,6 +15,12 @@ Exits 1 when a family fails `validate`, when greedy's K exceeds find_kmax's,
 when the two l differ, when greedy's first set is not solve_mdcs's, or when
 find_kmax's l is not solve_mdcs's size: both calls take m from the twin-class
 quotient, and solve_mdcs solves on every site of the graph.
+
+The first-set check holds though greedy's steps solve only the columns of
+heard sites: an unheard site's column is 0 in every row of the DCS program,
+so every node LP leaves it at exactly 0 and it is never a branching
+variable. Each node's point on the other sites, and so the search order
+and its first size-m integral node, is the same with or without it.
 """
 
 from __future__ import annotations

@@ -131,8 +131,9 @@ def is_feasible(g: BipartiteGraph) -> bool:
 
 def build_k_dcs_program(g: BipartiteGraph, K: int) -> BinaryProgram:
     """Binary program over x[k*n+s]: K equal-size, pairwise-disjoint DCSs of
-    minimum common size, the paper's K-DCS program and nothing more; a
-    caller that wants sites left out builds it on the graph without them.
+    minimum common size, the paper's K-DCS program and nothing more. For
+    K = 1 the columns of some sites are the program of the graph without
+    the other sites.
 
     Disjointness is one capacity row per site, sum_k x_ks <= 1, which on
     binary points matches requiring blocks to share no site and implies every
@@ -162,16 +163,12 @@ def build_k_dcs_program(g: BipartiteGraph, K: int) -> BinaryProgram:
     )
 
 
-def _solve(
-    g: BipartiteGraph, K: int, sizes: tuple[float, float] | None = None, live=None
-) -> ConfigurationSet | None:
-    """The validated family solving build_k_dcs_program(g, K) with its common
-    size within sizes, or None; live goes to solve_bilp. sizes defaults to
-    (ceil(log2(n_t + 1)), inf): l sites give at most 2^l - 1 transformers
-    distinct non-empty codes (Charbit, Charon, Cohen, Hudry and Lobstein
-    2008), so no DCS is smaller."""
-    sizes = (g.n_t.bit_length(), np.inf) if sizes is None else sizes
-    sol = solve_bilp(build_k_dcs_program(g, K), sizes, live=live)
+def _solve(g: BipartiteGraph, K: int) -> ConfigurationSet | None:
+    """The validated family solving build_k_dcs_program(g, K), or None. Its
+    size range is (ceil(log2(n_t + 1)), inf): l sites give at most 2^l - 1
+    transformers distinct non-empty codes (Charbit, Charon, Cohen, Hudry and
+    Lobstein 2008), so no DCS is smaller."""
+    sol = solve_bilp(build_k_dcs_program(g, K), (g.n_t.bit_length(), np.inf))
     if sol.status != "optimal":
         return None
     chosen = sol.assignment.reshape(K, g.n_s) > 0.5
@@ -337,60 +334,52 @@ def _pack(patterns: np.ndarray, mult: np.ndarray, least: int) -> np.ndarray:
 def greedy_k(g: BipartiteGraph) -> ConfigurationSet:
     """The paper's greedy method: find an MDCS, of size m, take its sites out
     of the graph and solve again, while a DCS of size m is left. Taking sites
-    out can only raise the minimum, so each solve wants size m only. Site
-    names carry over, so each set is a DCS of g. May stop short of the true
-    maximum K.
+    out can only raise the minimum, so each solve wants size m only. May stop
+    short of the true maximum K.
 
-    m and its patterns come from g's twin-class table, as in find_kmax. Each
-    step is a solve wanting size m that drops the branch and bound nodes no
-    size-m DCS agrees with (_live). The first one gives solve_mdcs(g)'s set:
-    node LPs depend on the node alone, so both searches visit the nodes
-    they share in one depth-first order, and each drops only subtrees with
-    no size-m DCS, so both end at the first size-m integral node."""
+    m and its patterns come from g's twin-class table, as in find_kmax. A
+    size-m DCS holds only heard sites, so each step solves the columns of
+    build_k_dcs_program(g, 1) at the heard sites not yet taken: the residual
+    graph's program without its unheard sites, whose columns are 0 in every
+    row, so no node LP's point or branching choice changes. Each solve drops
+    the branch and bound nodes no size-m DCS agrees with (_live). The first
+    one gives solve_mdcs(g)'s set: node LPs depend on the node alone, so both
+    searches visit the nodes they share in one depth-first order, and each
+    drops only subtrees with no size-m DCS, so both end at the first size-m
+    integral node."""
     table = _table(g)
     m = table.patterns.shape[1]
-    sets, rest = [], g
-    while rest.n_s >= m and (cfg := _solve(rest, 1, (m, m), _live(table, rest))) is not None:
-        sets.append(cfg.sets[0])
-        left = [s for s, sid in enumerate(rest.s_ids) if sid not in cfg.sets[0].sensors]
-        index = {s: i for i, s in enumerate(left)}
-        adj = tuple(frozenset(index[s] for s in nb if s in index) for nb in rest.adj)
-        rest = BipartiteGraph(rest.t_ids, tuple(rest.s_ids[s] for s in left), adj, rest.hop_limit)
+    p = build_k_dcs_program(g, 1)
+    cls = {sid: c for c, ids in enumerate(table.sites) for sid in ids}
+    site_cls = np.array([cls.get(sid, -1) for sid in g.s_ids])
+    holds = _capacity(table.patterns, table.mult) > 0
+    sets, left = [], np.flatnonzero(site_cls >= 0)
+    while len(left) >= m:
+        step = BinaryProgram(p.objective[left], "min", p.constraints[:, left], p.relations, p.rhs)
+        sol = solve_bilp(step, (m, m), live=_live(holds, site_cls[left]))
+        if sol.status != "optimal":
+            break
+        sets.append(CodeSet(g.site_names(left[sol.assignment > 0.5])))
+        left = left[sol.assignment < 0.5]
     cfg = ConfigurationSet(tuple(sets))
     cfg.validate(g)
     return cfg
 
 
-def _live(table: _Table, g: BipartiteGraph):
-    """solve_bilp's live test for a solve wanting a size-m DCS of g, m the
-    size of table's patterns, g's sites among table's. A size-m DCS is
-    minimum, so it holds no unheard site and no two sites of a class: it is
-    one site from each class of a pattern. A node is live when some pattern
+def _live(holds: np.ndarray, site_cls: np.ndarray):
+    """solve_bilp's live test for a solve wanting a size-m DCS over sites of
+    classes site_cls, holds[c, i] set when size-m pattern i holds class c. A
+    size-m DCS is minimum, so it holds no two sites of a class: it is one
+    site from each class of a pattern. A node is live when some pattern
     holds the class of every site fixed at 1, those classes distinct, and
     each of its classes has a site that is free or fixed at 1."""
-    cls = {sid: c for c, ids in enumerate(table.sites) for sid in ids}
-    # class -1, the slot past the last class, takes the unheard sites
-    site_cls = np.array([cls.get(sid, -1) for sid in g.s_ids], dtype=int)
-    holds = np.zeros((len(table.sites) + 1, len(table.patterns)), dtype=bool)
-    holds[table.patterns.T, np.arange(len(table.patterns))] = True
-    # bit i of by_cls[c] is set when pattern i holds class c; none holds -1
-    by_cls = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(holds, axis=1, bitorder="little")]
-    present = np.zeros(len(by_cls), dtype=bool)
-    present[site_cls] = True
-    alive = (1 << len(table.patterns)) - 1  # the patterns g has every class of
-    for c in np.flatnonzero(~present).tolist():
-        alive &= ~by_cls[c]
 
     def live(state: np.ndarray) -> bool:
-        ones = site_cls[state == 1].tolist()
-        left = np.zeros(len(by_cls), dtype=bool)
-        left[site_cls[state != 0]] = True
-        held = alive
-        for c in ones:
-            held &= by_cls[c]
-        for c in np.flatnonzero(present & ~left).tolist():
-            held &= ~by_cls[c]
-        return held != 0 and len(set(ones)) == len(ones)
+        ones = site_cls[state == 1]
+        shut = np.ones(len(holds), dtype=bool)
+        shut[site_cls[state != 0]] = False
+        held = holds[ones].all(axis=0) & ~holds[shut].any(axis=0)
+        return len(set(ones.tolist())) == len(ones) and bool(held.any())
 
     return live
 

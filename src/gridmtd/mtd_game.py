@@ -112,17 +112,25 @@ def _identified(
     """(K, A, |T|) booleans: transformer t keeps a non-empty code that no other
     transformer shares once site attacked[j] is removed from sets[k].
 
-    Works on the columns of the sites in play only; two codes are equal when
-    their sizes and their overlap all agree."""
+    Each set's codes are compared once, with each other and with the empty
+    code, as (K, |T|, |T| + 1) Hamming distances over the sites in play.
+    Removing a site makes two codes equal exactly when they are already
+    equal or differ in that site alone, so t loses attack j when a partner
+    is at distance 0, or at distance 1 and differs from t at attacked[j]."""
     cols = np.array(sorted(set(attacked).union(*sets)), dtype=int)
     heard = np.array([[s in nb for s in cols] for nb in g.adj], dtype=float)
-    member = np.array([[s in st for s in cols] for st in sets], dtype=bool)
-    residual = member[:, None, :] & (cols[None, :] != np.array(attacked)[:, None])
-    codes = heard * residual[:, :, None, :]  # (K, A, T, C)
-    overlap = codes @ heard.T  # (K, A, T, T)
-    size = np.diagonal(overlap, axis1=2, axis2=3)
-    same = (overlap == size[..., :, None]) & (size[..., :, None] == size[..., None, :])
-    return (size > 0) & (same.sum(axis=3) == 1)
+    member = np.array([[s in st for s in cols] for st in sets], dtype=float)
+    codes = np.concatenate([heard * member[:, None], np.zeros((len(sets), 1, len(cols)))], axis=1)
+    size = codes.sum(axis=2)
+    dist = size[:, :-1, None] + size[:, None] - 2 * codes[:, :-1] @ codes.swapaxes(1, 2)
+    at = codes[:, :, np.searchsorted(cols, attacked)]  # (K, |T| + 1, A): each code's bit at each attacked site
+    one = (dist == 1).astype(float)
+    # partners one site away from t that hold site j; those that differ from t
+    # at j are these where t lacks j, the other ones where t holds it
+    holding = one @ at
+    apart = np.where(at[:, :-1] > 0, one.sum(axis=2, keepdims=True) - holding, holding)
+    lost = ((dist == 0).sum(axis=2) > 1)[..., None] | (apart > 0)  # t is at distance 0 from itself
+    return ~lost.swapaxes(1, 2)
 
 
 def _sum_by_transformer(flags: np.ndarray, util: np.ndarray) -> np.ndarray:

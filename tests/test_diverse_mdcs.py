@@ -167,19 +167,34 @@ def test_greedy_tiny(tiny_graph):
     cfg.validate(tiny_graph)
 
 
+def with_unheard(g: BipartiteGraph, rng: np.random.Generator, count: int) -> BipartiteGraph:
+    """g with `count` sites no transformer hears, u1..u<count>, inserted at
+    random indices among its sites."""
+    order = rng.permutation(g.n_s + count)  # values from g.n_s on are the new sites
+    names = [g.s_ids[i] if i < g.n_s else f"u{i - g.n_s + 1}" for i in order]
+    return graph({t: {g.s_ids[s] for s in nb} for t, nb in zip(g.t_ids, g.adj)}, names)
+
+
 def greedy_corpus(tiny_graph, greedy_gap_graph, case14_text) -> list[BipartiteGraph]:
     """Graphs for greedy's reference tests: the fixtures, case14, the 10x60
     ladder graph and random graphs, twin-rich ones among them, on both of
     the twin-class table's paths to m (the log2 floor certified, or the
-    class quotient solved)."""
+    class quotient solved), and some of them again with unheard sites
+    interleaved, which greedy's steps leave out of their programs and the
+    references keep."""
     from gridmtd import build_bipartite, parse_matpower
 
     case14 = build_bipartite(parse_matpower(case14_text), ["4-7", "4-9", "5-6", "7-8", "7-9"], 2)
+    twin_rich = twin_rich_corpus(seed=16, count=8, s_lo=10, s_hi=25)
+    rng = np.random.default_rng(65)
     return [
         tiny_graph, greedy_gap_graph, case14, load_graph(FIXTURES / "ladder5_10x60.graph"),
-        *twin_rich_corpus(seed=16, count=8, s_lo=10, s_hi=25),
+        *twin_rich,
         *feasible_corpus(seed=62, count=25, s_hi=14),
         *feasible_corpus(seed=62, count=60, s_hi=16),
+        *(with_unheard(g, rng, int(rng.integers(1, 6))) for g in [
+            tiny_graph, greedy_gap_graph, *twin_rich[:4], *feasible_corpus(seed=66, count=20, s_hi=14)
+        ]),
     ]
 
 
@@ -280,22 +295,29 @@ def test_greedy_matches_a_loop_without_objective_range(tiny_graph, greedy_gap_gr
 
 
 def test_live_keeps_exactly_the_nodes_a_size_m_dcs_agrees_with():
-    # greedy's live test against enumeration, on g and on g without a
-    # minimum DCS: True exactly when some size-m DCS of the graph holds the
-    # sites fixed at 1 and none fixed at 0, m being g's minimum
+    # greedy's live test against enumeration, over the heard sites of g and
+    # of g without a minimum DCS, unheard sites interleaved: True exactly
+    # when some size-m DCS of the graph holds the sites fixed at 1 and none
+    # fixed at 0, m being g's minimum; no size-m DCS holds an unheard site
     rng, seen = np.random.default_rng(1990), Counter()
     graphs = twin_rich_corpus(seed=17, count=10, s_lo=8, s_hi=14)
     for g in graphs + feasible_corpus(seed=18, count=10, s_lo=6, s_hi=12):
+        g = with_unheard(g, rng, 2)
         table = diverse_mdcs._table(g)
         m = table.patterns.shape[1]
+        holds = diverse_mdcs._capacity(table.patterns, table.mult) > 0
+        cls = {sid: c for c, ids in enumerate(table.sites) for sid in ids}
         for h in (g, without(g, solve_mdcs(g).sensors)):
-            live = diverse_mdcs._live(table, h)
+            heard = [s for s, sid in enumerate(h.s_ids) if sid in cls]
+            live = diverse_mdcs._live(holds, np.array([cls[h.s_ids[s]] for s in heard]))
             combos = [c for c in itertools.combinations(range(h.n_s), m) if is_dcs_indices(h, frozenset(c))]
             dcss = np.zeros((len(combos), h.n_s), dtype=np.int8)
             for row, c in zip(dcss, combos):
                 row[list(c)] = 1
+            assert not np.delete(dcss, heard, axis=1).any()
+            dcss = dcss[:, heard]
             for _ in range(40):
-                state = rng.choice(np.array([-1, 0, 1], dtype=np.int8), h.n_s, p=[0.6, 0.25, 0.15])
+                state = rng.choice(np.array([-1, 0, 1], dtype=np.int8), len(heard), p=[0.6, 0.25, 0.15])
                 fixed = state >= 0
                 expect = bool((dcss[:, fixed] == state[fixed]).all(axis=1).any())
                 assert live(state) == expect
@@ -337,15 +359,17 @@ def test_quotient_m_is_the_minimum_dcs_size(monkeypatch, case14_text):
 
 
 def test_case14_families_run_no_unranged_site_level_dcs_solve(monkeypatch, case14_text):
-    # cli._families on case14 (40 sites, 5 heard classes): every DCS program
-    # over all of g's sites wants size m, and m comes from two solves on the
-    # 5-site quotient, one per table
+    # cli._families on case14 (40 sites, 21 heard in 5 classes): every
+    # greedy step solves columns of build_k_dcs_program(g, 1) at heard sites
+    # not yet taken, wanting size m, the first step all 21 of them; m comes
+    # from two solves on the 5-site quotient, one per table, and no DCS
+    # program without a range has more variables
     from gridmtd import build_bipartite, cli, parse_matpower
 
     real, calls = diverse_mdcs.solve_bilp, []
 
     def recorded(p, objective_range=None, **kw):
-        calls.append((len(p.objective), p.sense, objective_range))
+        calls.append((p, objective_range))
         return real(p, objective_range, **kw)
 
     monkeypatch.setattr(diverse_mdcs, "solve_bilp", recorded)
@@ -353,10 +377,21 @@ def test_case14_families_run_no_unranged_site_level_dcs_solve(monkeypatch, case1
     optimal, greedy = cli._families(g)
     m = optimal.l
     assert (g.n_s, m, greedy.l) == (40, 4, m)
-    dcs = [(n, rng) for n, sense, rng in calls if sense == "min"]
-    assert [rng for n, rng in dcs if n == g.n_s] == [(m, m)]
-    assert sum(n == 5 for n, _ in dcs) == 2
-    assert all(rng == (m, m) for n, rng in dcs if n != 5)
+    full = build_k_dcs_program(g, 1)
+    heard = full.constraints[:, np.flatnonzero(full.constraints.any(axis=0))]
+    assert heard.shape[1] == 21
+    dcs = [(p, rng) for p, rng in calls if p.sense == "min"]
+    steps = [p for p, rng in dcs if rng == (m, m)]
+    assert sum(p.objective.size == 5 for p, _ in dcs) == 2
+    assert all(p.objective.size <= 5 for p, rng in dcs if rng != (m, m))
+    # one step per set and a last one that finds none
+    assert len(steps) == greedy.K + 1 and steps[0].constraints.tobytes() == heard.tobytes()
+    for p in steps:
+        assert (p.relations, p.rhs.tobytes()) == (full.relations, full.rhs.tobytes())
+        assert (p.objective == 1.0).all() and p.objective.size <= 21
+        # its columns are a subsequence of the heard columns
+        cols = iter(heard.T.tolist())
+        assert all(col in cols for col in p.constraints.T.tolist())
 
 
 def test_greedy_drops_the_nodes_no_size_m_dcs_agrees_with(monkeypatch):

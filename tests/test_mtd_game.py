@@ -212,6 +212,52 @@ def test_payoff_matrix_matches_direct_calls():
     assert checked >= 50
 
 
+def reference_identified(g, sets, attacked):
+    """mtd_game._identified as a (K, A, |T|, |T|) overlap tensor: each
+    residual code against every transformer's, two codes equal when their
+    sizes and their overlap all agree."""
+    cols = np.array(sorted(set(attacked).union(*sets)), dtype=int)
+    heard = np.array([[s in nb for s in cols] for nb in g.adj], dtype=float)
+    member = np.array([[s in st for s in cols] for st in sets], dtype=bool)
+    residual = member[:, None, :] & (cols[None, :] != np.array(attacked)[:, None])
+    codes = heard * residual[:, :, None, :]  # (K, A, T, C)
+    overlap = codes @ heard.T  # (K, A, T, T)
+    size = np.diagonal(overlap, axis1=2, axis2=3)
+    same = (overlap == size[..., :, None]) & (size[..., :, None] == size[..., None, :])
+    return (size > 0) & (same.sum(axis=3) == 1)
+
+
+def test_identified_matches_the_overlap_tensor():
+    # any sets, overlapping and not discriminating, and attacks on sites in
+    # them and outside them, on graphs sparse enough that codes often vanish
+    # or collide
+    rng, lost = np.random.default_rng(5), 0
+    for _ in range(2000):
+        n_t, n_s = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+        g = random_bipartite(rng, n_t, n_s, float(rng.uniform(0.1, 0.8)))
+        sets = [frozenset(np.flatnonzero(rng.random(n_s) < 0.5).tolist()) for _ in range(rng.integers(1, 4))]
+        attacked = sorted(rng.choice(n_s, int(rng.integers(1, n_s + 1)), replace=False).tolist())
+        flags = mtd_game._identified(g, sets, attacked)
+        expect = reference_identified(g, sets, attacked)
+        assert flags.shape == expect.shape and (flags == expect).all()
+        lost += int((~expect).sum())
+    assert lost >= 10_000
+
+
+def test_identified_memory_grows_with_the_codes_not_their_pairs():
+    # |T| = 100 and 450 sites in 3 disjoint sets of 150, every site attacked:
+    # the overlap tensor peaked at 622 MB traced, the distances at 6.4 MB
+    g = random_bipartite(np.random.default_rng(0), 100, 450, 0.05)
+    sets = [frozenset(range(150 * k, 150 * (k + 1))) for k in range(3)]
+    tracemalloc.start()
+    try:
+        flags = mtd_game._identified(g, sets, list(range(450)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flags.shape == (3, 450, 100) and peak < 16e6
+
+
 def reference_build_game(g, config, u, cost_on_miss=True):
     """build_game as it was before its frame was cached: every array from
     scratch on each call."""
@@ -220,7 +266,7 @@ def reference_build_game(g, config, u, cost_on_miss=True):
     attacker_actions = tuple(g.s_ids[s] for s in site_idx)
     cost = np.array([u.attack_cost[sid] for sid in attacker_actions])
     sets = [g.site_indices(cs.sensors) for cs in config.sets]
-    flags = mtd_game._identified(g, sets, site_idx)
+    flags = reference_identified(g, sets, site_idx)
     hit = np.array([[s in st for s in site_idx] for st in sets])
     dm = mtd_game._sum_by_transformer(flags, util)
     am = mtd_game._sum_by_transformer(~flags, util) - (cost if cost_on_miss else hit * cost)
@@ -929,6 +975,23 @@ def test_sse_drops_the_zero_only_lp_the_simplex_missed_a_row_on():
     assert values[0] is None and values[2] is None
     best = max(v for v in values if v is not None)
     assert values.index(best) == 4 and best == pytest.approx(4.0, abs=1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError, reason="open defect: the simplex point of an LP "
+                   "the presolve keeps misses a row by more than FEAS_TOL")
+def test_sse_solves_the_jittered_game_whose_kept_lp_misses_a_row():
+    # HiGHS solves every action's LP over the simplex, action 4 best at 5.0;
+    # solve_sse raises "simplex point misses a constraint row by more than
+    # FEAS_TOL" on an LP its presolve keeps
+    game = jittered_game(
+        [[1, 1, 3, 5, 2], [2, 4, 3, 0, 2], [2, 4, 4, 4, 5], [3, 0, 0, 3, 4]],
+        [[-1, 0, 2, 2, -1], [-2, -2, 0, 2, -2], [1, 1, 0, -3, 1], [2, -3, 3, 3, -1]],
+        [[10, 20, 20, 5, 5], [20, -5, 20, -10, 10], [-10, -10, 20, -5, 0], [5, -10, -5, 10, 10]],
+    )
+    values = highs_values(game, range(game.n_attacker))
+    assert None not in values and values.index(max(values)) == 4 and max(values) == pytest.approx(5.0, abs=1e-9)
+    sse = solve_sse([game])[0]
+    assert sse.attacker_response == 4 and sse.defender_value == pytest.approx(5.0, abs=1e-9)
 
 
 def test_presolve_is_sound_on_case14_and_the_ladder_graph(case14_families, monkeypatch):
