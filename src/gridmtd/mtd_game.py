@@ -91,6 +91,8 @@ class GameMatrix:
 
     def __post_init__(self):
         shape = (self.n_defender, self.n_attacker)
+        if not all(shape):
+            raise ValueError(f"a game needs at least one defender and one attacker action, not {shape}")
         for name, payoffs in (("defender", self.defender_payoffs), ("attacker", self.attacker_payoffs)):
             if np.shape(payoffs) != shape:
                 raise ValueError(f"{name} payoffs have shape {np.shape(payoffs)}, not {shape}")
@@ -231,17 +233,18 @@ def build_game(
 # Equilibrium and baseline
 
 
-def _columns(am: np.ndarray) -> np.ndarray:
-    """Maximal mask (G, A) of a stack (G, K, A) of attacker payoffs: no other
-    column is >= it in every defender row, of equal columns the lowest-indexed
-    one staying. Compares one defender row at a time."""
-    G, _, A = am.shape
-    geq = np.ones((G, A, A), dtype=bool)  # geq[g, i, j]: column i >= column j
+def _columns(am: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Maximal mask (G, A) of a stack (G, K, A) of attacker payoffs among the
+    valid (G, A) columns: no other valid column is >= it in every defender
+    row, of equal columns the lowest-indexed one staying. Compares one
+    defender row at a time."""
+    A = am.shape[2]
+    geq = np.repeat(valid[:, :, None], A, axis=2)  # geq[g, i, j]: column i is valid and >= column j
     for row in am.swapaxes(0, 1):
         geq &= row[:, :, None] >= row[:, None, :]
     at = np.arange(A)
     above = geq & (~geq.swapaxes(1, 2) | (at[:, None] < at))  # above it somewhere, or equal and earlier
-    return ~above.any(axis=1)
+    return valid & ~above.any(axis=1)
 
 
 def _zero_only(rows: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -305,49 +308,43 @@ def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
     every row is one of them: the row against a maximal action at or above
     its beater fixes every variable at once.
 
-    _columns runs once per shape (K, A). The presolve takes the LPs a stack
-    at a time; those it keeps, of every game in the call, are solved in one
-    run of stacks of at most _STACK_BYTES of tableau (one LP may exceed it),
-    each built when solved, so memory stays near _game_bytes per game plus
-    one stack. Each LP is padded to the call's largest K with zero columns
-    (objective 0, no entry in any row) and to its most maximal actions R
-    with rows 0 >= 0. Padding is inert: a zero column's reduced cost stays
-    0, so it never enters, and a zero row has no entry above FEAS_TOL, so no
-    ratio test or pivot touches it; the slacks keep their order after every
-    real column, so no pivot choice changes, and each LP gets the bits it
-    gets alone, unpadded.
+    _columns runs once per call, on its games in call order, zero-padded to
+    its largest K and A, with a mask of each game's real attacker actions,
+    so a padding column neither beats a real one nor is maximal. The
+    presolve takes the LPs a stack at a time; those it keeps, of every game
+    in the call, are solved in one run of stacks of at most _STACK_BYTES of
+    tableau (one LP may exceed it), each built when solved, so memory stays
+    near _game_bytes per game plus one stack. Each LP is padded to the
+    call's largest K with zero columns (objective 0, no entry in any row)
+    and to its most maximal actions R with rows 0 >= 0. Padding is inert: a
+    zero column's reduced cost stays 0, so it never enters, and a zero row
+    has no entry above FEAS_TOL, so no ratio test or pivot touches it; the
+    slacks keep their order after every real column, so no pivot choice
+    changes, and each LP gets the bits it gets alone, unpadded.
     """
-    shapes, out = {}, [None] * len(games)
-    for i, game in enumerate(games):
-        if game.n_defender < 1 or game.n_attacker < 1:
-            raise ValueError("degenerate game shape")
-        shapes.setdefault(game.attacker_payoffs.shape, []).append(i)
-    if not shapes:
-        return out
-    members = [i for ids in shapes.values() for i in ids]  # a game's place in the call
-    K, A = (max(shape[n] for shape in shapes) for n in (0, 1))
-    # per place, one row per attacker action, zero-padded to (A, K)
-    size = (len(members), A, K)
-    am, dm, top = np.zeros(size), np.zeros(size), np.zeros(size[:2], bool)
-    start = 0
-    for (k, a), ids in shapes.items():
-        part = slice(start, start + len(ids))
-        am[part, :a, :k] = np.stack([games[i].attacker_payoffs.T for i in ids])
-        dm[part, :a, :k] = np.stack([games[i].defender_payoffs.T for i in ids])
-        top[part, :a] = _columns(am[part, :a, :k].swapaxes(1, 2))
-        start += len(ids)
-    counts, defenders = top.sum(axis=1), np.array([games[i].n_defender for i in members])
+    if not games:
+        return []
+    defenders, attackers = np.array([x.attacker_payoffs.shape for x in games]).T
+    K, A = defenders.max(), attackers.max()
+    # per game, one row per attacker action, zero-padded to (A, K)
+    am, dm = np.zeros((2, len(games), A, K))
+    for i, x in enumerate(games):  # by index: a row view left bound would keep the layout alive through the LPs
+        am[i, : x.n_attacker, : x.n_defender] = x.attacker_payoffs.T
+        dm[i, : x.n_attacker, : x.n_defender] = x.defender_payoffs.T
+    valid = np.arange(A) < attackers[:, None]
+    top = _columns(am.swapaxes(1, 2), valid)
+    counts = top.sum(axis=1)
     R = counts.max()
     real, free = np.arange(R) < counts[:, None], np.arange(K) < defenders[:, None]  # (G, R) and (G, K): not padding
-    above = np.zeros((len(members), R, K))
+    above = np.zeros((len(games), R, K))
     above[real] = am[top]
 
-    def rows(at, col):  # the best-response rows of the LPs of attacker columns col (n, K) in the games at places at
+    def rows(at, col):  # the best-response rows of the LPs of attacker columns col (n, K) in the games at
         return np.where(real[at, :, None], col[:, None] - above[at], 0.0)
 
     step = max(1, _STACK_BYTES // _lp_bytes(K, R))
-    actions = np.flatnonzero(np.arange(A) < np.array([games[i].n_attacker for i in members])[:, None])
-    lps = np.concatenate([  # place * A + action of each LP the presolve keeps, in order
+    actions = np.flatnonzero(valid)
+    lps = np.concatenate([  # game * A + action of each LP the presolve keeps, in order
         c[~_zero_only(rows(c // A, am.reshape(-1, K)[c]), free[c // A])]
         for c in (actions[s : s + step] for s in range(0, actions.size, step))
     ])
@@ -368,19 +365,20 @@ def solve_sse(games: Sequence[GameMatrix]) -> list[SseSolution]:
             raise SolverError("an SSE LP is unbounded")
         mix[lp] = sol.assignment
     value = np.full(lps.size, np.nan)  # NaN: the optimum is x = 0
-    for k in {shape[0] for shape in shapes}:
+    for k in set(defenders.tolist()):
         on = mix.any(axis=1) & (defenders[at] == k)
         value[on] = (dm[on, :k] * mix[on, :k]).sum(axis=1)
-    table = np.full((len(members), A), np.nan)
+    table = np.full((len(games), A), np.nan)
     table[at, action] = value
     near = _near_best(table)
     if not near.any(axis=1).all():
         raise SolverError("no attacker action admitted a feasible best-response region")
     best = near.argmax(axis=1)
-    won = np.searchsorted(lps, np.arange(len(members)) * A + best)  # each game's winning LP
-    for i, j, w in zip(members, best, won):
-        x = mix[w, : games[i].n_defender]
-        out[i] = SseSolution(x, int(j), float(value[w]), float(np.dot(x, games[i].attacker_payoffs[:, j])))
+    won = np.searchsorted(lps, np.arange(len(games)) * A + best)  # each game's winning LP
+    out = []
+    for game, j, w in zip(games, best, won):
+        x = mix[w, : game.n_defender]
+        out.append(SseSolution(x, int(j), float(value[w]), float(np.dot(x, game.attacker_payoffs[:, j]))))
     return out
 
 

@@ -178,15 +178,17 @@ class Solution:
     statuses: tuple[str, ...] | None = None  # solve_lp on a stack: each member's status
 
     def __eq__(self, other):
+        """Every field equal; arrays by value and shape, NaN equal to NaN."""
         if not isinstance(other, Solution):
             return NotImplemented
-        if self.status != other.status:
-            return False
-        if (self.assignment is None) != (other.assignment is None):
-            return False
-        if self.assignment is not None and not np.array_equal(self.assignment, other.assignment):
-            return False
-        return self.objective_value == other.objective_value
+        return (self.status, self.statuses) == (other.status, other.statuses) and all(
+            (a is None) == (b is None) and (a is None or np.array_equal(a, b, equal_nan=True))
+            for a, b in (
+                (self.assignment, other.assignment),
+                (self.objective_value, other.objective_value),
+                (self.duals, other.duals),
+            )
+        )
 
 
 # ---------------------------------------------------------------------------

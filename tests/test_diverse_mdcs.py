@@ -837,6 +837,22 @@ def bench_ladder(seed: int) -> list[BipartiteGraph]:
     return [g for g, _ in workloads.ladder_graphs(seed)]
 
 
+def test_find_kmax_meets_the_site_bound_on_the_8x40_ladder_graph_of_seed_10(monkeypatch):
+    # among ladder seeds 1-12 the one graph whose packing widens more than
+    # once: 556, then 1,112, 2,224 and 4,448 patterns; the last packing
+    # meets the site bound, 40 heard sites over l = 4
+    [g] = [g for g in bench_ladder(10) if (g.n_t, g.n_s) == (8, 40)]
+    real, packed = diverse_mdcs._pack, []
+    monkeypatch.setattr(
+        diverse_mdcs, "_pack", lambda patterns, *args: packed.append(len(patterns)) or real(patterns, *args)
+    )
+    cfg = find_kmax(g)
+    cfg.validate(g)
+    # K * l is every heard site, so no larger family fits
+    assert (cfg.K, cfg.l, len(set().union(*g.adj))) == (10, 4, 40)
+    assert len(packed) >= 3
+
+
 def test_find_kmax_skips_the_m_solve_where_the_log2_floor_is_met(monkeypatch, tiny_graph, case14_text):
     from gridmtd import build_bipartite, parse_matpower
 

@@ -143,6 +143,12 @@ def test_game_matrix_rejects_payoffs_of_the_wrong_shape():
         for pay in ((bad, ok), (ok, bad)):
             with pytest.raises(ValueError, match="shape"):
                 GameMatrix(sets, names, *pay)
+    # no defender action once reached urs_value's division by zero, and no
+    # attacker action its empty reduction
+    for sets_, names_ in (((), names), (sets, ())):
+        empty = np.zeros((len(sets_), len(names_)))
+        with pytest.raises(ValueError, match="at least one defender and one attacker action"):
+            GameMatrix(sets_, names_, empty, empty)
 
 
 def test_game_matrix_rejects_non_finite_payoffs():
@@ -468,7 +474,7 @@ def reference_sse(game):
 
 def maximal(am):
     """The maximal attacker actions of one game's payoffs."""
-    return np.flatnonzero(_columns(am[None])[0])
+    return np.flatnonzero(_columns(am[None], np.ones((1, am.shape[1]), bool))[0])
 
 
 def best_response_rows(game):
@@ -723,19 +729,14 @@ def test_case14_sse_stack_members_match_their_solves_alone(case14_families, monk
 
 
 def assert_padding_inert(games, stacks):
-    """solve_sse's stacks for games hold, per game shape in order of first
-    appearance, the reduced LP of each presolved action of those games in
-    game order, padded with zero columns to the largest defender count and
-    with 0 >= 0 rows to the most maximal actions; each, solved alone without
-    its padding, gets the status, point, value and real rows' duals it got
-    padded, and its padding gets 0 in the point and the duals. Returns how
-    many stacks mix real row counts and how many mix real column counts."""
-    want = [
-        reduced_lp(x, j)
-        for shape in dict.fromkeys(x.attacker_payoffs.shape for x in games)
-        for x in games if x.attacker_payoffs.shape == shape
-        for j in presolved(x)
-    ]
+    """solve_sse's stacks for games hold, in game order, the reduced LP of
+    each presolved action of each game, padded with zero columns to the
+    largest defender count and with 0 >= 0 rows to the most maximal actions;
+    each, solved alone without its padding, gets the status, point, value
+    and real rows' duals it got padded, and its padding gets 0 in the point
+    and the duals. Returns how many stacks mix real row counts and how many
+    mix real column counts."""
+    want = [reduced_lp(x, j) for x in games for j in presolved(x)]
     assert sum(len(p.objective) for p, _ in stacks) == len(want)
     rows = columns = 0
     lps = iter(want)
@@ -787,6 +788,28 @@ def test_sse_padding_rows_and_columns_are_inert(case14_families, monkeypatch):
     assert rows > 0 and columns > 0
 
 
+def test_padding_columns_never_beat_a_narrower_games_columns(monkeypatch):
+    # every attacker column of the narrow game is negative, so a zero
+    # padding column would be >= each of them in every defender row; next
+    # to a wider game, with more defender actions too, the narrow game keeps
+    # the maximal columns, 0 and 1, and the solution it gets alone, where
+    # its dominated column 2, the defender's best, can never be a best response
+    sets = tuple(CodeSet(frozenset({f"d{k}"})) for k in range(3))
+    am = -np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
+    narrow = GameMatrix(sets[:2], ("s0", "s1", "s2"), np.array([[3.0, 1.0, 5.0], [0.0, 2.0, 5.0]]), am)
+    dm, wide_am = np.random.default_rng(3).integers(-3, 4, size=(2, 3, 5)).astype(float)
+    wide = GameMatrix(sets, tuple(f"s{j}" for j in range(5)), dm, wide_am)
+    tops, real = [], mtd_game._columns
+    monkeypatch.setattr(mtd_game, "_columns", lambda am, valid: tops.append(real(am, valid)) or tops[-1])
+    alone = solve_sse([narrow])[0]
+    together = solve_sse([narrow, wide])
+    assert np.flatnonzero(tops[0][0]).tolist() == maximal(am).tolist() == [0, 1]
+    assert tops[1][0].tolist() == [True, True, False, False, False]
+    assert alone.attacker_response != 2
+    assert_same_sse(together[0], alone)
+    assert_same_sse(together[1], solve_sse([wide])[0])
+
+
 def test_batched_sse_matches_reference_on_corpus():
     games = []
     for i, g in enumerate(feasible_corpus(seed=67, count=20, s_lo=4, s_hi=10)):
@@ -834,10 +857,10 @@ def test_columns_of_a_stack_equal_each_games_alone():
         G, K, A = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 8))
         am = rng.integers(-1, 2, size=(G, K, A)).astype(float)
         am[:, :, -1] = am[:, :, 0]
-        top = _columns(am)
+        top = _columns(am, np.ones((G, A), bool))
         assert top.shape == (G, A)
         for one, x in zip(am, top):
-            assert x.tolist() == _columns(one[None])[0].tolist()
+            assert x.tolist() == _columns(one[None], np.ones((1, A), bool))[0].tolist()
 
 
 def sse_lp_corpus():
@@ -1186,14 +1209,17 @@ def test_run_trials_peak_is_bounded_by_the_stack_budget():
     assert peaks[1] - peaks[0] <= 0.1e6
 
 
-def test_run_trials_compares_each_shape_once_per_call(case14_families, monkeypatch):
-    # at 6,400 bytes held a trial, 60 trials take calls of 51 and 9; each
-    # solve_sse call runs _columns once per (defender, attacker) count, on
-    # that shape's games stacked in game order, and nothing else runs it;
-    # the rows keep the bits of each game solved alone
+def test_run_trials_compares_each_call_once_on_its_padded_layout(case14_families, monkeypatch):
+    # at 6,400 bytes held a trial, 60 trials take calls of 51 and 9, each of
+    # two game shapes; each solve_sse call runs _columns once, on its games
+    # in call order, zero-padded to the call's most defender and attacker
+    # actions, with a mask of each game's real attacker actions, and nothing
+    # else runs it; the rows keep the bits of each game solved alone
     g, greedy, optimal = case14_families
     every, calls, real = [], [], mtd_game._columns
-    monkeypatch.setattr(mtd_game, "_columns", lambda am: every.append(am.copy()) or real(am))
+    monkeypatch.setattr(
+        mtd_game, "_columns", lambda am, valid: every.append((am.copy(), valid.copy())) or real(am, valid)
+    )
 
     def traced(games):
         before = len(every)
@@ -1204,14 +1230,17 @@ def test_run_trials_compares_each_shape_once_per_call(case14_families, monkeypat
     monkeypatch.setattr(mtd_game, "solve_sse", traced)
     rep = run_trials(g, greedy, optimal, 60, seed=3, cost_on_miss=False, integer_utilities=True)
     assert held_bytes(calls[0][0][:2]) == 6_400 and _STACK_BYTES // 6_400 == 51
-    assert [len(games) for games, _ in calls] == [102, 18] and len(every) == 4
+    assert [len(games) for games, _ in calls] == [102, 18] and len(every) == 2
     for games, compared in calls:
-        shapes = {}
-        for x in games:
-            shapes.setdefault(x.attacker_payoffs.shape, []).append(x.attacker_payoffs)
-        assert len(compared) == len(shapes) == 2
-        stacked = map(np.stack, shapes.values())
-        assert {(am.shape, am.tobytes()) for am in compared} == {(am.shape, am.tobytes()) for am in stacked}
+        [(am, valid)] = compared
+        shapes = [x.attacker_payoffs.shape for x in games]
+        K, A = map(max, zip(*shapes))
+        assert len(set(shapes)) == 2 and am.shape == (len(games), K, A) and valid.shape == (len(games), A)
+        for x, a, v, (k, n) in zip(games, am, valid, shapes):
+            padding = a.copy()
+            padding[:k, :n] = 0.0
+            assert a[:k, :n].tobytes() == x.attacker_payoffs.tobytes() and not padding.any()
+            assert v.tolist() == [j < n for j in range(A)]
     for trial, row in enumerate(rep.values):
         u = random_profile(g, trial_rng(3, trial), integer_utilities=True)
         games = [build_game(g, cfg, u, cost_on_miss=False) for cfg in (greedy, optimal)]

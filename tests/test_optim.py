@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -586,6 +587,35 @@ def test_solver_determinism():
         assert a == b
     q = lp([1.0, 2.0], [([1.0, 1.0], "<=", 1.5)] + caps(2, 1.0))
     assert solve_lp(q) == solve_lp(q)
+
+
+def test_solution_equality_compares_every_field_of_a_stack():
+    # a stack's Solution once raised on == when its members were optimal,
+    # returned an array when one was infeasible (a NaN value), and never
+    # compared duals or statuses
+    obj = np.array([[1.0, 2.0], [2.0, 1.0]])
+    feasible, infeasible = [[1.0, 1.0], [1.0, 0.0]], [[1.0, 1.0], [0.5, 0.0]]  # x0 >= 1, or x0 >= 2 past x0 + x1 <= 1.5
+    stacks = [
+        LinearProgram(obj, np.array([feasible, second]), ("<=", ">="), [1.5, 1.0]) for second in (feasible, infeasible)
+    ]
+    optimal, mixed = (solve_lp(p) for p in stacks)
+    assert (optimal.statuses, mixed.statuses) == (("optimal", "optimal"), ("optimal", "infeasible"))
+    for p in stacks:
+        assert solve_lp(p) == solve_lp(p)
+    assert optimal != mixed
+    changed = {
+        "assignment": optimal.assignment + [[0.0, 0.0], [0.0, 1.0]],
+        "objective_value": optimal.objective_value + [0.0, 1.0],
+        "duals": optimal.duals + [[0.0, 0.0], [0.0, 1.0]],
+        "statuses": ("optimal", "infeasible"),
+    }
+    for field, value in changed.items():
+        assert optimal != dataclasses.replace(optimal, **{field: value})
+    # solve_bilp's scalar results compare as they did
+    p = bilp([1.0, 2.0], "max", [([1.0, 1.0], "<=", 1.0)])
+    assert solve_bilp(p) == solve_bilp(p) != solve_bilp(bilp([1.0, 3.0], "max", [([1.0, 1.0], "<=", 1.0)]))
+    q = bilp([1.0, 1.0], "max", [([1.0, 1.0], ">=", 3.0)])
+    assert solve_bilp(q) == solve_bilp(q) != solve_bilp(p)
 
 
 def test_lp_beale_cycling_instance():
